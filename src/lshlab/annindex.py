@@ -15,11 +15,7 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .hashing import (
-    Concatenation,
-    CoordinateProjection,
     HashFamily,
     HashFunction,
     SensitivityProfile,
@@ -128,14 +124,6 @@ class NNIndex:
         return CANDIDATE_CAP_FACTOR * self.params.L
 
 
-def _coords_if_projection_concat(fn: HashFunction) -> Optional[list[int]]:
-    if isinstance(fn, Concatenation) and all(
-        isinstance(p, CoordinateProjection) for p in fn.parts
-    ):
-        return [p.coord for p in fn.parts]
-    return None
-
-
 def build(
     points: Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
@@ -154,15 +142,8 @@ def build(
     bit_matrix = points_to_bit_matrix(points)
     tables = []
     for fn in functions:
-        coords = _coords_if_projection_concat(fn)
-        if coords is not None and len(coords) <= 62:
-            weights = (np.int64(1) << np.arange(len(coords), dtype=np.int64))
-            labels = bit_matrix[:, coords].astype(np.int64) @ weights
-            labels = [int(v) for v in labels]
-        else:
-            labels = [fn(pt) for pt in points]
         table: dict = {}
-        for idx, lab in enumerate(labels):
+        for idx, lab in enumerate(fn.labels(bit_matrix).tolist()):
             table.setdefault(lab, []).append(idx)
         tables.append(table)
 
@@ -191,9 +172,10 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     cr = index.params.cr
     inspected = 0
     evals = 0
+    bits = points_to_bit_matrix([x])
     for ti, (fn, table) in enumerate(zip(index.functions, index.tables)):
         evals += index.params.k
-        bucket = table.get(fn(x))
+        bucket = table.get(fn.labels(bits).item())
         if not bucket:
             continue
         for idx in bucket:
@@ -281,6 +263,9 @@ def load_index(path) -> NNIndex:
         {int(lab): list(ids) for lab, ids in table.items()} for table in doc["tables"]
     ]
     points = [Point.from01(s) for s in doc["points"]]
+    ids = [i for table in tables for bucket in table.values() for i in bucket]
+    if ids and not (0 <= min(ids) and max(ids) < len(points)):
+        raise ValueError(f"{path} has table entries outside the {len(points)} stored points")
     return NNIndex(params, doc["dim"], functions, tables, points, doc.get("family"))
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,6 +184,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_index_build(args) -> int:
+    if args.r < 1:
+        raise CliError("--r must be at least 1")
     if args.data.endswith(".bin"):
         points = load_points_binary(args.data)
     else:
@@ -190,11 +193,14 @@ def cmd_index_build(args) -> int:
     d = points[0].dim
     profile = bit_sampling_profile(d, args.r, args.cr / args.r)
     params = plan(len(points), profile, args.delta, seed=args.seed)
-    if args.k:
-        params = type(params)(
-            r=params.r, cr=params.cr, k=args.k, L=args.L or params.L,
-            delta=params.delta, seed=params.seed, n_planned=params.n_planned,
+    if args.k is not None:
+        # Another k voids the planned success probability and rho.
+        params = replace(
+            params, k=args.k, L=args.L if args.L is not None else params.L,
+            predicted_p_k=None, planned_rho=None,
         )
+    elif args.L is not None:
+        params = replace(params, L=args.L)
     index = build(points, bit_sampling_family(d), params)
     save_index(index, args.out)
     st = stats(index)

@@ -9,6 +9,7 @@ what makes the enumeration-based sensitivity measurements trustworthy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .points import Point, popcount_table
+from .points import Point, points_to_bit_matrix, popcount_table
 from . import rng as rngmod
 
 
@@ -56,7 +57,41 @@ def unpack_label(packed: int, bounds: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Hash functions
+# Hash functions. Every function evaluates a whole batch at once: labels(bits)
+# maps an (n, dim) 0/1 uint8 matrix, column i = coordinate i, to n labels.
+# Labels are int64 while label_bound <= 2^63 and exact Python ints (object
+# dtype) beyond, so a long concatenation never wraps.
+
+_INT64_BOUND = 1 << 63
+
+
+def _label_dtype(bound: int):
+    return np.int64 if bound <= _INT64_BOUND else object
+
+
+def _row_values(bits: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Little-endian value of each 0/1 row (column j contributes 2^j).
+
+    int64 holds rows of up to 63 columns; object dtype is exact at any width.
+    """
+    if dtype is object:
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        return np.array([int.from_bytes(row.tobytes(), "little") for row in packed], dtype=object)
+    return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def _min_rank(ranks: np.ndarray, bits: np.ndarray, empty: int) -> np.ndarray:
+    """Smallest rank among each row's set coordinates, `empty` for an empty row."""
+    return np.where(bits.astype(bool), ranks, empty).min(axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _cube_bits(d: int) -> np.ndarray:
+    """All 2^d points as bit rows, row v being the point with value v (read-only)."""
+    ids = np.arange(1 << d, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.ascontiguousarray(np.unpackbits(ids, axis=1, bitorder="little")[:, :d])
+    bits.flags.writeable = False
+    return bits
 
 
 class HashFunction:
@@ -68,26 +103,28 @@ class HashFunction:
     def label_bound(self) -> int:
         raise NotImplementedError
 
-    def _eval(self, v: int) -> int:
+    def labels(self, bits: np.ndarray) -> np.ndarray:
+        """Labels of the rows of an (n, dim) 0/1 uint8 matrix: int64 while
+        label_bound <= 2^63, exact Python ints (object dtype) beyond."""
+        if bits.ndim != 2 or bits.shape[1] != self.dim:
+            raise DimensionMismatch(f"bit rows of shape {bits.shape}, function expects width {self.dim}")
+        return self._labels(bits)
+
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: Point) -> int:
         if x.dim != self.dim:
             raise DimensionMismatch(f"point has dimension {x.dim}, function expects {self.dim}")
-        return self._eval(x.value)
+        return int(self._labels(points_to_bit_matrix([x]))[0])
 
     def collision_codes(self) -> np.ndarray:
         """Labels of all 2^dim inputs, recoded to consecutive ints.
 
-        Only the equality structure is preserved; use __call__ for real labels.
+        Only the equality structure is preserved; use labels for real labels.
         """
-        table = np.array([self._eval(v) for v in range(1 << self.dim)], dtype=np.int64)
-        _, codes = np.unique(table, return_inverse=True)
+        _, codes = np.unique(self._labels(_cube_bits(self.dim)), return_inverse=True)
         return codes.astype(np.int64)
-
-
-def evaluate(h: HashFunction, x: Point) -> int:
-    return h(x)
 
 
 @dataclass(frozen=True)
@@ -103,12 +140,8 @@ class CoordinateProjection(HashFunction):
     def label_bound(self) -> int:
         return 2
 
-    def _eval(self, v: int) -> int:
-        return (v >> self.coord) & 1
-
-    def collision_codes(self) -> np.ndarray:
-        ids = np.arange(1 << self.dim, dtype=np.int64)
-        return (ids >> self.coord) & 1
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return bits[:, self.coord].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -129,18 +162,8 @@ class CoordinateSubset(HashFunction):
     def label_bound(self) -> int:
         return 1 << len(self.coords)
 
-    def _eval(self, v: int) -> int:
-        label = 0
-        for j, i in enumerate(self.coords):
-            label |= ((v >> i) & 1) << j
-        return label
-
-    def collision_codes(self) -> np.ndarray:
-        ids = np.arange(1 << self.dim, dtype=np.int64)
-        label = np.zeros_like(ids)
-        for j, i in enumerate(self.coords):
-            label |= ((ids >> i) & 1) << j
-        return label
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return _row_values(bits[:, list(self.coords)], _label_dtype(self.label_bound))
 
 
 @dataclass(frozen=True)
@@ -156,23 +179,11 @@ class Parity(HashFunction):
                 raise ValueError(f"coordinate {i} out of range for dimension {self.dim}")
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.coords:
-            m |= 1 << i
-        return m
-
-    @property
     def label_bound(self) -> int:
         return 2
 
-    def _eval(self, v: int) -> int:
-        return (v & self.mask).bit_count() & 1
-
-    def collision_codes(self) -> np.ndarray:
-        pc = popcount_table(self.dim)
-        ids = np.arange(1 << self.dim)
-        return (pc[ids & self.mask] & 1).astype(np.int64)
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return bits[:, list(self.coords)].sum(axis=1, dtype=np.int64) & 1
 
 
 @dataclass(frozen=True)
@@ -183,11 +194,8 @@ class Constant(HashFunction):
     def label_bound(self) -> int:
         return 1
 
-    def _eval(self, v: int) -> int:
-        return 0
-
-    def collision_codes(self) -> np.ndarray:
-        return np.zeros(1 << self.dim, dtype=np.int64)
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return np.zeros(len(bits), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -195,24 +203,24 @@ class ExplicitTable(HashFunction):
     """A label for every point, listed in point-value order (small dim only)."""
 
     dim: int
-    labels: tuple[int, ...]
+    table: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.labels) != 1 << self.dim:
-            raise ValueError(f"table needs {1 << self.dim} entries, got {len(self.labels)}")
-        if any(l < 0 for l in self.labels):
+        if len(self.table) != 1 << self.dim:
+            raise ValueError(f"table needs {1 << self.dim} entries, got {len(self.table)}")
+        if any(l < 0 for l in self.table):
             raise ValueError("labels must be non-negative")
 
-    @property
+    @functools.cached_property
     def label_bound(self) -> int:
-        return max(self.labels) + 1
+        return max(self.table) + 1
 
-    def _eval(self, v: int) -> int:
-        return self.labels[v]
+    @functools.cached_property
+    def _lookup(self) -> np.ndarray:
+        return np.array(self.table, dtype=_label_dtype(self.label_bound))
 
-    def collision_codes(self) -> np.ndarray:
-        _, codes = np.unique(np.array(self.labels, dtype=np.int64), return_inverse=True)
-        return codes.astype(np.int64)
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return self._lookup[_row_values(bits)]
 
 
 @dataclass(frozen=True)
@@ -235,14 +243,8 @@ class MinHashPermutation(HashFunction):
     def label_bound(self) -> int:
         return self.dim + 1
 
-    def _eval(self, v: int) -> int:
-        if v == 0:
-            return self.dim
-        best = self.dim
-        for i in range(self.dim):
-            if (v >> i) & 1 and self.perm[i] < best:
-                best = self.perm[i]
-        return best
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        return _min_rank(np.array(self.perm, dtype=np.int64), bits, self.dim)
 
 
 @dataclass(frozen=True)
@@ -262,17 +264,9 @@ class PairCollapse(HashFunction):
     def label_bound(self) -> int:
         return (1 << self.dim) + 1
 
-    def _eval(self, v: int) -> int:
-        if v == self.x0 or v == self.y0:
-            return 0
-        return v + 1
-
-    def collision_codes(self) -> np.ndarray:
-        table = np.arange(1, (1 << self.dim) + 1, dtype=np.int64)
-        table[self.x0] = 0
-        table[self.y0] = 0
-        _, codes = np.unique(table, return_inverse=True)
-        return codes.astype(np.int64)
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        v = _row_values(bits, _label_dtype(self.label_bound))
+        return np.where((v == self.x0) | (v == self.y0), 0, v + 1)
 
 
 @dataclass(frozen=True)
@@ -292,23 +286,36 @@ class Concatenation(HashFunction):
     def dim(self) -> int:  # type: ignore[override]
         return self.parts[0].dim
 
-    @property
+    @functools.cached_property
     def label_bound(self) -> int:
         bound = 1
         for p in self.parts:
             bound *= p.label_bound
         return bound
 
-    def _eval(self, v: int) -> int:
-        packed = 0
+    @functools.cached_property
+    def _projected_coords(self) -> Optional[np.ndarray]:
+        # With every part a coordinate projection, the packed label is the
+        # little-endian number read off those columns: one gather, not k calls.
+        if all(isinstance(p, CoordinateProjection) for p in self.parts):
+            return np.array([p.coord for p in self.parts], dtype=np.intp)
+        return None
+
+    def _labels(self, bits: np.ndarray) -> np.ndarray:
+        dtype = _label_dtype(self.label_bound)
+        if self._projected_coords is not None:
+            return _row_values(bits[:, self._projected_coords], dtype)
+        packed = np.zeros(len(bits), dtype=dtype)
         scale = 1
         for p in self.parts:
-            packed += p._eval(v) * scale
+            packed += p._labels(bits).astype(dtype) * scale
             scale *= p.label_bound
         return packed
 
     def collision_codes(self) -> np.ndarray:
         # Combine pairwise with recompaction so intermediate codes stay small.
+        # The order is part of the result: spectra sum label columns in code
+        # order, so another numbering would move low bits of certified curves.
         codes = self.parts[0].collision_codes()
         for p in self.parts[1:]:
             nxt = p.collision_codes()
@@ -329,6 +336,11 @@ class MinHashLaw:
     def draw(self, g: np.random.Generator) -> HashFunction:
         return MinHashPermutation(self.dim, tuple(int(i) for i in g.permutation(self.dim)))
 
+    def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
+        # One row of ranks per pair, shuffled row by row as successive draws would be.
+        ranks = g.permuted(np.tile(np.arange(self.dim), (len(x_bits), 1)), axis=1)
+        return _min_rank(ranks, x_bits, self.dim) == _min_rank(ranks, y_bits, self.dim)
+
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -337,6 +349,13 @@ class PowerLaw:
 
     def draw(self, g: np.random.Generator) -> HashFunction:
         return Concatenation(tuple(self.base.draw(g) for _ in range(self.k)))
+
+    def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
+        # A concatenation collides iff all k components do; each pair's k
+        # component draws come consecutively, as in draw.
+        k = self.k
+        hits = self.base.collisions(np.repeat(x_bits, k, axis=0), np.repeat(y_bits, k, axis=0), g)
+        return hits.reshape(-1, k).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -378,26 +397,55 @@ class HashFamily:
     def is_finite(self) -> bool:
         return self.atoms is not None
 
-    @property
+    @functools.cached_property
     def is_uniform(self) -> bool:
         if self.atoms is None:
             return False
         w0 = self.atoms[0][0]
         return all(w == w0 for w, _ in self.atoms)
 
+    @functools.cached_property
+    def _draw_weights(self) -> np.ndarray:
+        weights = np.array([float(w) for w, _ in self.atoms])
+        weights /= weights.sum()
+        return weights
+
     def draw(self, g: np.random.Generator) -> HashFunction:
         if self.atoms is not None:
             if self.is_uniform:
                 return self.atoms[int(g.integers(len(self.atoms)))][1]
-            weights = np.array([float(w) for w, _ in self.atoms])
-            weights /= weights.sum()
-            return self.atoms[int(g.choice(len(self.atoms), p=weights))][1]
+            return self.atoms[int(g.choice(len(self.atoms), p=self._draw_weights))][1]
         return self.law.draw(g)
 
     def sample(self, n: int, seed: int, substream: int = 0) -> list[HashFunction]:
         """n independent draws; the same (seed, substream) always gives the same list."""
         g = rngmod.stream(seed, substream)
         return [self.draw(g) for _ in range(n)]
+
+    def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
+        """Whether h(x) = h(y) on each row pair of two (n, dim) bit matrices,
+        with a fresh h drawn per pair.
+
+        The draws take g to the same state as n calls of draw would, so the
+        result equals scoring those draws one pair at a time; here they come
+        from one generator call and each drawn function labels all of its
+        pairs at once.
+        """
+        if self.atoms is None:
+            return self.law.collisions(x_bits, y_bits, g)
+        n = len(x_bits)
+        if self.is_uniform:
+            picks = g.integers(len(self.atoms), size=n)
+        else:
+            picks = g.choice(len(self.atoms), size=n, p=self._draw_weights)
+        hits = np.empty(n, dtype=bool)
+        # Group the pairs by drawn atom with one sort; each group is labelled in one call.
+        order = np.argsort(picks, kind="stable")
+        drawn, starts = np.unique(picks[order], return_index=True)
+        for atom, rows in zip(drawn, np.split(order, starts[1:])):
+            labels = self.atoms[atom][1].labels(np.concatenate((x_bits[rows], y_bits[rows])))
+            hits[rows] = labels[: len(rows)] == labels[len(rows) :]
+        return hits
 
 
 def finite_family(
@@ -609,13 +657,23 @@ def bit_sampling_profile(d: int, r: float, c: float) -> SensitivityProfile:
     )
 
 
-def collision_probability(family: HashFamily, x: Point, y: Point) -> Fraction:
-    """Exact Pr[h(x) = h(y)] for a finite family."""
+def _collision_masses(family: HashFamily, bits: np.ndarray) -> list[Fraction]:
+    """Exact Pr[h(row i) = h(row 0)] for each row i of a bit matrix."""
     if family.atoms is None:
         raise ValueError("collision probability needs a finite family")
+    masses = [Fraction(0)] * len(bits)
+    for w, h in family.atoms:
+        labels = h.labels(bits)
+        for i in np.flatnonzero(labels == labels[0]):
+            masses[i] += w
+    return masses
+
+
+def collision_probability(family: HashFamily, x: Point, y: Point) -> Fraction:
+    """Exact Pr[h(x) = h(y)] for a finite family."""
     if x.dim != family.dim or y.dim != family.dim:
         raise DimensionMismatch("point dimension differs from family dimension")
-    return sum((w for w, h in family.atoms if h(x) == h(y)), Fraction(0))
+    return _collision_masses(family, points_to_bit_matrix([x, y]))[1]
 
 
 _ENUM_DIM_LIMIT = 14
@@ -628,8 +686,8 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
     if not family.distance_symmetric:
         raise ValueError("family is not marked distance_symmetric")
     d = family.dim
-    x0 = Point(0, d)
-    return [collision_probability(family, x0, Point((1 << m) - 1, d)) for m in range(d + 1)]
+    # Row m has its first m coordinates set: at distance m from row 0, the origin.
+    return _collision_masses(family, np.tri(d + 1, d, -1, dtype=np.uint8))
 
 
 def _class_extremes(family: HashFamily) -> tuple[list, list]:
@@ -731,7 +789,7 @@ def function_descriptor(h: HashFunction) -> dict:
     if isinstance(h, Constant):
         return {"kind": "const", "d": h.dim}
     if isinstance(h, ExplicitTable):
-        return {"kind": "table", "d": h.dim, "labels": list(h.labels)}
+        return {"kind": "table", "d": h.dim, "labels": list(h.table)}
     if isinstance(h, MinHashPermutation):
         return {"kind": "minperm", "d": h.dim, "perm": list(h.perm)}
     if isinstance(h, PairCollapse):

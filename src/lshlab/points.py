@@ -155,7 +155,10 @@ def load_points_binary(path) -> list[Point]:
         magic = f.read(len(_BINARY_MAGIC))
         if magic != _BINARY_MAGIC:
             raise ValueError(f"{path} is not a packed point file")
-        d, n = struct.unpack("<II", f.read(8))
+        header = f.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path} truncated")
+        d, n = struct.unpack("<II", header)
         nbytes = (d + 7) // 8
         points = []
         for _ in range(n):
@@ -163,4 +166,6 @@ def load_points_binary(path) -> list[Point]:
             if len(raw) != nbytes:
                 raise ValueError(f"{path} truncated")
             points.append(Point(int.from_bytes(raw, "little") & ((1 << d) - 1), d))
+        if f.read(1):
+            raise ValueError(f"{path} has bytes after its {n} rows")
     return points

@@ -2,12 +2,10 @@
 
 Every randomized routine in the package takes an explicit integer seed and
 derives independent substreams by index, so Monte Carlo work can be chunked
-(or parallelized) with results that do not depend on scheduling.
+with results that do not depend on how the chunks are split up.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -21,12 +19,3 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def max_workers() -> int:
-    """Worker-thread cap from LSHLAB_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("LSHLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

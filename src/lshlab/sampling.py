@@ -11,7 +11,6 @@ to bracket the stability K(u) from both sides.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -69,9 +68,8 @@ def mc_stability(
 ) -> StabilityEstimate:
     """Unbiased collision-rate estimate over fresh (function, pair) draws.
 
-    Work is split into fixed-size chunks with one substream each, so the
-    result is identical however the chunks are scheduled; LSHLAB_THREADS > 1
-    runs chunks on a thread pool.
+    Work is split into fixed-size chunks with one substream each; a chunk
+    draws its pairs, then one function per pair, and scores them together.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
@@ -83,27 +81,12 @@ def mc_stability(
     if n_samples % _MC_CHUNK:
         sizes.append(n_samples % _MC_CHUNK)
 
-    def run_chunk(idx_size):
-        idx, size = idx_size
+    hits = 0
+    for idx, size in enumerate(sizes):
         g = rngmod.stream(seed, idx)
         xb = g.integers(0, 2, size=(size, d), dtype=np.uint8)
         flips = (g.random(size=(size, d)) < (1 - rho) / 2).astype(np.uint8)
-        xs = bit_rows_to_points(xb)
-        ys = bit_rows_to_points(xb ^ flips)
-        hits = 0
-        for x, y in zip(xs, ys):
-            h = family.draw(g)
-            if h(x) == h(y):
-                hits += 1
-        return hits
-
-    jobs = list(enumerate(sizes))
-    workers = rngmod.max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_chunk, jobs))
-    else:
-        hits = sum(run_chunk(job) for job in jobs)
+        hits += int(np.count_nonzero(family.collisions(xb, xb ^ flips, g)))
 
     p_hat = hits / n_samples
     return StabilityEstimate(p_hat, math.sqrt(p_hat * (1 - p_hat) / n_samples), n_samples)
@@ -302,22 +285,6 @@ class JaccardSummary:
         with open(path, "w") as f:
             f.write(",".join(fields) + "\n")
             f.write(",".join(repr(getattr(self, name)) for name in fields) + "\n")
-
-
-def distance_histogram(
-    d: int, rho: float, n_samples: int, seed: int = rngmod.DEFAULT_SEED
-) -> np.ndarray:
-    """Empirical counts of pair distances 0..d over correlated draws."""
-    x, y = correlated_bits(d, rho, n_samples, seed)
-    dists = (x ^ y).sum(axis=1)
-    return np.bincount(dists, minlength=d + 1)
-
-
-def histogram_to_csv(counts: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        f.write("dist,count\n")
-        for dist, count in enumerate(counts):
-            f.write(f"{dist},{int(count)}\n")
 
 
 def jaccard_of_correlated_sets(

@@ -1,0 +1,184 @@
+"""Batch labels against per-point references written from each class's
+definition, and bulk Monte Carlo scoring against one draw per pair."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lshlab import rng as rngmod
+from lshlab.hashing import (
+    Concatenation,
+    Constant,
+    CoordinateProjection,
+    CoordinateSubset,
+    ExplicitTable,
+    MinHashPermutation,
+    PairCollapse,
+    Parity,
+    bit_sampling_family,
+    finite_family,
+    minhash_family,
+    power,
+)
+from lshlab.points import Point, bit_rows_to_points
+
+
+def ref_label(h, v: int) -> int:
+    """h's label of the point with value v, straight from h's definition."""
+    if isinstance(h, CoordinateProjection):
+        return (v >> h.coord) & 1
+    if isinstance(h, CoordinateSubset):
+        return sum(((v >> c) & 1) << j for j, c in enumerate(h.coords))
+    if isinstance(h, Parity):
+        return sum((v >> c) & 1 for c in h.coords) % 2
+    if isinstance(h, Constant):
+        return 0
+    if isinstance(h, ExplicitTable):
+        return h.table[v]
+    if isinstance(h, MinHashPermutation):
+        return min((h.perm[i] for i in range(h.dim) if (v >> i) & 1), default=h.dim)
+    if isinstance(h, PairCollapse):
+        return 0 if v in (h.x0, h.y0) else v + 1
+    if isinstance(h, Concatenation):
+        label, scale = 0, 1
+        for p in h.parts:
+            label += ref_label(p, v) * scale
+            scale *= p.label_bound
+        return label
+    raise TypeError(type(h).__name__)
+
+
+def _dense_ranks(keys) -> list[int]:
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def ref_codes(h) -> list[int]:
+    """Collision codes over the cube: label ranks, and for a concatenation
+    ranks of (codes so far, next part's codes) pairs, part by part."""
+    if isinstance(h, Concatenation):
+        codes = ref_codes(h.parts[0])
+        for p in h.parts[1:]:
+            codes = _dense_ranks(list(zip(codes, ref_codes(p))))
+        return codes
+    return _dense_ranks([ref_label(h, v) for v in range(1 << h.dim)])
+
+
+def _rows(values, d) -> np.ndarray:
+    return np.array([[(v >> i) & 1 for i in range(d)] for v in values], dtype=np.uint8).reshape(-1, d)
+
+
+@st.composite
+def atoms(draw, d):
+    kind = draw(st.sampled_from(["proj", "subset", "parity", "const", "table", "minperm", "pair"]))
+    coords = st.lists(st.integers(0, d - 1), unique=True, max_size=d)
+    if kind == "proj":
+        return CoordinateProjection(d, draw(st.integers(0, d - 1)))
+    if kind == "subset":
+        return CoordinateSubset(d, tuple(draw(coords)))
+    if kind == "parity":
+        return Parity(d, tuple(draw(coords)))
+    if kind == "const":
+        return Constant(d)
+    if kind == "table":
+        top = draw(st.sampled_from([3, 1 << 40, 1 << 70]))  # int64 and beyond
+        return ExplicitTable(d, tuple(draw(st.lists(st.integers(0, top), min_size=1 << d, max_size=1 << d))))
+    if kind == "minperm":
+        return MinHashPermutation(d, tuple(draw(st.permutations(range(d)))))
+    n = 1 << d
+    return PairCollapse(d, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def functions(draw):
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        h = draw(atoms(d))
+    else:
+        parts = draw(st.lists(atoms(d), min_size=1, max_size=4))
+        if draw(st.booleans()):  # a concatenation as one of the parts
+            parts.append(Concatenation(tuple(draw(st.lists(atoms(d), min_size=1, max_size=3)))))
+        h = Concatenation(tuple(parts))
+    values = draw(st.lists(st.integers(0, (1 << d) - 1), max_size=12))
+    return h, values
+
+
+def _check(h, values):
+    labels = h.labels(_rows(values, h.dim))
+    assert labels.shape == (len(values),)
+    assert labels.dtype == (np.int64 if h.label_bound <= 1 << 63 else object)
+    assert labels.tolist() == [ref_label(h, v) for v in values]
+    assert [h(Point(v, h.dim)) for v in values] == [ref_label(h, v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(functions())
+def test_labels_match_definitions(case):
+    _check(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions())
+def test_collision_codes_match_definitions(case):
+    h, _ = case
+    assert np.array_equal(h.collision_codes(), ref_codes(h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_projection_concatenation_is_exact(data):
+    d = data.draw(st.integers(1, 80))
+    parts = tuple(CoordinateProjection(d, c) for c in data.draw(st.lists(st.integers(0, d - 1), min_size=70, max_size=70)))
+    h = Concatenation(parts)
+    values = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8))
+    _check(h, values)
+    if d <= 6:
+        assert np.array_equal(h.collision_codes(), ref_codes(h))
+
+
+def test_wide_labels_reach_past_int64():
+    h = Concatenation(tuple(CoordinateProjection(3, 2) for _ in range(70)))
+    (label,) = h.labels(_rows([4], 3)).tolist()
+    assert label == (1 << 70) - 1
+    assert type(label) is int
+
+
+def test_labels_reject_wrong_width():
+    with pytest.raises(ValueError):
+        CoordinateProjection(5, 1).labels(np.zeros((2, 4), dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Bulk Monte Carlo scoring: one generator call for a chunk's draws must score
+# exactly what one draw per pair would, and leave the generator in the same
+# state.
+
+
+def _weighted_family():
+    fns = [CoordinateProjection(10, 0), CoordinateProjection(10, 3), Parity(10, (1, 2, 5)),
+           CoordinateSubset(10, (4, 7, 9)), MinHashPermutation(10, (3, 1, 4, 0, 5, 9, 2, 6, 8, 7))]
+    return finite_family(fns, [Fraction(1, 2), Fraction(1, 8), Fraction(1, 8), Fraction(3, 16), Fraction(1, 16)])
+
+
+@pytest.mark.parametrize("family", [
+    bit_sampling_family(10),
+    power(bit_sampling_family(10), 2),
+    _weighted_family(),
+    minhash_family(10),
+    power(minhash_family(10), 3),
+    power(minhash_family(6, exact=True), 2),
+], ids=["uniform", "uniform-power", "weighted", "minhash-law", "minhash-law-power", "exact-minhash-power-law"])
+def test_bulk_collisions_match_one_draw_per_pair(family):
+    g = rngmod.stream(3, 1)
+    xb = g.integers(0, 2, size=(500, family.dim), dtype=np.uint8)
+    yb = xb ^ (g.random(size=xb.shape) < 0.2).astype(np.uint8)
+    bulk_g, seq_g = rngmod.stream(4, 0), rngmod.stream(4, 0)
+    bulk = family.collisions(xb, yb, bulk_g)
+    seq = []
+    for x, y in zip(bit_rows_to_points(xb), bit_rows_to_points(yb)):
+        h = family.draw(seq_g)
+        seq.append(h(x) == h(y))
+    assert bulk.tolist() == seq
+    assert bulk_g.random() == seq_g.random()

@@ -5,7 +5,7 @@ import pytest
 
 from lshlab import rng as rngmod
 from lshlab.cli import main
-from lshlab.points import Point, save_points_text
+from lshlab.points import Point, save_points_binary, save_points_text
 
 
 def run(args):
@@ -182,6 +182,41 @@ def test_index_build_same_seed_byte_identical(tmp_path, point_file):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_index_build_zero_radius_is_usage_error(tmp_path, point_file, capsys):
+    path, _ = point_file
+    code = run([
+        "index-build", "--data", str(path), "--r", "0", "--cr", "6",
+        "--out", str(tmp_path / "idx.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_index_build_honours_L_without_k(tmp_path, point_file):
+    path, _ = point_file
+    args = ["index-build", "--data", str(path), "--r", "2", "--cr", "6"]
+    planned, capped = tmp_path / "planned.json", tmp_path / "capped.json"
+    assert run(args + ["--out", str(planned)]) == 0
+    assert run(args + ["--L", "3", "--out", str(capped)]) == 0
+    want = json.loads(planned.read_text())["params"]
+    got = json.loads(capped.read_text())["params"]
+    assert want["L"] != 3
+    assert got == {**want, "L": 3}
+    assert got["predicted_p_k"] is not None and got["planned_rho"] is not None
+
+
+def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
+    _, pts = point_file
+    data = tmp_path / "pts.bin"
+    save_points_binary(pts, data)
+    data.write_bytes(data.read_bytes() + b"\xff")
+    assert run([
+        "index-build", "--data", str(data), "--r", "2", "--cr", "6",
+        "--out", str(tmp_path / "idx.json"),
+    ]) == 2
 
 
 # ---------------------------------------------------------------------------

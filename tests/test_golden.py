@@ -1,0 +1,101 @@
+"""Outputs pinned at fixed seeds: Monte Carlo estimates and CLI files.
+
+The values were recorded with one function draw and one pair evaluation per
+sample; the batch paths must reproduce them exactly.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from lshlab import rng as rngmod
+from lshlab.cli import main
+from lshlab.hashing import (
+    CoordinateProjection,
+    CoordinateSubset,
+    MinHashPermutation,
+    Parity,
+    bit_sampling_family,
+    family_to_json,
+    finite_family,
+    minhash_family,
+    power,
+)
+from lshlab.points import Point, save_points_text
+from lshlab.sampling import mc_stability
+
+
+def _weighted_family():
+    fns = [CoordinateProjection(10, 0), CoordinateProjection(10, 3), Parity(10, (1, 2, 5)),
+           CoordinateSubset(10, (4, 7, 9)), MinHashPermutation(10, (3, 1, 4, 0, 5, 9, 2, 6, 8, 7))]
+    return finite_family(fns, [Fraction(1, 2), Fraction(1, 8), Fraction(1, 8), Fraction(3, 16), Fraction(1, 16)])
+
+
+@pytest.mark.parametrize("family, hits", [
+    (bit_sampling_family(10), 3983),
+    (_weighted_family(), 3545),
+    (minhash_family(12), 3331),
+    (power(minhash_family(6), 2), 2600),
+], ids=["uniform", "weighted", "minhash-law", "minhash-law-power"])
+def test_mc_stability_golden(family, hits):
+    # 5000 samples: one full chunk and one partial chunk.
+    est = mc_stability(family, 0.6, 5000, seed=21)
+    assert est.estimate == hits / 5000
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def data_dir(tmp_path):
+    g = rngmod.stream(55, 0)
+    save_points_text([Point.random(24, g) for _ in range(80)], tmp_path / "p24.txt")
+    g = rngmod.stream(56, 0)
+    save_points_text([Point.random(128, g) for _ in range(60)], tmp_path / "p128.txt")
+    (tmp_path / "weighted.json").write_text(family_to_json(_weighted_family()))
+    return tmp_path
+
+
+GOLDEN_RUNS = {
+    "index-24": (
+        ["index-build", "--data", "{dir}/p24.txt", "--r", "2", "--cr", "6", "--seed", "9"],
+        "b511a2542d7eade4a1ceaa7504648f6eca6f6193e306e7be58974a00ea483ef0",
+    ),
+    # k = 260: every label is a 260-bit integer.
+    "index-128-wide-labels": (
+        ["index-build", "--data", "{dir}/p128.txt", "--r", "1", "--cr", "2", "--seed", "4"],
+        "b083d4915ca5094042671a84008e303fd2feb94739fdabe50d671283a53a72f9",
+    ),
+    "mc-bit-sampling-k2": (
+        ["stability", "--mode", "mc", "--family", "bit-sampling", "--d", "12", "--k", "2",
+         "--t-grid", "0:3:4", "--samples", "5000", "--seed", "3"],
+        "e8b35ffb6f4e1c6bfd7c772ee960a09a53573302ee814efe7b0c220cfbe9514e",
+    ),
+    "mc-minhash-law": (
+        ["stability", "--mode", "mc", "--family", "minhash", "--d", "20",
+         "--t-grid", "0:3:4", "--samples", "5000", "--seed", "3"],
+        "dab8b574ee328bf4640aa8458f0c36402ce36d75b0a3c49ba686e609102a57f6",
+    ),
+    # 720^2 atoms exceed the materialization limit, so this is a power law
+    # over a finite base.
+    "mc-exact-minhash-k2": (
+        ["stability", "--mode", "mc", "--family", "minhash", "--d", "6", "--k", "2",
+         "--t-grid", "0.5,1.5", "--samples", "3000", "--seed", "5"],
+        "c3f768715f1e96214b9c6ee750a21be403c7ac35079334fb07d058f5cec2008a",
+    ),
+    "mc-weighted-family-file": (
+        ["stability", "--mode", "mc", "--family-file", "{dir}/weighted.json",
+         "--t-grid", "0.25,1", "--samples", "3000", "--seed", "8"],
+        "3074a8489869ec47b69e925f00a31a607f97106bf4986916a55d7585f42b849e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_cli_output_golden(data_dir, name):
+    argv, digest = GOLDEN_RUNS[name]
+    out = data_dir / f"{name}.out"
+    assert main([a.format(dir=data_dir) for a in argv] + ["--out", str(out)]) == 0
+    assert _sha256(out) == digest

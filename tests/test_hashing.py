@@ -21,7 +21,6 @@ from lshlab.hashing import (
     bit_sampling_profile,
     collision_by_distance,
     collision_probability,
-    evaluate,
     exact_sensitivity,
     family_descriptor,
     family_from_descriptor,
@@ -40,39 +39,39 @@ from lshlab.points import Point
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# evaluation
 
 
 def test_evaluate_projection():
     h = CoordinateProjection(5, 3)
-    assert evaluate(h, Point.from01("01011")) == 1
-    assert evaluate(h, Point.from01("01001")) == 0
+    assert h(Point.from01("01011")) == 1
+    assert h(Point.from01("01001")) == 0
 
 
 def test_evaluate_constant():
     h = Constant(4)
-    assert all(evaluate(h, Point(v, 4)) == 0 for v in range(16))
+    assert all(h(Point(v, 4)) == 0 for v in range(16))
 
 
 def test_evaluate_parity():
     h = Parity(5, (0, 1))
-    assert evaluate(h, Point.from01("11010")) == 0
-    assert evaluate(h, Point.from01("10010")) == 1
+    assert h(Point.from01("11010")) == 0
+    assert h(Point.from01("10010")) == 1
 
 
 def test_evaluate_rejects_dimension_mismatch():
     h = CoordinateProjection(5, 3)
     with pytest.raises(DimensionMismatch):
-        evaluate(h, Point(0, 4))
+        h(Point(0, 4))
 
 
 def test_subset_and_pair_collapse():
     h = CoordinateSubset(4, (1, 3))
-    assert evaluate(h, Point.from01("0101")) == 3
+    assert h(Point.from01("0101")) == 3
     pc = PairCollapse(3, 1, 6)
-    assert evaluate(pc, Point(1, 3)) == 0
-    assert evaluate(pc, Point(6, 3)) == 0
-    labels = {evaluate(pc, Point(v, 3)) for v in range(8)}
+    assert pc(Point(1, 3)) == 0
+    assert pc(Point(6, 3)) == 0
+    labels = {pc(Point(v, 3)) for v in range(8)}
     assert len(labels) == 7  # the pair shares one label, the rest stay apart
 
 

@@ -217,6 +217,20 @@ def test_load_rejects_wrong_format(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("bad_id", [-1, 20])
+def test_load_rejects_out_of_range_ids(tmp_path, bad_id):
+    pts = _random_points(20, 8, seed=12)
+    idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=2, L=3, delta=0.1, seed=6))
+    path = tmp_path / "index.json"
+    save_index(idx, path)
+    doc = json.loads(path.read_text())
+    bucket = next(iter(doc["tables"][1].values()))
+    bucket.append(bad_id)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="outside"):
+        load_index(path)
+
+
 def test_index_works_with_minhash_family(tmp_path):
     # any samplable family plugs into the same reduction
     pts = _random_points(40, 12, seed=13)

@@ -82,6 +82,19 @@ def test_binary_rejects_garbage(tmp_path):
         load_points_binary(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt", [lambda data: data[:11], lambda data: data + b"\x00"],
+    ids=["truncated-header", "trailing-byte"],
+)
+def test_binary_rejects_truncated_header_and_trailing_bytes(tmp_path, corrupt):
+    g = rngmod.stream(5, 0)
+    path = tmp_path / "pts.bin"
+    save_points_binary([Point.random(13, g) for _ in range(4)], path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError):
+        load_points_binary(path)
+
+
 def test_random_point_reproducible():
     a = Point.random(100, rngmod.stream(9, 2))
     b = Point.random(100, rngmod.stream(9, 2))

@@ -107,12 +107,11 @@ def test_mc_needs_enough_samples():
         mc_stability(bit_sampling_family(4), 0.5, 50, seed=0)
 
 
-def test_mc_deterministic_given_seed(monkeypatch):
+def test_mc_deterministic_given_seed():
     fam = bit_sampling_family(10)
     a = mc_stability(fam, 0.3, 2000, seed=9)
-    monkeypatch.setenv("LSHLAB_THREADS", "4")
     b = mc_stability(fam, 0.3, 2000, seed=9)
-    assert a == b  # chunk substreams make scheduling irrelevant
+    assert a == b
 
 
 def test_mc_curve():
