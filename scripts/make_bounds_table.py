@@ -7,6 +7,7 @@ import argparse
 import numpy as np
 
 from lshlab.bounds import BOUND_TABLE_HEADER, bound_table
+from lshlab.cli import write_rows
 
 
 def main() -> None:
@@ -22,12 +23,13 @@ def main() -> None:
     cs = sorted(set(np.concatenate([coarse, fine]).tolist()))
     rows = bound_table(cs, args.d, args.q, big_k=args.K)
 
-    with open(args.out, "w") as f:
-        f.write(",".join(BOUND_TABLE_HEADER) + "\n")
-        for r in rows:
-            f.write(
-                ",".join(f"{v:.12g}" for v in (r.c, r.im, r.ai, r.diim, r.mnp, r.main)) + "\n"
-            )
+    write_rows(
+        args.out,
+        BOUND_TABLE_HEADER,
+        [(r.c, r.im, r.ai, r.diim, r.mnp, r.main) for r in rows],
+        "csv",
+        float_fmt=lambda v: f"{v:.12g}",
+    )
     print(f"wrote {len(rows)} rows to {args.out}")
     head = rows[0]
     print(f"at c=1: mnp={head.mnp:.6f}, gap to upper bound {head.im - head.mnp:.6f}")

@@ -6,6 +6,7 @@ import argparse
 
 import numpy as np
 
+from lshlab.cli import write_rows
 from lshlab.hashing import bit_sampling_family, power, trivial_family
 from lshlab.spectral import check_log_convexity, stability_curve
 
@@ -27,7 +28,7 @@ def main() -> None:
         curve = stability_curve(fam, grid)
         cert = check_log_convexity(curve)
         path = f"{args.prefix}_{name}.csv"
-        curve.write_csv(path)
+        write_rows(path, ("t", "K"), zip(curve.grid, curve.values), "csv")
         status = "PASS" if cert.passed else "FAIL"
         print(
             f"{name}: wrote {path}; log-convexity {status} "

@@ -30,7 +30,7 @@ from .points import Point, hamming, points_to_bit_matrix
 from . import rng as rngmod
 
 INDEX_FORMAT = "lshlab-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 CANDIDATE_CAP_FACTOR = 3  # tunable probe budget: at most 3L candidate inspections
 
@@ -99,25 +99,40 @@ def plan(
 
 
 class NNIndex:
-    """L hash tables over a fixed point set; immutable once built."""
+    """L hash tables over a fixed point set; immutable once built.
+
+    Table j maps each label of g_j to the ids of the points carrying it, in
+    id order. The tables are a pure function of (functions, points), so they
+    are derived here and nowhere else.
+    """
 
     def __init__(
         self,
         params: IndexParams,
-        dim: int,
         functions: Sequence[HashFunction],
-        tables: Sequence[dict],
         points: Sequence[Point],
         family_doc: Optional[dict] = None,
     ):
-        if len(functions) != params.L or len(tables) != params.L:
-            raise ValueError("need exactly L functions and L tables")
+        if len(functions) != params.L:
+            raise ValueError(f"need exactly L = {params.L} functions, got {len(functions)}")
+        if not points:
+            raise ValueError("need at least one point")
+        self.dim = points[0].dim
+        for i, pt in enumerate(points):
+            if pt.dim != self.dim:
+                raise ValueError(f"point {i} has dimension {pt.dim}, expected {self.dim}")
         self.params = params
-        self.dim = dim
         self.functions = tuple(functions)
-        self.tables = tuple(tables)
         self.points = tuple(points)
         self.family_doc = family_doc
+        bit_matrix = points_to_bit_matrix(self.points)
+        tables = []
+        for fn in self.functions:
+            table: dict = {}
+            for idx, lab in enumerate(fn.labels(bit_matrix).tolist()):
+                table.setdefault(lab, []).append(idx)
+            tables.append(table)
+        self.tables = tuple(tables)
 
     @property
     def candidate_cap(self) -> int:
@@ -127,32 +142,16 @@ class NNIndex:
 def build(
     points: Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
-    if not points:
-        raise ValueError("need at least one point")
-    dim = points[0].dim
-    for i, pt in enumerate(points):
-        if pt.dim != dim:
-            raise ValueError(f"point {i} has dimension {pt.dim}, expected {dim}")
-    if family.dim != dim:
-        raise ValueError(f"family dimension {family.dim} differs from points ({dim})")
-
-    powered = power(family, params.k)
-    functions = powered.sample(params.L, params.seed)
-
-    bit_matrix = points_to_bit_matrix(points)
-    tables = []
-    for fn in functions:
-        table: dict = {}
-        for idx, lab in enumerate(fn.labels(bit_matrix).tolist()):
-            table.setdefault(lab, []).append(idx)
-        tables.append(table)
-
+    """Draw L functions from the family's k-th power and index the points."""
+    if points and family.dim != points[0].dim:
+        raise ValueError(f"family dimension {family.dim} differs from points ({points[0].dim})")
+    functions = power(family, params.k).sample(params.L, params.seed)
     family_doc = None
     try:
         family_doc = family_descriptor(family)
     except ValueError:
         pass
-    return NNIndex(params, dim, functions, tables, points, family_doc)
+    return NNIndex(params, functions, points, family_doc)
 
 
 @dataclass(frozen=True)
@@ -227,23 +226,20 @@ def stats(index: NNIndex) -> IndexStats:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a versioned JSON container carrying parameters, the family
-# descriptor, the drawn functions, the dataset, and the table contents, so a
-# load reproduces queries exactly.
+# Serialization: a versioned JSON container carrying the parameters, the
+# family descriptor, the drawn functions and the dataset. The tables are not
+# stored: loading rebuilds them from the functions and points, so a file
+# cannot hold tables that disagree with its functions.
 
 
 def save_index(index: NNIndex, path) -> None:
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "dim": index.dim,
         "params": asdict(index.params),
         "family": index.family_doc,
         "functions": [function_descriptor(fn) for fn in index.functions],
         "points": [pt.to01() for pt in index.points],
-        "tables": [
-            {str(lab): ids for lab, ids in table.items()} for table in index.tables
-        ],
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
@@ -251,22 +247,26 @@ def save_index(index: NNIndex, path) -> None:
 
 
 def load_index(path) -> NNIndex:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{path} is not an index file")
-    if doc.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {doc.get('version')}")
-    params = IndexParams(**doc["params"])
-    functions = [function_from_descriptor(d) for d in doc["functions"]]
-    tables = [
-        {int(lab): list(ids) for lab, ids in table.items()} for table in doc["tables"]
-    ]
-    points = [Point.from01(s) for s in doc["points"]]
-    ids = [i for table in tables for bucket in table.values() for i in bucket]
-    if ids and not (0 <= min(ids) and max(ids) < len(points)):
-        raise ValueError(f"{path} has table entries outside the {len(points)} stored points")
-    return NNIndex(params, doc["dim"], functions, tables, points, doc.get("family"))
+    """Read an index file and rebuild its tables. A malformed file raises a
+    ValueError that names it."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
+            raise ValueError("not an lshlab index file")
+        if doc.get("version") != INDEX_VERSION:
+            raise ValueError(
+                f"index version {doc.get('version')} is not readable (this lshlab reads "
+                f"version {INDEX_VERSION}); rebuild the index with index-build"
+            )
+        params = IndexParams(**doc["params"])
+        functions = [function_from_descriptor(d) for d in doc["functions"]]
+        points = [Point.from01(s) for s in doc["points"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return NNIndex(params, functions, points, doc.get("family"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +304,8 @@ def planted_experiment(
     n_queries: int,
     seed: int = rngmod.DEFAULT_SEED,
 ) -> ExperimentReport:
+    if n_queries < 1:
+        raise ValueError("need at least one query")
     profile = bit_sampling_profile(d, r, c)
     cr = int(profile.cr)
     params = plan(n, profile, delta, seed=seed)

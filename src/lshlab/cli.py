@@ -47,7 +47,7 @@ class CliError(Exception):
     """Precondition or usage failure; maps to exit code 2."""
 
 
-def _write_rows(path: Optional[str], header: Sequence[str], rows, fmt: str, float_fmt=repr):
+def write_rows(path: Optional[str], header: Sequence[str], rows, fmt: str, float_fmt=repr):
     """Rows to CSV or JSON-lines, with deterministic float text."""
 
     def cell(v):
@@ -92,9 +92,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_family(args) -> object:
-    if getattr(args, "family_file", None):
+    if args.family_file:
         with open(args.family_file) as f:
-            fam = family_from_json(f.read())
+            text = f.read()
+        try:
+            fam = family_from_json(text)
+        except ValueError as exc:
+            raise CliError(f"{args.family_file}: {exc}") from exc
     else:
         name = args.family
         d = args.d
@@ -110,7 +114,7 @@ def _resolve_family(args) -> object:
             fam = trivial_family(d, args.r)
         else:
             raise CliError(f"unknown family {name!r}")
-    if getattr(args, "k", None):
+    if args.k is not None:
         fam = power(fam, args.k)
     return fam
 
@@ -123,7 +127,7 @@ def cmd_bounds(args) -> int:
         raise CliError("--c-min must be below --c-max")
     c_values = [float(c) for c in np.linspace(args.c_min, args.c_max, args.steps)]
     rows = bound_table(c_values, args.d, args.q, big_k=args.K, s=args.s)
-    _write_rows(
+    write_rows(
         args.out,
         BOUND_TABLE_HEADER,
         [(r.c, r.im, r.ai, r.diim, r.mnp, r.main) for r in rows],
@@ -149,7 +153,7 @@ def cmd_stability(args) -> int:
     else:
         rows = list(zip(curve.grid, curve.values, curve.stderr))
         header = ("t", "K", "stderr")
-    _write_rows(args.out, header, rows, args.format)
+    write_rows(args.out, header, rows, args.format)
 
     if curve.provenance == EXACT and len(curve.grid) >= 3:
         cert = check_log_convexity(curve)
@@ -174,7 +178,7 @@ def cmd_sensitivity(args) -> int:
         )
     prof = exact_sensitivity(fam, args.r, args.cr)
     rho = prof.rho if prof.rho is not None else "undefined"
-    _write_rows(
+    write_rows(
         args.out,
         ("r", "cr", "p", "q", "rho", "note"),
         [(prof.r, prof.cr, prof.p, prof.q, rho, prof.rho_note)],
@@ -219,7 +223,7 @@ def cmd_index_query(args) -> int:
         found, pid, dist = 0, -1, -1
     else:
         found, (pid, dist) = 1, trace.result
-    _write_rows(
+    write_rows(
         args.out,
         ("found", "id", "dist", "inspected"),
         [(found, pid, dist, trace.candidates_inspected)],
@@ -238,7 +242,7 @@ def cmd_index_experiment(args) -> int:
         "success_rate", "max_inspected", "mean_inspected", "candidate_cap",
         "evals_per_query", "total_entries", "seed",
     )
-    _write_rows(
+    write_rows(
         args.out,
         header,
         [(

@@ -867,4 +867,13 @@ def family_to_json(family: HashFamily) -> str:
 
 
 def family_from_json(text: str) -> HashFamily:
-    return family_from_descriptor(json.loads(text))
+    """Parse a family document; a malformed one raises ValueError."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a family descriptor must be a JSON object")
+        return family_from_descriptor(doc)
+    except KeyError as exc:
+        raise ValueError(f"family descriptor lacks key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed family descriptor: {exc}") from exc

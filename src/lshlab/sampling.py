@@ -280,12 +280,6 @@ class JaccardSummary:
     maximum: float
     predicted: float
 
-    def write_csv(self, path) -> None:
-        fields = ("d", "t", "n_samples", "mean", "stderr", "minimum", "maximum", "predicted")
-        with open(path, "w") as f:
-            f.write(",".join(fields) + "\n")
-            f.write(",".join(repr(getattr(self, name)) for name in fields) + "\n")
-
 
 def jaccard_of_correlated_sets(
     d: int, t: float, n_samples: int, seed: int = rngmod.DEFAULT_SEED

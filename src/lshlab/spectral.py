@@ -12,7 +12,6 @@ stability_ratio exhibits the resulting ln(1/K(t)) / ln(1/K(ct)) >= 1/c bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -196,18 +195,6 @@ class StabilityCurve:
         if self.provenance not in (EXACT, MONTE_CARLO):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            if self.stderr is None:
-                writer.writerow(["t", "K"])
-                for t, k in zip(self.grid, self.values):
-                    writer.writerow([repr(t), repr(k)])
-            else:
-                writer.writerow(["t", "K", "stderr"])
-                for t, k, s in zip(self.grid, self.values, self.stderr):
-                    writer.writerow([repr(t), repr(k), repr(s)])
-
 
 def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> StabilityCurve:
     spectrum = _as_spectrum(source)
@@ -218,14 +205,6 @@ def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> Stabilit
     return StabilityCurve(
         grid=grid, values=values, provenance=EXACT, pruned_mass=spectrum.pruned_mass
     )
-
-
-def spectrum_to_csv(spectrum: FourierSpectrum, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["mask", "weight"])
-        for mask in sorted(spectrum.weights):
-            writer.writerow([mask, repr(spectrum.weights[mask])])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,58 @@ def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
     ]) == 2
 
 
+@pytest.fixture
+def bad_files(tmp_path, point_file):
+    """Malformed index and family files, derived from one valid index."""
+    path, _ = point_file
+    good = tmp_path / "idx.json"
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    files = {
+        "index-missing-key": {k: v for k, v in doc.items() if k != "params"},
+        "index-unknown-param": {**doc, "params": {**doc["params"], "colour": 1}},
+        "index-version-1": {**doc, "version": 1, "dim": 24, "tables": []},
+        "family-missing-key": {"kind": "bit-sampling"},
+        "family-not-object": [1, 2],
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    return tmp_path
+
+
+QUERY = ["--point", "0" * 24]
+USAGE_ERRORS = {
+    # case: (argv, a fragment the one-line message must contain)
+    "index-missing-key": (["index-query", "--index", "{dir}/index-missing-key.json"] + QUERY,
+                          "index-missing-key.json"),
+    "index-unknown-param": (["index-query", "--index", "{dir}/index-unknown-param.json"] + QUERY,
+                            "index-unknown-param.json"),
+    "index-version-1": (["index-query", "--index", "{dir}/index-version-1.json"] + QUERY,
+                        "index-build"),
+    "family-missing-key": (["stability", "--family-file", "{dir}/family-missing-key.json",
+                            "--t-grid", "0,1"], "family-missing-key.json"),
+    "family-not-object": (["sensitivity", "--family-file", "{dir}/family-not-object.json",
+                           "--r", "1", "--cr", "2"], "family-not-object.json"),
+    "stability-k-0": (["stability", "--family", "bit-sampling", "--d", "6", "--k", "0",
+                       "--t-grid", "0,1"], "k"),
+    "sensitivity-k-0": (["sensitivity", "--family", "bit-sampling", "--d", "6", "--k", "0",
+                         "--r", "1", "--cr", "2"], "k"),
+    "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
+                               "--queries", "0"], "query"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_one_line(bad_files, capsys, case):
+    # main() runs in-process, so a crash fails the test by raising instead
+    # of printing a traceback.
+    argv, fragment = USAGE_ERRORS[case]
+    assert run([a.format(dir=bad_files) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert fragment in err[0]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,7 +1,9 @@
 """Outputs pinned at fixed seeds: Monte Carlo estimates and CLI files.
 
-The values were recorded with one function draw and one pair evaluation per
-sample; the batch paths must reproduce them exactly.
+The Monte Carlo values were recorded with one function draw and one pair
+evaluation per sample; the batch paths must reproduce them exactly. The
+index-query digests were recorded against version-1 index files, which
+stored the tables; version 2 rebuilds them on load and must answer the same.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from lshlab.hashing import (
     minhash_family,
     power,
 )
-from lshlab.points import Point, save_points_text
+from lshlab.points import Point, load_points_text, save_points_text
 from lshlab.sampling import mc_stability
 
 
@@ -59,14 +61,15 @@ def data_dir(tmp_path):
 
 
 GOLDEN_RUNS = {
+    # Index files in format version 2.
     "index-24": (
         ["index-build", "--data", "{dir}/p24.txt", "--r", "2", "--cr", "6", "--seed", "9"],
-        "b511a2542d7eade4a1ceaa7504648f6eca6f6193e306e7be58974a00ea483ef0",
+        "70f85db2be57d8d3c08fa4d6f1762200597deb5c5b17225fafbda65061343fbf",
     ),
     # k = 260: every label is a 260-bit integer.
     "index-128-wide-labels": (
         ["index-build", "--data", "{dir}/p128.txt", "--r", "1", "--cr", "2", "--seed", "4"],
-        "b083d4915ca5094042671a84008e303fd2feb94739fdabe50d671283a53a72f9",
+        "e9f8cb00e1168d01080d5f01fa09665d085c7228fb1a2d1a994a15d5ad22437f",
     ),
     "mc-bit-sampling-k2": (
         ["stability", "--mode", "mc", "--family", "bit-sampling", "--d", "12", "--k", "2",
@@ -99,3 +102,28 @@ def test_cli_output_golden(data_dir, name):
     out = data_dir / f"{name}.out"
     assert main([a.format(dir=data_dir) for a in argv] + ["--out", str(out)]) == 0
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("index-24", "9ce678017888aa7fb9ae9621998b617eefef244aac8a802a9454b21066eac1ae"),
+    ("index-128-wide-labels", "b4caac8517187e31eb7d963e8fb146e267c4d3ed1119502179ad0a15a852711f"),
+])
+def test_index_query_golden(data_dir, name, digest):
+    # Planted (distance r from a stored point) and uniform random queries
+    # against a saved index; the digest covers every query's CSV output.
+    argv = [a.format(dir=data_dir) for a in GOLDEN_RUNS[name][0]]
+    index = data_dir / f"{name}.json"
+    assert main(argv + ["--out", str(index)]) == 0
+    points = load_points_text(argv[argv.index("--data") + 1])
+    d, r = points[0].dim, int(argv[argv.index("--r") + 1])
+    g = rngmod.stream(57, 0)
+    queries = [
+        points[int(g.integers(len(points)))].flip(int(i) for i in g.choice(d, size=r, replace=False))
+        for _ in range(5)
+    ] + [Point.random(d, g) for _ in range(5)]
+    out = data_dir / "query.csv"
+    digest_of = hashlib.sha256()
+    for x in queries:
+        assert main(["index-query", "--index", str(index), "--point", x.to01(), "--out", str(out)]) == 0
+        digest_of.update(out.read_bytes())
+    assert digest_of.hexdigest() == digest

@@ -219,15 +219,30 @@ def test_load_rejects_wrong_format(tmp_path):
 
 @pytest.mark.parametrize("bad_id", [-1, 20])
 def test_load_rejects_out_of_range_ids(tmp_path, bad_id):
+    # The stored functions name coordinates; one outside [0, d) is refused
+    # rather than rebuilt into tables that index past the point.
     pts = _random_points(20, 8, seed=12)
     idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=2, L=3, delta=0.1, seed=6))
     path = tmp_path / "index.json"
     save_index(idx, path)
     doc = json.loads(path.read_text())
-    bucket = next(iter(doc["tables"][1].values()))
-    bucket.append(bad_id)
+    doc["functions"][1]["parts"][0]["i"] = bad_id
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="out of range"):
+        load_index(path)
+
+
+def test_load_rejects_version_1(tmp_path):
+    # Version 1 stored the tables; version 2 rebuilds them on load and has
+    # the only reader.
+    pts = _random_points(20, 8, seed=12)
+    idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=2, L=3, delta=0.1, seed=6))
+    path = tmp_path / "index.json"
+    save_index(idx, path)
+    doc = json.loads(path.read_text())
+    doc.update(version=1, dim=8, tables=[{str(lab): ids for lab, ids in t.items()} for t in idx.tables])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="rebuild the index with index-build"):
         load_index(path)
 
 

@@ -340,11 +340,11 @@ def test_scaled_ratio_at_least_one(seed):
 
 
 def test_spectrum_csv_export(tmp_path):
-    from lshlab.spectral import spectrum_to_csv
+    from lshlab.cli import write_rows
 
     spec = fourier_spectrum(CoordinateProjection(3, 1))
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path)
+    write_rows(path, ("mask", "weight"), [(m, spec.weights[m]) for m in sorted(spec.weights)], "csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "mask,weight"
     assert len(lines) == 3
