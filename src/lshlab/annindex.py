@@ -16,6 +16,7 @@ from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 from .hashing import (
+    Concatenation,
     HashFamily,
     HashFunction,
     SensitivityProfile,
@@ -48,6 +49,8 @@ class IndexParams:
     planned_rho: Optional[float] = None
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.k, self.L)):
+            raise ValueError(f"k and L must be integers, got k={self.k!r}, L={self.L!r}")
         if self.k < 1 or self.L < 1:
             raise ValueError("k and L must be at least 1")
         if not 0 <= self.r < self.cr:
@@ -60,6 +63,13 @@ def _snapped_ceil(v: float) -> int:
     if abs(v - nearest) < 1e-9:
         return int(nearest)
     return int(math.ceil(v))
+
+
+def tables_needed(p_k: float, delta: float) -> int:
+    """L = ceil(ln(1/delta) / p^k): with that many tables a near pair, which
+    collides in each with probability p^k, misses all of them with
+    probability at most delta."""
+    return _snapped_ceil(math.log(1 / delta) / p_k)
 
 
 def plan(
@@ -84,12 +94,11 @@ def plan(
         )
     k = max(1, _snapped_ceil(math.log(n) / math.log(1 / q)))
     p_k = p**k
-    table_count = _snapped_ceil(math.log(1 / delta) / p_k)
     return IndexParams(
         r=int(profile.r),
         cr=int(profile.cr),
         k=k,
-        L=table_count,
+        L=tables_needed(p_k, delta),
         delta=delta,
         seed=seed,
         n_planned=n,
@@ -261,12 +270,15 @@ def load_index(path) -> NNIndex:
             )
         params = IndexParams(**doc["params"])
         functions = [function_from_descriptor(d) for d in doc["functions"]]
+        for i, fn in enumerate(functions):
+            if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
+                raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")
         points = [Point.from01(s) for s in doc["points"]]
+        return NNIndex(params, functions, points, doc.get("family"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return NNIndex(params, functions, points, doc.get("family"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .annindex import (
     query_traced,
     save_index,
     stats,
+    tables_needed,
 )
 from .bounds import BOUND_TABLE_HEADER, bound_table
 from .hashing import (
@@ -41,6 +42,10 @@ from .points import Point, load_points_binary, load_points_text
 from .sampling import mc_stability_curve
 from .spectral import EXACT, check_log_convexity, stability_curve
 from .verify import SUITES, format_report, run_suites
+
+
+# Most tables index-build plans for a --k override; more needs an explicit --L.
+MAX_REPLANNED_TABLES = 10_000
 
 
 class CliError(Exception):
@@ -198,11 +203,18 @@ def cmd_index_build(args) -> int:
     profile = bit_sampling_profile(d, args.r, args.cr / args.r)
     params = plan(len(points), profile, args.delta, seed=args.seed)
     if args.k is not None:
-        # Another k voids the planned success probability and rho.
-        params = replace(
-            params, k=args.k, L=args.L if args.L is not None else params.L,
-            predicted_p_k=None, planned_rho=None,
-        )
+        # Another k re-plans L for the same delta; a given L voids the
+        # predicted success probability. rho is the profile's either way.
+        p_k = profile.p**args.k
+        if args.L is not None:
+            params = replace(params, k=args.k, L=args.L, predicted_p_k=None)
+        elif p_k < math.log(1 / args.delta) / MAX_REPLANNED_TABLES:
+            raise CliError(
+                f"--k {args.k} needs more than {MAX_REPLANNED_TABLES} tables for "
+                f"delta = {args.delta}; give --L as well"
+            )
+        else:
+            params = replace(params, k=args.k, L=tables_needed(p_k, args.delta), predicted_p_k=p_k)
     elif args.L is not None:
         params = replace(params, L=args.L)
     index = build(points, bit_sampling_family(d), params)

@@ -314,8 +314,8 @@ class Concatenation(HashFunction):
 
     def collision_codes(self) -> np.ndarray:
         # Combine pairwise with recompaction so intermediate codes stay small.
-        # The order is part of the result: spectra sum label columns in code
-        # order, so another numbering would move low bits of certified curves.
+        # Spectra sum exact integers over label columns, so they do not
+        # depend on the numbering.
         codes = self.parts[0].collision_codes()
         for p in self.parts[1:]:
             nxt = p.collision_codes()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,23 +25,33 @@ from . import rng as rngmod
 _TRANSFORM_DIM_LIMIT = 20
 _BRUTE_FORCE_DIM_LIMIT = 12
 _PRUNE_BELOW = 1e-15
+# Cells of the integer matrix in which exact spectra transform their label
+# columns: 512 KiB as int16 (1 MiB as int32), plus 2 MiB for the int64 squares.
+_BATCH_CELLS = 1 << 18
 
 EXACT = "exact-spectral"
 MONTE_CARLO = "monte-carlo"
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform down the first axis (length 2^d)."""
-    n, m = a.shape
-    out = a.astype(np.float64, copy=True)
+def _fwht_in_place(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform down the first axis (length 2^d),
+    overwriting a with butterflies on strided views."""
+    n = a.shape[0]
     h = 1
     while h < n:
-        out = out.reshape(n // (2 * h), 2, h, m)
-        top = out[:, 0] + out[:, 1]
-        bot = out[:, 0] - out[:, 1]
-        out = np.stack([top, bot], axis=1).reshape(n, m)
+        # Splitting the first axis is always a view, even of a column slice.
+        pairs = a.reshape(n // (2 * h), 2, h, -1)
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y  # x + y
+        y *= -2
+        y += x  # (x + y) - 2y = x - y
         h *= 2
-    return out
+    return a
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a float64 copy of a."""
+    return _fwht_in_place(np.array(a, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -89,21 +99,57 @@ def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
     return FourierSpectrum(dim=dim, weights=weights, pruned_mass=pruned)
 
 
-def _spectrum_array(h: HashFunction) -> np.ndarray:
-    d = h.dim
-    n = 1 << d
-    codes = h.collision_codes()
-    n_labels = int(codes.max()) + 1
-    w = np.zeros(n)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, n_labels, chunk):
-        stop = min(start + chunk, n_labels)
-        onehot = np.zeros((n, stop - start))
-        sel = (codes >= start) & (codes < stop)
-        onehot[np.nonzero(sel)[0], codes[sel] - start] = 1.0
-        coeffs = _fwht(onehot) / n
-        w += (coeffs**2).sum(axis=1)
-    return w
+def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
+    """Each function's squared Fourier mass w_S (indexed by subset mask S), in order.
+
+    The label-indicator columns of consecutive functions share one integer
+    matrix of _BATCH_CELLS cells; a function whose columns do not fit in what
+    is left of it continues in the next. Each batch is transformed in
+    place, squared into int64 and summed per function, so a row holds
+    n^2 w_S as an exact integer (n = 2^dim). Every partial sum of the
+    transform has magnitude at most n, which int16 holds up to dim 14 and
+    int32 up to the limit of 20, and every row entry is at most n^2 <= 2^40,
+    so the float64 row is exact and independent of the batching.
+    """
+    n = 1 << dim
+    width = max(1, _BATCH_CELLS // n)
+    batch = np.zeros((n, width), dtype=np.int16 if dim <= 14 else np.int32)
+    points = np.arange(n)
+    starts: list[int] = []  # first batch column of each function's segment
+    finishes: list[bool] = []  # whether that segment holds its function's last label
+    used = 0
+    partial = None  # int64 row of the function the next segment continues
+
+    def transform():
+        nonlocal used, partial
+        block = _fwht_in_place(batch[:, :used])
+        sums = np.add.reduceat(np.square(block, dtype=np.int64), starts, axis=1)
+        for j, done in enumerate(finishes):
+            partial = sums[:, j] if partial is None else partial + sums[:, j]
+            if done:
+                yield partial / float(n * n)
+                partial = None
+        block[:] = 0
+        starts.clear()
+        finishes.clear()
+        used = 0
+
+    for h in functions:
+        codes = h.collision_codes()
+        n_labels = int(codes.max()) + 1
+        lo = 0
+        while lo < n_labels:
+            hi = min(n_labels, lo + width - used)
+            sel = (codes >= lo) & (codes < hi)
+            batch[points[sel], codes[sel] + (used - lo)] = 1
+            starts.append(used)
+            finishes.append(hi == n_labels)
+            used += hi - lo
+            lo = hi
+            if used == width:
+                yield from transform()
+    if used:
+        yield from transform()
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
@@ -113,7 +159,8 @@ def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
             f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
             "use Monte Carlo stability estimates instead"
         )
-    return _spectrum_from_array(h.dim, _spectrum_array(h))
+    (w,) = _squared_mass_rows([h], h.dim)
+    return _spectrum_from_array(h.dim, w)
 
 
 def family_spectrum(
@@ -133,15 +180,16 @@ def family_spectrum(
         if family.atoms is None:
             raise ValueError("exact family spectrum needs a finite support")
         w = np.zeros(1 << family.dim)
-        for weight, h in family.atoms:
-            w += float(weight) * _spectrum_array(h)
+        rows = _squared_mass_rows((h for _, h in family.atoms), family.dim)
+        for (weight, _), row in zip(family.atoms, rows):
+            w += float(weight) * row
         return _spectrum_from_array(family.dim, w)
     if mode == "mc":
         if not n_samples or n_samples < 1:
             raise ValueError("mc mode needs n_samples >= 1")
         w = np.zeros(1 << family.dim)
-        for h in family.sample(n_samples, seed):
-            w += _spectrum_array(h)
+        for row in _squared_mass_rows(family.sample(n_samples, seed), family.dim):
+            w += row
         return _spectrum_from_array(family.dim, w / n_samples)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -208,6 +208,34 @@ def test_index_build_honours_L_without_k(tmp_path, point_file):
     assert got["predicted_p_k"] is not None and got["planned_rho"] is not None
 
 
+def test_index_build_k_override_replans_L(tmp_path, point_file):
+    path, _ = point_file
+    args = ["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--delta", "0.05"]
+    planned, wider, both = (tmp_path / f"{name}.json" for name in ("planned", "wider", "both"))
+    assert run(args + ["--out", str(planned)]) == 0
+    want = json.loads(planned.read_text())["params"]
+    k = want["k"] + 3
+    assert run(args + ["--k", str(k), "--out", str(wider)]) == 0
+    got = json.loads(wider.read_text())["params"]
+    p_k = (1 - 2 / 24) ** k
+    assert got == {**want, "k": k, "L": math.ceil(math.log(1 / 0.05) / p_k), "predicted_p_k": p_k}
+    assert got["L"] > want["L"]
+    # Both given: both honoured, and no success probability is claimed.
+    assert run(args + ["--k", str(k), "--L", "2", "--out", str(both)]) == 0
+    got = json.loads(both.read_text())["params"]
+    assert got == {**want, "k": k, "L": 2, "predicted_p_k": None}
+
+
+def test_index_build_k_override_refuses_runaway_L(tmp_path, point_file, capsys):
+    path, _ = point_file
+    code = run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--k", "400",
+                "--out", str(tmp_path / "idx.json")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--L" in err[0]
+    assert not (tmp_path / "idx.json").exists()
+
+
 def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
     _, pts = point_file
     data = tmp_path / "pts.bin"
@@ -230,6 +258,14 @@ def bad_files(tmp_path, point_file):
         "index-missing-key": {k: v for k, v in doc.items() if k != "params"},
         "index-unknown-param": {**doc, "params": {**doc["params"], "colour": 1}},
         "index-version-1": {**doc, "version": 1, "dim": 24, "tables": []},
+        "index-k-mismatch": {**doc, "params": {**doc["params"], "k": doc["params"]["k"] + 5}},
+        "index-float-L": {**doc, "params": {**doc["params"], "L": float(doc["params"]["L"])}},
+        "index-L-mismatch": {**doc, "params": {**doc["params"], "L": doc["params"]["L"] + 1}},
+        "index-short-point": {**doc, "points": [p[:-1] if i == 3 else p for i, p in enumerate(doc["points"])]},
+        "index-function-dim": {**doc, "functions": [
+            {**fn, "parts": [{**part, "d": 25} for part in fn["parts"]]} if i == 0 else fn
+            for i, fn in enumerate(doc["functions"])
+        ]},
         "family-missing-key": {"kind": "bit-sampling"},
         "family-not-object": [1, 2],
     }
@@ -247,6 +283,16 @@ USAGE_ERRORS = {
                             "index-unknown-param.json"),
     "index-version-1": (["index-query", "--index", "{dir}/index-version-1.json"] + QUERY,
                         "index-build"),
+    "index-k-mismatch": (["index-query", "--index", "{dir}/index-k-mismatch.json"] + QUERY,
+                         "index-k-mismatch.json"),
+    "index-float-L": (["index-query", "--index", "{dir}/index-float-L.json"] + QUERY,
+                      "index-float-L.json"),
+    "index-L-mismatch": (["index-query", "--index", "{dir}/index-L-mismatch.json"] + QUERY,
+                         "index-L-mismatch.json"),
+    "index-short-point": (["index-query", "--index", "{dir}/index-short-point.json"] + QUERY,
+                          "index-short-point.json"),
+    "index-function-dim": (["index-query", "--index", "{dir}/index-function-dim.json"] + QUERY,
+                           "index-function-dim.json"),
     "family-missing-key": (["stability", "--family-file", "{dir}/family-missing-key.json",
                             "--t-grid", "0,1"], "family-missing-key.json"),
     "family-not-object": (["sensitivity", "--family-file", "{dir}/family-not-object.json",

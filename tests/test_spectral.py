@@ -1,4 +1,7 @@
+import functools
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from lshlab.hashing import (
     finite_family,
     power,
 )
+from lshlab import spectral
 from lshlab.points import Point
 from lshlab.spectral import (
     EXACT,
     FourierSpectrum,
     StabilityCurve,
     _fwht,
+    _spectrum_from_array,
     brute_force_stability,
     check_log_convexity,
     collision_counts_by_distance,
@@ -71,6 +76,15 @@ def test_full_parity_spectrum():
     spec = fourier_spectrum(Parity(d, tuple(range(d))))
     full = (1 << d) - 1
     assert spec.weights == pytest.approx({0: 0.5, full: 0.5})
+
+
+@pytest.mark.parametrize("d", [14, 16])
+def test_constant_spectrum_at_transform_word_sizes(d):
+    # The zero coefficient of a constant is 2^d: at d = 16 it needs 32-bit
+    # transform words, and 16-bit ones would wrap it to 0.
+    assert fourier_spectrum(Constant(d)).weights == {0: 1.0}
+    spec = fourier_spectrum(Parity(d, tuple(range(d))))
+    assert spec.weights == {0: 0.5, (1 << d) - 1: 0.5}
 
 
 def test_transform_dimension_guard():
@@ -139,6 +153,64 @@ def test_family_spectrum_mc_mode_converges():
     exact = family_spectrum(fam)
     sampled = family_spectrum(fam, mode="mc", n_samples=4000, seed=2)
     assert stability(sampled, 0.5) == pytest.approx(stability(exact, 0.5), abs=0.02)
+
+
+def test_injective_table_spans_many_batches():
+    # 4096 labels at d = 12: one label column per point, far more than one
+    # transform batch holds, so the function is split across batches.
+    d = 12
+    g = np.random.default_rng(12)
+    h = ExplicitTable(d, tuple(int(v) for v in g.permutation(1 << d)))
+    spec = fourier_spectrum(h)
+    assert spec.pruned_mass == 0.0
+    assert spec.weights == {mask: 1 / 4096 for mask in range(1 << d)}
+    for rho in (0.0, 0.5, 0.9):
+        assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _characters(d):
+    n = 1 << d
+    return np.array([[(-1) ** (x & s).bit_count() for x in range(n)] for s in range(n)], dtype=np.float64)
+
+
+def _naive_squared_mass(h):
+    # Direct sum over points of every label indicator of an explicit table.
+    labels = np.array(h.table)
+    onehot = (labels[:, None] == np.unique(labels)[None, :]).astype(np.float64)
+    return ((_characters(h.dim) @ onehot / (1 << h.dim)) ** 2).sum(axis=1)
+
+
+@st.composite
+def _table_families(draw):
+    d = draw(st.integers(1, 8))
+    n_atoms = draw(st.integers(1, 6))
+    tables = [
+        ExplicitTable(d, tuple(draw(st.lists(st.integers(0, draw(st.sampled_from([1, 3, 40, 300]))),
+                                             min_size=1 << d, max_size=1 << d))))
+        for _ in range(n_atoms)
+    ]
+    parts = draw(st.lists(st.integers(1, 50), min_size=n_atoms, max_size=n_atoms))
+    return finite_family(tables, [Fraction(p, sum(parts)) for p in parts])
+
+
+@settings(deadline=None, max_examples=40)
+@given(fam=_table_families(), seed=st.integers(0, 100), width=st.sampled_from([3, 64, None]))
+def test_family_spectrum_equals_per_atom_reference(fam, seed, width):
+    # The batched integer transform must reproduce, bit for bit, the float64
+    # accumulation of one naively transformed atom at a time, however the
+    # label columns fall into batches (narrow batches split most functions).
+    w = np.zeros(1 << fam.dim)
+    for weight, h in fam.atoms:
+        w += float(weight) * _naive_squared_mass(h)
+    sampled = np.zeros(1 << fam.dim)
+    for h in fam.sample(5, seed):
+        sampled += _naive_squared_mass(h)
+    cells = spectral._BATCH_CELLS if width is None else width << fam.dim
+    with mock.patch.object(spectral, "_BATCH_CELLS", cells):
+        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        got = family_spectrum(fam, mode="mc", n_samples=5, seed=seed)
+    assert got == _spectrum_from_array(fam.dim, sampled / 5)
 
 
 # ---------------------------------------------------------------------------
