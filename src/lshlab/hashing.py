@@ -13,13 +13,13 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .points import Point, points_to_bit_matrix, popcount_table
+from .points import Point, cube_distance_rows, points_to_bit_matrix
 from . import rng as rngmod
 
 
@@ -118,13 +118,15 @@ class HashFunction:
             raise DimensionMismatch(f"point has dimension {x.dim}, function expects {self.dim}")
         return int(self._labels(points_to_bit_matrix([x]))[0])
 
-    def collision_codes(self) -> np.ndarray:
-        """Labels of all 2^dim inputs, recoded to consecutive ints.
 
-        Only the equality structure is preserved; use labels for real labels.
-        """
-        _, codes = np.unique(self._labels(_cube_bits(self.dim)), return_inverse=True)
-        return codes.astype(np.int64)
+def collision_codes(h: HashFunction) -> np.ndarray:
+    """Labels of all 2^dim inputs of h, in point-value order, recoded to
+    consecutive ints in label order.
+
+    Only the equality structure is preserved; use h.labels for real labels.
+    """
+    _, codes = np.unique(h.labels(_cube_bits(h.dim)), return_inverse=True)
+    return codes.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -312,18 +314,6 @@ class Concatenation(HashFunction):
             scale *= p.label_bound
         return packed
 
-    def collision_codes(self) -> np.ndarray:
-        # Combine pairwise with recompaction so intermediate codes stay small.
-        # Spectra sum exact integers over label columns, so they do not
-        # depend on the numbering.
-        codes = self.parts[0].collision_codes()
-        for p in self.parts[1:]:
-            nxt = p.collision_codes()
-            combined = codes * (int(nxt.max()) + 1) + nxt
-            _, codes = np.unique(combined, return_inverse=True)
-            codes = codes.astype(np.int64)
-        return codes
-
 
 # ---------------------------------------------------------------------------
 # Hash families
@@ -363,7 +353,7 @@ class HashFamily:
     """A distribution over hash functions on {0,1}^dim.
 
     Exactly one of ``atoms`` (finite weighted support, Fraction weights that
-    sum to 1) and ``law`` (a seeded sampling rule) may be preferred for
+    sum to exactly 1) and ``law`` (a seeded sampling rule) may be preferred for
     computation, but a finite family is always also samplable.
     ``distance_symmetric`` asserts that the collision probability of a pair
     depends on its Hamming distance only (true for coordinate sampling and
@@ -387,15 +377,11 @@ class HashFamily:
             total = sum(w for w, _ in self.atoms)
             if any(w < 0 for w, _ in self.atoms):
                 raise ValueError("negative weight")
-            if abs(total - 1) > Fraction(1, 10**12):
-                raise ValueError(f"weights sum to {float(total)}, expected 1")
+            if total != 1:
+                raise ValueError(f"weights sum to {total}, expected exactly 1")
             for _, h in self.atoms:
                 if h.dim != self.dim:
                     raise DimensionMismatch("atom dimension differs from family dimension")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.atoms is not None
 
     @functools.cached_property
     def is_uniform(self) -> bool:
@@ -456,7 +442,8 @@ def finite_family(
 ) -> HashFamily:
     """Finite support with the given weights (uniform when omitted).
 
-    Float weights are converted to exact rationals, so collision
+    Weights are converted to exact rationals; once their sum is within
+    1e-12 of 1 they are divided by it, so they sum to exactly 1 and collision
     probabilities of the family come out exact.
     """
     functions = list(functions)
@@ -466,7 +453,11 @@ def finite_family(
     else:
         if len(weights) != len(functions):
             raise ValueError("weights and functions must align")
-        atoms = tuple((Fraction(w), h) for w, h in zip(weights, functions))
+        exact = [Fraction(w) for w in weights]
+        total = sum(exact)
+        if abs(total - 1) > Fraction(1, 10**12):
+            raise ValueError(f"weights sum to {float(total)}, expected 1")
+        atoms = tuple((w / total, h) for w, h in zip(exact, functions))
     dim = functions[0].dim
     return HashFamily(
         dim=dim, atoms=atoms, description=description, distance_symmetric=distance_symmetric
@@ -482,12 +473,12 @@ def bit_sampling_family(d: int) -> HashFamily:
         description=f"uniform over the {d} coordinate projections on {{0,1}}^{d}",
         distance_symmetric=True,
     )
-    return _with_descriptor(fam, {"kind": "bit-sampling", "d": d})
+    return replace(fam, descriptor_doc={"kind": "bit-sampling", "d": d})
 
 
 def constant_family(d: int) -> HashFamily:
     fam = finite_family([Constant(d)], description=f"the constant function on {{0,1}}^{d}")
-    return _with_descriptor(fam, {"kind": "constant", "d": d})
+    return replace(fam, descriptor_doc={"kind": "constant", "d": d})
 
 
 def minhash_family(d: int, exact: bool = False) -> HashFamily:
@@ -510,7 +501,7 @@ def minhash_family(d: int, exact: bool = False) -> HashFamily:
             law=MinHashLaw(d),
             description=f"MinHash with a seeded random permutation of [{d}]",
         )
-    return _with_descriptor(fam, {"kind": "minhash", "d": d, "exact": bool(exact)})
+    return replace(fam, descriptor_doc={"kind": "minhash", "d": d, "exact": bool(exact)})
 
 
 def trivial_family(d: int, r: int) -> HashFamily:
@@ -535,7 +526,7 @@ def trivial_family(d: int, r: int) -> HashFamily:
     fam = finite_family(
         fns, description=f"uniform over the {len(fns)} pair-collapse functions at distance <= {r}"
     )
-    return _with_descriptor(fam, {"kind": "trivial", "d": d, "r": r})
+    return replace(fam, descriptor_doc={"kind": "trivial", "d": d, "r": r})
 
 
 _POWER_ATOM_LIMIT = 200_000
@@ -551,6 +542,12 @@ def power(family: HashFamily, k: int) -> HashFamily:
     doc = None
     if family.descriptor_doc is not None:
         doc = {"kind": "power", "k": k, "base": family.descriptor_doc}
+    shared = dict(
+        dim=family.dim,
+        description=f"{k}-fold concatenation of: {family.description}",
+        distance_symmetric=family.distance_symmetric,
+        descriptor_doc=doc,
+    )
     if family.atoms is not None and len(family.atoms) ** k <= _POWER_ATOM_LIMIT:
         atoms = []
         for combo in itertools.product(family.atoms, repeat=k):
@@ -558,33 +555,8 @@ def power(family: HashFamily, k: int) -> HashFamily:
             for wi, _ in combo:
                 w *= wi
             atoms.append((w, Concatenation(tuple(h for _, h in combo))))
-        fam = HashFamily(
-            dim=family.dim,
-            atoms=tuple(atoms),
-            description=f"{k}-fold concatenation of: {family.description}",
-            distance_symmetric=family.distance_symmetric,
-        )
-    else:
-        fam = HashFamily(
-            dim=family.dim,
-            law=PowerLaw(family, k),
-            description=f"{k}-fold concatenation of: {family.description}",
-            distance_symmetric=family.distance_symmetric,
-        )
-    if doc is not None:
-        fam = _with_descriptor(fam, doc)
-    return fam
-
-
-def _with_descriptor(fam: HashFamily, doc: dict) -> HashFamily:
-    return HashFamily(
-        dim=fam.dim,
-        atoms=fam.atoms,
-        law=fam.law,
-        description=fam.description,
-        distance_symmetric=fam.distance_symmetric,
-        descriptor_doc=doc,
-    )
+        return HashFamily(atoms=tuple(atoms), **shared)
+    return HashFamily(law=PowerLaw(family, k), **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -690,52 +662,86 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
     return _collision_masses(family, np.tri(d + 1, d, -1, dtype=np.uint8))
 
 
-def _class_extremes(family: HashFamily) -> tuple[list, list]:
-    """Per-distance-class (min, max) collision probability over all pairs.
+_BLOCK_VECTORS = 1 << 16
 
-    Uniform families get exact Fractions via integer collision counts; general
-    weights fall back to float accumulation.
+
+def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact per-distance-class (min, max) collision probability over all pairs.
+
+    With the weights scaled to integers over their common denominator D, D
+    times a pair's collision probability is a sum over groups of equal-weight
+    atoms: weight times how many of the group's atoms collide on the pair.
+    Groups are packed into blocks of at most _BLOCK_VECTORS count vectors,
+    each indexing an exact table of its block's part of the sum; a lone
+    block's table holds the sums' ranks instead. Sums past 2^63 are held as
+    base-2^b digits and compared from the top digit down.
     """
     d = family.dim
-    n = 1 << d
-    pc = popcount_table(d)
-    ids = np.arange(n)
-    tables = [h.collision_codes() for _, h in family.atoms]
-    uniform = family.is_uniform
-    if uniform:
-        n_atoms = len(family.atoms)
-        mins = [None] * (d + 1)
-        maxs = [None] * (d + 1)
+    denom = math.lcm(*(w.denominator for w, _ in family.atoms))
+    groups: dict[int, list[np.ndarray]] = {}
+    for w, h in family.atoms:
+        groups.setdefault(int(w * denom), []).append(collision_codes(h))
+    blocks: list[list[list[np.ndarray]]] = []
+    sums: list[list[int]] = []
+    vectors = _BLOCK_VECTORS + 1
+    for w, group in groups.items():
+        if vectors * (len(group) + 1) > _BLOCK_VECTORS:
+            blocks.append([])
+            sums.append([0])
+            vectors = 1
+        blocks[-1].append(group)
+        # Entry sum(c_g * radix_g) of a block's table is its sum for count vector c.
+        sums[-1] = [v + w * c for c in range(len(group) + 1) for v in sums[-1]]
+        vectors *= len(group) + 1
+    levels = sorted(set(sums[0])) if len(blocks) == 1 else None
+    if levels:
+        rank = {v: i for i, v in enumerate(levels)}
+        sums = [[rank[v] for v in sums[0]]]
+    top = len(levels) - 1 if levels else denom
+    if top < 1 << 63:
+        bits, dtype = 63, np.int32 if top < 1 << 31 else np.int64
     else:
-        weights = [float(w) for w, _ in family.atoms]
-        mins = [None] * (d + 1)
-        maxs = [None] * (d + 1)
-
-    chunk = max(1, min(n, (1 << 22) // n))
-    for start in range(0, n, chunk):
-        xs = ids[start : start + chunk]
-        if uniform:
-            acc = np.zeros((len(xs), n), dtype=np.int32)
-            for t in tables:
-                acc += t[xs][:, None] == t[None, :]
-        else:
-            acc = np.zeros((len(xs), n), dtype=np.float64)
-            for w, t in zip(weights, tables):
-                acc += w * (t[xs][:, None] == t[None, :])
-        dist = pc[xs[:, None] ^ ids[None, :]]
-        for m in range(d + 1):
-            sel = acc[dist == m]
-            if sel.size == 0:
-                continue
-            lo, hi = sel.min(), sel.max()
-            if uniform:
-                lo = Fraction(int(lo), n_atoms)
-                hi = Fraction(int(hi), n_atoms)
-            else:
-                lo, hi = float(lo), float(hi)
-            mins[m] = lo if mins[m] is None else min(mins[m], lo)
-            maxs[m] = hi if maxs[m] is None else max(maxs[m], hi)
-    return mins, maxs
+        # Each digit's sum over the blocks, carry included, stays below 2^63.
+        bits, dtype = 63 - (len(blocks) + 1).bit_length(), np.int64
+    n_limbs = -(-top.bit_length() // bits)
+    digit = (1 << bits) - 1
+    tables = [
+        np.array([[(v >> (bits * j)) & digit for v in s] for j in range(n_limbs)], dtype)
+        for s in sums
+    ]
+    mins, maxs = [top] * (d + 1), [0] * (d + 1)
+    extremes = ((np.minimum, min, np.iinfo(dtype).max, mins), (np.maximum, max, -1, maxs))
+    for xs, dist in cube_distance_rows(d):
+        limbs = np.zeros((n_limbs,) + dist.shape, dtype=dtype)
+        for block, table in zip(blocks, tables):
+            key = np.zeros(dist.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
+            radix = 1
+            for group in block:
+                count = np.zeros(dist.shape, dtype=np.min_scalar_type(len(group)))
+                for t in group:
+                    count += t[xs][:, None] == t
+                key += count * key.dtype.type(radix)
+                radix *= len(group) + 1
+            for j in range(n_limbs):
+                limbs[j] += table[j][key]
+        for j in range(n_limbs - 1):
+            limbs[j + 1] += limbs[j] >> bits
+            limbs[j] &= digit
+        dist, limbs = dist.ravel(), limbs.reshape(n_limbs, -1)
+        # `start` loses to every digit. Only cells whose higher digits tie
+        # with their class's extreme compete on the next digit.
+        for extreme, keep, start, found in extremes:
+            value, digits = [0] * (d + 1), limbs[-1]
+            for j in reversed(range(n_limbs)):
+                best = np.full(d + 1, start, dtype=dtype)
+                extreme.at(best, dist, digits)
+                value = [(v << bits) + int(b) for v, b in zip(value, best)]
+                if j:
+                    digits = np.where(digits == best[dist], limbs[j - 1], start)
+            found[:] = map(keep, found, value)
+    if levels:
+        mins, maxs = [levels[v] for v in mins], [levels[v] for v in maxs]
+    return [Fraction(v, denom) for v in mins], [Fraction(v, denom) for v in maxs]
 
 
 def exact_sensitivity(family: HashFamily, r: float, cr: float) -> SensitivityProfile:
@@ -754,20 +760,13 @@ def exact_sensitivity(family: HashFamily, r: float, cr: float) -> SensitivityPro
         raise ValueError(f"need 0 <= r < cr <= d, got r={r}, cr={cr}, d={d}")
 
     if family.distance_symmetric:
-        by_dist = collision_by_distance(family)
-        near = [by_dist[m] for m in range(d + 1) if m <= r]
-        far = [by_dist[m] for m in range(d + 1) if m >= cr]
+        mins = maxs = collision_by_distance(family)
     else:
         mins, maxs = _class_extremes(family)
-        near = [mins[m] for m in range(d + 1) if m <= r and mins[m] is not None]
-        far = [maxs[m] for m in range(d + 1) if m >= cr and maxs[m] is not None]
-
-    p_val = min(near)
-    q_val = max(far)
-    p_exact = p_val if isinstance(p_val, Fraction) else None
-    q_exact = q_val if isinstance(q_val, Fraction) else None
-    p = float(p_val)
-    q = float(q_val)
+    p_exact = min(mins[: math.floor(r) + 1])
+    q_exact = max(maxs[math.ceil(cr) :])
+    p = float(p_exact)
+    q = float(q_exact)
     rho, note = _rho_from(p, q)
     return SensitivityProfile(
         r=r, cr=cr, p=p, q=q, rho=rho, rho_note=note, p_exact=p_exact, q_exact=q_exact

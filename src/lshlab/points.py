@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,15 +59,6 @@ class Point:
         return cls(value, len(s))
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Point":
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"coordinate {i} is {b}, expected 0 or 1")
-            value |= int(b) << i
-        return cls(value, len(bits))
-
-    @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "Point":
         nbytes = (dim + 7) // 8
         value = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << dim) - 1)
@@ -80,15 +71,24 @@ def hamming(x: Point, y: Point) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def popcount_table(d: int) -> np.ndarray:
-    """Popcounts of 0 .. 2^d - 1 as a uint8 lookup table (d <= 16)."""
-    if d > 16:
-        raise ValueError("popcount table limited to d <= 16")
-    n = 1 << d
-    pc = np.zeros(n, dtype=np.uint8)
-    for i in range(1, n):
-        pc[i] = pc[i >> 1] + (i & 1)
-    return pc
+# Entries per block of cube_distance_rows: 8 MiB of int32 per block-sized array.
+_DISTANCE_CELLS = 1 << 21
+
+
+def cube_distance_rows(d: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every ordered pair of {0,1}^d, a block of rows at a time.
+
+    Yields (xs, dist): xs is a run of consecutive point values and
+    dist[i, y] the Hamming distance from xs[i] to y, for every y in
+    0 .. 2^d - 1. A block has at most _DISTANCE_CELLS entries, but at least
+    one row, and every row meets every distance 0 .. d.
+    """
+    # The narrowest unsigned type that holds every point halves the XOR's cost at d = 14.
+    ids = np.arange(1 << d, dtype=np.min_scalar_type((1 << d) - 1))
+    rows = max(1, _DISTANCE_CELLS >> d)
+    for start in range(0, len(ids), rows):
+        xs = ids[start : start + rows]
+        yield xs, np.bitwise_count(xs[:, None] ^ ids)
 
 
 def points_to_bit_matrix(points: Sequence[Point]) -> np.ndarray:

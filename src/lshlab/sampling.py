@@ -31,6 +31,17 @@ from . import rng as rngmod
 _MC_CHUNK = 4096
 
 
+def _flipped_pairs(
+    g: np.random.Generator, n: int, d: int, flip_prob: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform points x of {0,1}^d and copies y of them with each bit
+    flipped independently with probability flip_prob, as two (n, d) 0/1
+    matrices. x is drawn before the flips."""
+    x = g.integers(0, 2, size=(n, d), dtype=np.uint8)
+    flips = (g.random(size=(n, d)) < flip_prob).astype(np.uint8)
+    return x, x ^ flips
+
+
 @dataclass(frozen=True)
 class CorrelatedPair:
     x: Point
@@ -44,10 +55,7 @@ def correlated_bits(
     """n correlated pairs as two (n, d) 0/1 matrices."""
     if not 0 <= rho <= 1:
         raise ValueError(f"correlation must lie in [0, 1], got {rho}")
-    g = rngmod.stream(seed, substream)
-    x = g.integers(0, 2, size=(n, d), dtype=np.uint8)
-    flips = (g.random(size=(n, d)) < (1 - rho) / 2).astype(np.uint8)
-    return x, x ^ flips
+    return _flipped_pairs(rngmod.stream(seed, substream), n, d, (1 - rho) / 2)
 
 
 def correlated_pair(d: int, rho: float, seed: int) -> CorrelatedPair:
@@ -84,9 +92,8 @@ def mc_stability(
     hits = 0
     for idx, size in enumerate(sizes):
         g = rngmod.stream(seed, idx)
-        xb = g.integers(0, 2, size=(size, d), dtype=np.uint8)
-        flips = (g.random(size=(size, d)) < (1 - rho) / 2).astype(np.uint8)
-        hits += int(np.count_nonzero(family.collisions(xb, xb ^ flips, g)))
+        x, y = _flipped_pairs(g, size, d, (1 - rho) / 2)
+        hits += int(np.count_nonzero(family.collisions(x, y, g)))
 
     p_hat = hits / n_samples
     return StabilityEstimate(p_hat, math.sqrt(p_hat * (1 - p_hat) / n_samples), n_samples)
@@ -286,10 +293,7 @@ def jaccard_of_correlated_sets(
 ) -> JaccardSummary:
     if not 0 <= t <= 2:
         raise ValueError("flip model needs 0 <= t <= 2")
-    g = rngmod.stream(seed, 0)
-    x = g.integers(0, 2, size=(n_samples, d), dtype=np.uint8)
-    flips = (g.random(size=(n_samples, d)) < t / 2).astype(np.uint8)
-    y = x ^ flips
+    x, y = _flipped_pairs(rngmod.stream(seed, 0), n_samples, d, t / 2)
     inter = np.logical_and(x, y).sum(axis=1).astype(np.float64)
     union = np.logical_or(x, y).sum(axis=1).astype(np.float64)
     dist = np.where(union > 0, 1.0 - inter / np.maximum(union, 1.0), 0.0)

@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction
-from .points import popcount_table
+from .hashing import HashFamily, HashFunction, collision_codes
+from .points import cube_distance_rows
 from . import rng as rngmod
 
 _TRANSFORM_DIM_LIMIT = 20
@@ -135,7 +135,7 @@ def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[
         used = 0
 
     for h in functions:
-        codes = h.collision_codes()
+        codes = collision_codes(h)
         n_labels = int(codes.max()) + 1
         lo = 0
         while lo < n_labels:
@@ -265,17 +265,10 @@ def collision_counts_by_distance(h: HashFunction) -> np.ndarray:
     d = h.dim
     if d > _BRUTE_FORCE_DIM_LIMIT:
         raise ValueError(f"pair enumeration limited to d <= {_BRUTE_FORCE_DIM_LIMIT}")
-    n = 1 << d
-    codes = h.collision_codes()
-    pc = popcount_table(d)
-    ids = np.arange(n)
+    codes = collision_codes(h)
     counts = np.zeros(d + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, n, chunk):
-        xs = ids[start : start + chunk]
-        eq = codes[xs][:, None] == codes[None, :]
-        dist = pc[xs[:, None] ^ ids[None, :]]
-        counts += np.bincount(dist[eq], minlength=d + 1)
+    for xs, dist in cube_distance_rows(d):
+        counts += np.bincount(dist[codes[xs][:, None] == codes], minlength=d + 1)
     return counts
 
 

@@ -60,10 +60,7 @@ def _random_family(g: np.random.Generator, d: int):
     m = int(g.integers(1, 5))
     fns = [_random_table_function(g, d, int(g.integers(2, 9))) for _ in range(m)]
     raw = g.random(m) + 0.1
-    weights = [float(w) for w in raw / raw.sum()]
-    # Exact rational weights must sum to 1; pin the last one.
-    weights[-1] = float(1 - math.fsum(weights[:-1]))
-    return finite_family(fns, weights)
+    return finite_family(fns, [float(w) for w in raw / raw.sum()])
 
 
 def suite_parseval(seed: int, corrupt: bool = False) -> SuiteResult:

@@ -268,6 +268,11 @@ def bad_files(tmp_path, point_file):
         ]},
         "family-missing-key": {"kind": "bit-sampling"},
         "family-not-object": [1, 2],
+        # 1/2 + (1/2 + 10^-13): within 1e-12 of 1, but not exactly 1.
+        "family-inexact-weights": {"kind": "finite", "d": 2, "atoms": [
+            {"weight": "1/2", "fn": {"kind": "const", "d": 2}},
+            {"weight": "5000000000001/10000000000000", "fn": {"kind": "proj", "d": 2, "i": 0}},
+        ]},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -297,6 +302,8 @@ USAGE_ERRORS = {
                             "--t-grid", "0,1"], "family-missing-key.json"),
     "family-not-object": (["sensitivity", "--family-file", "{dir}/family-not-object.json",
                            "--r", "1", "--cr", "2"], "family-not-object.json"),
+    "family-inexact-weights": (["sensitivity", "--family-file", "{dir}/family-inexact-weights.json",
+                                "--r", "1", "--cr", "2"], "family-inexact-weights.json"),
     "stability-k-0": (["stability", "--family", "bit-sampling", "--d", "6", "--k", "0",
                        "--t-grid", "0,1"], "k"),
     "sensitivity-k-0": (["sensitivity", "--family", "bit-sampling", "--d", "6", "--k", "0",

@@ -1,11 +1,13 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lshlab import hashing, points
 from lshlab import rng as rngmod
 from lshlab.hashing import (
     Concatenation,
@@ -14,11 +16,13 @@ from lshlab.hashing import (
     CoordinateSubset,
     DimensionMismatch,
     ExplicitTable,
+    HashFamily,
     MinHashPermutation,
     PairCollapse,
     Parity,
     bit_sampling_family,
     bit_sampling_profile,
+    collision_codes,
     collision_by_distance,
     collision_probability,
     exact_sensitivity,
@@ -86,7 +90,7 @@ def test_collision_codes_match_eval():
         Concatenation((CoordinateProjection(4, 1), Parity(4, (0, 2)))),
     ]
     for h in fns:
-        codes = h.collision_codes()
+        codes = collision_codes(h)
         raw = [h(Point(v, 4)) for v in range(16)]
         for a in range(16):
             for b in range(16):
@@ -327,10 +331,11 @@ def test_exact_sensitivity_validates():
 def test_symmetric_path_agrees_with_full_enumeration():
     fam = bit_sampling_family(6)
     general = finite_family([h for _, h in fam.atoms])  # same atoms, symmetry flag off
-    for r, cr in ((1, 2), (2, 4), (1, 5)):
+    for r, cr in ((1, 2), (2, 4), (1, 5), (1.5, 2.5)):
         a = exact_sensitivity(fam, r, cr)
         b = exact_sensitivity(general, r, cr)
-        assert a.p_exact == b.p_exact and a.q_exact == b.q_exact
+        assert a.p_exact == b.p_exact == Fraction(6 - math.floor(r), 6)
+        assert a.q_exact == b.q_exact == Fraction(6 - math.ceil(cr), 6)
 
 
 def test_mixed_weights_full_path():
@@ -338,7 +343,8 @@ def test_mixed_weights_full_path():
     fam = finite_family(fns, [0.25, 0.75])
     prof = exact_sensitivity(fam, 1, 3)
     # constant always collides; projection 0 collides unless coordinate 0 differs
-    assert prof.p == pytest.approx(0.75 + 0.25 * 0, abs=1e-12) or prof.p <= 1
+    assert prof.p_exact == Fraction(3, 4)
+    assert prof.q_exact == 1
     x, y = Point(0, 4), Point(1, 4)
     assert collision_probability(fam, x, y) == Fraction(3, 4)
 
@@ -353,6 +359,74 @@ def test_family_weight_validation():
         finite_family(fns, [0.5, 0.6])
     with pytest.raises(ValueError):
         finite_family(fns, [1.5, -0.5])
+
+
+def test_weights_sum_to_exactly_one():
+    fns = [Constant(3), CoordinateProjection(3, 0)]
+    with pytest.raises(ValueError, match="exactly 1"):
+        HashFamily(dim=3, atoms=((Fraction(1, 2), fns[0]), (Fraction(1, 2) + Fraction(1, 10**13), fns[1])))
+    # The float 1 - 1e-30 is 1.0, so the raw weights sum to 1 + 1e-30; they
+    # are divided by that sum, which keeps every probability at most 1.
+    fam = finite_family(fns, [1e-30, 1 - 1e-30])
+    assert sum(w for w, _ in fam.atoms) == 1
+    assert exact_sensitivity(fam, 1, 2).q_exact == 1
+
+
+@st.composite
+def weighted_tables(draw):
+    d = draw(st.integers(1, 5))
+    n_atoms = draw(st.integers(1, 4))
+    # Common denominators that fit int32, int64 and neither. Weights just
+    # below 2^70 tie on their top digits and carry out of the lower ones.
+    top = draw(st.sampled_from([3, 1 << 40, 1 << 70]))
+    base = draw(st.sampled_from([0, (1 << 70) - 4]))
+    raw = [base + w for w in draw(st.lists(st.integers(1, top), min_size=n_atoms, max_size=n_atoms))]
+    table = st.lists(st.integers(0, 3), min_size=1 << d, max_size=1 << d)
+    fns = [ExplicitTable(d, tuple(draw(table))) for _ in range(n_atoms)]
+    # Half-integer thresholds too: p covers m <= floor(r), q covers m >= ceil(cr).
+    r = draw(st.integers(0, 2 * d - 1)) / 2
+    cr = draw(st.integers(int(2 * r) + 1, 2 * d)) / 2
+    return finite_family(fns, [Fraction(w, sum(raw)) for w in raw]), r, cr
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_tables(), st.sampled_from([2, 1 << 16]), st.sampled_from([1, 1 << 21]))
+def test_weighted_exact_sensitivity_matches_all_pairs(case, block_vectors, cells):
+    # A block of 2 count vectors holds one single-atom group, so every
+    # family of two or more weights takes the multi-block sums (and digits).
+    # One cell per distance block makes every row of pairs a block of its own.
+    fam, r, cr = case
+    d = fam.dim
+    near, far = [], []
+    for x, y in itertools.combinations_with_replacement(range(1 << d), 2):
+        prob = collision_probability(fam, Point(x, d), Point(y, d))
+        dist = (x ^ y).bit_count()
+        if dist <= r:
+            near.append(prob)
+        if dist >= cr:
+            far.append(prob)
+    with (
+        mock.patch.object(hashing, "_BLOCK_VECTORS", block_vectors),
+        mock.patch.object(points, "_DISTANCE_CELLS", cells),
+    ):
+        prof = exact_sensitivity(fam, r, cr)
+    assert prof.p_exact == min(near) and prof.q_exact == max(far)
+    assert (prof.p, prof.q) == (float(min(near)), float(max(far)))
+
+
+def test_digit_sums_carry_before_they_compare():
+    # D > 2^63 and four blocks give base-2^60 digits. The pair (0, 1) collides
+    # under atoms 0 and 2, whose top digits 1 and 0 lose to atom 1's 2, but
+    # whose lower digits carry: 3 * 2^60 - 2 beats 2^61 on the pair (0, 2).
+    s = [2**61 - 1, 2**61, 2**60 - 1, 2**64]
+    denom = sum(s)
+    tables = [(0, 0, 1, 2), (0, 1, 0, 2), (0, 0, 1, 2), (0, 1, 2, 3)]
+    fam = finite_family([ExplicitTable(2, t) for t in tables], [Fraction(v, denom) for v in s])
+    assert collision_probability(fam, Point(0, 2), Point(1, 2)) == Fraction(s[0] + s[2], denom)
+    for block_vectors in (2, 1 << 16):
+        with mock.patch.object(hashing, "_BLOCK_VECTORS", block_vectors):
+            prof = exact_sensitivity(fam, 0, 1)
+        assert (prof.p_exact, prof.q_exact) == (1, Fraction(s[0] + s[2], denom))
 
 
 def test_family_sampling_reproducible():

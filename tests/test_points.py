@@ -1,16 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lshlab import points
 from lshlab import rng as rngmod
 from lshlab.points import (
     Point,
     bit_rows_to_points,
+    cube_distance_rows,
     hamming,
     load_points_binary,
     load_points_text,
     points_to_bit_matrix,
-    popcount_table,
     save_points_binary,
     save_points_text,
 )
@@ -47,11 +50,16 @@ def test_string_roundtrip(dim, raw):
     assert Point.from01(p.to01()) == p
 
 
-def test_popcount_table():
-    pc = popcount_table(10)
-    ids = np.arange(1 << 10)
-    expected = np.array([int(i).bit_count() for i in ids])
-    assert np.array_equal(pc, expected)
+def test_cube_distance_rows():
+    for d, cells in [(1, 1), (5, 1), (5, 64), (8, 1 << 10), (8, 1 << 30)]:
+        n = 1 << d
+        with mock.patch.object(points, "_DISTANCE_CELLS", cells):
+            blocks = list(cube_distance_rows(d))
+        assert np.concatenate([xs for xs, _ in blocks]).tolist() == list(range(n))
+        for xs, dist in blocks:
+            assert dist.shape == (len(xs), n) and dist.size <= max(cells, n)
+            expected = [[(int(x) ^ y).bit_count() for y in range(n)] for x in xs]
+            assert np.array_equal(dist, expected)
 
 
 def test_bit_matrix_roundtrip():
