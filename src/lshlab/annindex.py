@@ -15,19 +15,23 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .hashing import (
     Concatenation,
+    DimensionMismatch,
     HashFamily,
     HashFunction,
+    ProjectionProduct,
     SensitivityProfile,
     bit_sampling_family,
     bit_sampling_profile,
     family_descriptor,
     function_descriptor,
     function_from_descriptor,
-    power,
+    sample_power,
 )
-from .points import Point, hamming, points_to_bit_matrix
+from .points import Point, bits_from01, bits_to01, pack_rows, points_to_bit_matrix, unpack_rows
 from . import rng as rngmod
 
 INDEX_FORMAT = "lshlab-index"
@@ -110,57 +114,86 @@ def plan(
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
-    Table j maps each label of g_j to the ids of the points carrying it, in
-    id order. The tables are a pure function of (functions, points), so they
-    are derived here and nowhere else.
+    Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Table
+    t is sorted: its bucket keys are keys[table_starts[t]:table_starts[t+1]],
+    ascending, and bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
+    ascending. The tables are a pure function of (functions, points), so
+    they are derived here and nowhere else.
     """
 
     def __init__(
         self,
         params: IndexParams,
         functions: Sequence[HashFunction],
-        points: Sequence[Point],
+        bits: np.ndarray,
         family_doc: Optional[dict] = None,
     ):
+        """`bits` holds the points as (n, d) 0/1 rows (see points_to_bit_matrix)."""
         if len(functions) != params.L:
             raise ValueError(f"need exactly L = {params.L} functions, got {len(functions)}")
-        if not points:
+        if not len(bits):
             raise ValueError("need at least one point")
-        self.dim = points[0].dim
-        for i, pt in enumerate(points):
-            if pt.dim != self.dim:
-                raise ValueError(f"point {i} has dimension {pt.dim}, expected {self.dim}")
+        self.dim = bits.shape[1]
+        for i, fn in enumerate(functions):
+            if fn.dim != self.dim:
+                raise DimensionMismatch(f"function {i} has dimension {fn.dim}, the points {self.dim}")
         self.params = params
         self.functions = tuple(functions)
-        self.points = tuple(points)
         self.family_doc = family_doc
-        bit_matrix = points_to_bit_matrix(self.points)
-        tables = []
-        for fn in self.functions:
-            table: dict = {}
-            for idx, lab in enumerate(fn.labels(bit_matrix).tolist()):
-                table.setdefault(lab, []).append(idx)
-            tables.append(table)
-        self.tables = tuple(tables)
+        self.rows = pack_rows(bits)
+        self._product = ProjectionProduct.of(self.functions)
+        # One stable argsort per table keeps each bucket's ids ascending.
+        keys = self._keys(bits).T
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        first = np.ones(keys.shape, dtype=bool)
+        first[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        # Row t of the flattened tables starts at t*n, always with a new bucket.
+        starts = np.flatnonzero(first)
+        self.keys = keys.ravel()[starts]
+        self.offsets = np.append(starts, keys.size).astype(np.int32)
+        self.ids = order.ravel().astype(np.int32)
+        self.table_starts = np.concatenate(([0], np.cumsum(first.sum(axis=1))))
 
     @property
     def candidate_cap(self) -> int:
         return CANDIDATE_CAP_FACTOR * self.params.L
+
+    def _keys(self, bits: np.ndarray) -> np.ndarray:
+        """(n, L) keys of the rows of bits: one product for projections,
+        else the functions' label columns."""
+        if self._product is not None:
+            return self._product.labels(bits)
+        return np.stack([fn.labels(bits) for fn in self.functions], axis=1)
+
+    def _buckets(self, q: np.ndarray) -> np.ndarray:
+        """The bucket of table t whose key is q[t], or -1: one bisection
+        over all L tables at once."""
+        base, size = self.table_starts[:-1].copy(), np.diff(self.table_starts)
+        # Invariant: table t's last key <= q[t], if any, lies in [base, base + size).
+        while size.max() > 1:
+            half = size >> 1
+            base += half * (self.keys[base + half] <= q)
+            size -= half
+        return np.where(self.keys[base] == q, base, -1)
 
 
 def build(
     points: Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
     """Draw L functions from the family's k-th power and index the points."""
-    if points and family.dim != points[0].dim:
-        raise ValueError(f"family dimension {family.dim} differs from points ({points[0].dim})")
-    functions = power(family, params.k).sample(params.L, params.seed)
+    if not points:
+        raise ValueError("need at least one point")
+    bits = points_to_bit_matrix(points)
+    if family.dim != bits.shape[1]:
+        raise ValueError(f"family dimension {family.dim} differs from points ({bits.shape[1]})")
+    functions = sample_power(family, params.k, params.L, params.seed)
     family_doc = None
     try:
         family_doc = family_descriptor(family)
     except ValueError:
         pass
-    return NNIndex(params, functions, points, family_doc)
+    return NNIndex(params, functions, bits, family_doc)
 
 
 @dataclass(frozen=True)
@@ -173,27 +206,35 @@ class QueryTrace:
 
 def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     """Probe x's bucket in each table in order; inspect at most 3L candidates;
-    return the first point found within cr (ties go to probe order)."""
+    return the first point found within cr (ties go to probe order).
+
+    All L buckets are found at once and the first 3L candidates, in probe
+    order, are distance-checked in one pass; the trace reports what probing
+    one table at a time, and stopping at the first hit or the cap, would.
+    """
     if x.dim != index.dim:
         raise ValueError(f"query dimension {x.dim} differs from index ({index.dim})")
-    cap = index.candidate_cap
-    cr = index.params.cr
-    inspected = 0
-    evals = 0
-    bits = points_to_bit_matrix([x])
-    for ti, (fn, table) in enumerate(zip(index.functions, index.tables)):
-        evals += index.params.k
-        bucket = table.get(fn.labels(bits).item())
-        if not bucket:
-            continue
-        for idx in bucket:
-            if inspected >= cap:
-                return QueryTrace(None, inspected, ti + 1, evals)
-            inspected += 1
-            dist = hamming(x, index.points[idx])
-            if dist <= cr:
-                return QueryTrace((idx, dist), inspected, ti + 1, evals)
-    return QueryTrace(None, inspected, len(index.tables), evals)
+    k, L, cap = index.params.k, index.params.L, index.candidate_cap
+    raw = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint8)
+    bucket = index._buckets(index._keys(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[0])
+    hit = bucket >= 0
+    lo = index.offsets[bucket]
+    lens = np.where(hit, index.offsets[bucket + 1] - lo, 0)
+    ends = np.cumsum(lens)  # candidates in tables 0..t
+    seen = np.arange(min(int(ends[-1]), cap))
+    table = np.searchsorted(ends, seen, side="right")
+    ids = index.ids[lo[table] + seen - (ends - lens)[table]]
+    dist = np.bitwise_count(index.rows[ids] ^ raw.view(np.uint64)).sum(axis=1)
+    near = np.flatnonzero(dist <= index.params.cr)
+    if len(near):
+        i = near[0]
+        probed = int(table[i]) + 1
+        return QueryTrace((int(ids[i]), int(dist[i])), int(i) + 1, probed, k * probed)
+    if ends[-1] > cap:
+        # The next candidate, in table `probed`, would exceed the cap.
+        probed = int(np.searchsorted(ends, cap, side="right")) + 1
+        return QueryTrace(None, cap, probed, k * probed)
+    return QueryTrace(None, int(ends[-1]), L, k * L)
 
 
 def query(index: NNIndex, x: Point) -> Optional[tuple[int, int]]:
@@ -215,20 +256,20 @@ class IndexStats:
 
 
 def stats(index: NNIndex) -> IndexStats:
-    n = len(index.points)
-    sizes = [len(bucket) for table in index.tables for bucket in table.values()]
-    total = sum(sizes)
-    n_buckets = len(sizes)
+    n = len(index.rows)
+    total = len(index.ids)
+    n_buckets = len(index.keys)
     rho = index.params.planned_rho
+    arrays = (index.rows, index.keys, index.offsets, index.ids, index.table_starts)
     return IndexStats(
         n_points=n,
         n_tables=index.params.L,
         k=index.params.k,
         total_entries=total,
-        mean_bucket=total / n_buckets if n_buckets else 0.0,
-        max_bucket=max(sizes) if sizes else 0,
+        mean_bucket=total / n_buckets,
+        max_bucket=int(np.diff(index.offsets).max()),
         n_buckets=n_buckets,
-        approx_bytes=total * 8 + n_buckets * 64 + n * ((index.dim + 7) // 8),
+        approx_bytes=sum(a.nbytes for a in arrays),
         measured_space_exp=math.log(max(total, 1)) / math.log(n) if n > 1 else float("nan"),
         predicted_space_exp=(1 + rho) if rho is not None else None,
     )
@@ -248,11 +289,12 @@ def save_index(index: NNIndex, path) -> None:
         "params": asdict(index.params),
         "family": index.family_doc,
         "functions": [function_descriptor(fn) for fn in index.functions],
-        "points": [pt.to01() for pt in index.points],
+        "points": bits_to01(unpack_rows(index.rows, index.dim)),
     }
+    # json.dumps runs the C encoder; json.dump would stream through the Python one.
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_index(path) -> NNIndex:
@@ -273,8 +315,9 @@ def load_index(path) -> NNIndex:
         for i, fn in enumerate(functions):
             if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
                 raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")
-        points = [Point.from01(s) for s in doc["points"]]
-        return NNIndex(params, functions, points, doc.get("family"))
+        if not isinstance(doc["points"], list):
+            raise ValueError("points must be a list of 0/1 strings")
+        return NNIndex(params, functions, bits_from01(doc["points"]), doc.get("family"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -130,6 +130,8 @@ def _resolve_family(args) -> object:
 def cmd_bounds(args) -> int:
     if args.c_min >= args.c_max:
         raise CliError("--c-min must be below --c-max")
+    if args.steps < 1:
+        raise CliError("--steps must be at least 1")
     c_values = [float(c) for c in np.linspace(args.c_min, args.c_max, args.steps)]
     rows = bound_table(c_values, args.d, args.q, big_k=args.K, s=args.s)
     write_rows(

@@ -28,35 +28,6 @@ class DimensionMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Label packing for concatenated functions: little-endian mixed radix, so the
-# packed label is unique iff every component label is, and collision of packed
-# labels is exactly component-wise collision.
-
-
-def pack_labels(labels: Sequence[int], bounds: Sequence[int]) -> int:
-    if len(labels) != len(bounds):
-        raise ValueError("labels and bounds must align")
-    packed = 0
-    scale = 1
-    for lab, bound in zip(labels, bounds):
-        if not 0 <= lab < bound:
-            raise ValueError(f"label {lab} outside [0, {bound})")
-        packed += lab * scale
-        scale *= bound
-    return packed
-
-
-def unpack_label(packed: int, bounds: Sequence[int]) -> tuple[int, ...]:
-    labels = []
-    for bound in bounds:
-        packed, lab = divmod(packed, bound)
-        labels.append(lab)
-    if packed:
-        raise ValueError("packed label exceeds the given radices")
-    return tuple(labels)
-
-
-# ---------------------------------------------------------------------------
 # Hash functions. Every function evaluates a whole batch at once: labels(bits)
 # maps an (n, dim) 0/1 uint8 matrix, column i = coordinate i, to n labels.
 # Labels are int64 while label_bound <= 2^63 and exact Python ints (object
@@ -245,8 +216,12 @@ class MinHashPermutation(HashFunction):
     def label_bound(self) -> int:
         return self.dim + 1
 
+    @functools.cached_property
+    def _ranks(self) -> np.ndarray:
+        return np.array(self.perm, dtype=np.int64)
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return _min_rank(np.array(self.perm, dtype=np.int64), bits, self.dim)
+        return _min_rank(self._ranks, bits, self.dim)
 
 
 @dataclass(frozen=True)
@@ -273,7 +248,9 @@ class PairCollapse(HashFunction):
 
 @dataclass(frozen=True)
 class Concatenation(HashFunction):
-    """Tuple of component labels, packed mixed-radix (see pack_labels)."""
+    """Tuple of component labels, packed little-endian mixed radix: part j's
+    label is scaled by the product of the earlier parts' label bounds, so two
+    packed labels are equal iff every component label is."""
 
     parts: tuple[HashFunction, ...]
 
@@ -296,23 +273,73 @@ class Concatenation(HashFunction):
         return bound
 
     @functools.cached_property
-    def _projected_coords(self) -> Optional[np.ndarray]:
-        # With every part a coordinate projection, the packed label is the
-        # little-endian number read off those columns: one gather, not k calls.
-        if all(isinstance(p, CoordinateProjection) for p in self.parts):
-            return np.array([p.coord for p in self.parts], dtype=np.intp)
-        return None
+    def _product(self) -> Optional[ProjectionProduct]:
+        return ProjectionProduct.of([self])
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
+        if self._product is not None:
+            return self._product.labels(bits)[:, 0]
         dtype = _label_dtype(self.label_bound)
-        if self._projected_coords is not None:
-            return _row_values(bits[:, self._projected_coords], dtype)
         packed = np.zeros(len(bits), dtype=dtype)
         scale = 1
         for p in self.parts:
             packed += p._labels(bits).astype(dtype) * scale
             scale *= p.label_bound
         return packed
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionProduct:
+    """The labels of concatenated coordinate projections, all functions at
+    once, as one float64 matrix product.
+
+    Function t's packed label is the sum of 2^j over its parts j whose
+    coordinate is set: the row's product with the column holding, at each
+    coordinate, the sum of 2^j over the parts j that project it
+    (coordinates may repeat). A float64 sum of distinct powers of two is
+    exact below 2^53 whatever the summation order, so a label below 2^53
+    is one column; a wider one is split into 32-bit limbs, one column each,
+    and reassembled: in int64 up to 2^63, in Python ints beyond.
+    """
+
+    coords: np.ndarray  # the projected coordinates, once each
+    weights: np.ndarray  # (len(coords), limbs * n_functions), limb-major
+    n_functions: int
+    bound: int  # the largest label_bound
+
+    @classmethod
+    def of(cls, functions: Sequence[HashFunction]) -> Optional["ProjectionProduct"]:
+        """None unless every function concatenates coordinate projections."""
+        if not functions or not all(
+            isinstance(fn, Concatenation) and all(isinstance(p, CoordinateProjection) for p in fn.parts)
+            for fn in functions
+        ):
+            return None
+        bound = max(fn.label_bound for fn in functions)
+        width = 53 if bound <= 1 << 53 else 32
+        limbs = -(-(bound.bit_length() - 1) // width)
+        w = np.zeros((functions[0].dim, limbs, len(functions)), dtype=np.int64)
+        for t, fn in enumerate(functions):
+            for j, part in enumerate(fn.parts):
+                w[part.coord, j // width, t] += 1 << (j % width)
+        w = w.reshape(len(w), -1)
+        coords = np.flatnonzero(w.any(axis=1))
+        return cls(coords, w[coords].astype(np.float64), len(functions), bound)
+
+    def labels(self, bits: np.ndarray) -> np.ndarray:
+        """(n, n_functions) labels of the rows of an (n, dim) 0/1 matrix:
+        int64 while every label_bound <= 2^63, exact Python ints beyond."""
+        n_limbs = self.weights.shape[1] // self.n_functions
+        limbs = (bits[:, self.coords].astype(np.float64) @ self.weights).astype(np.int64)
+        limbs = limbs.reshape(len(bits), n_limbs, self.n_functions)
+        if n_limbs == 1:
+            return limbs[:, 0]
+        if self.bound <= _INT64_BOUND:
+            return limbs[:, 0] | (limbs[:, 1] << 32)
+        labels = limbs[:, -1].astype(object)
+        for i in range(n_limbs - 2, -1, -1):
+            labels = (labels << 32) | limbs[:, i]
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +584,28 @@ def power(family: HashFamily, k: int) -> HashFamily:
             atoms.append((w, Concatenation(tuple(h for _, h in combo))))
         return HashFamily(atoms=tuple(atoms), **shared)
     return HashFamily(law=PowerLaw(family, k), **shared)
+
+
+def sample_power(family: HashFamily, k: int, n: int, seed: int) -> list[HashFunction]:
+    """power(family, k).sample(n, seed), without building the power's atoms.
+
+    For a uniform base of m atoms the power draws its atom indices from one
+    generator, and n draws at once equal n draws one at a time. Below
+    _POWER_ATOM_LIMIT the power is uniform over its m^k atoms in
+    itertools.product order, so one g.integers(m^k) per function names the
+    k parts by its base-m digits, most significant first; past it the power
+    is a law whose draws take one g.integers(m) per part.
+    """
+    if not family.is_uniform:
+        return power(family, k).sample(n, seed)
+    m = len(family.atoms)
+    g = rngmod.stream(seed, 0)
+    if m**k <= _POWER_ATOM_LIMIT:
+        picks = g.integers(m**k, size=n)[:, None] // m ** np.arange(k - 1, -1, -1) % m
+    else:
+        picks = g.integers(m, size=(n, k))
+    fns = [h for _, h in family.atoms]
+    return [Concatenation(tuple(fns[i] for i in row)) for row in picks.tolist()]
 
 
 # ---------------------------------------------------------------------------

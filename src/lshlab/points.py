@@ -25,14 +25,6 @@ class Point:
         if not 0 <= self.value < (1 << self.dim):
             raise ValueError(f"value {self.value} out of range for dimension {self.dim}")
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise IndexError(f"coordinate {i} out of range for dimension {self.dim}")
-        return (self.value >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.dim))
-
     def flip(self, coords: Iterable[int]) -> "Point":
         mask = 0
         for i in coords:
@@ -41,22 +33,16 @@ class Point:
             mask |= 1 << i
         return Point(self.value ^ mask, self.dim)
 
-    def weight(self) -> int:
-        return self.value.bit_count()
-
     def to01(self) -> str:
-        return "".join(str((self.value >> i) & 1) for i in range(self.dim))
+        # Coordinate 0 is the lowest bit: the binary numeral, reversed.
+        return format(self.value, f"0{self.dim}b")[::-1]
 
     @classmethod
     def from01(cls, s: str) -> "Point":
         s = s.strip()
         if not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a 0/1 string: {s!r}")
-        value = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                value |= 1 << i
-        return cls(value, len(s))
+        return cls(int(s[::-1], 2), len(s))
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "Point":
@@ -96,11 +82,56 @@ def points_to_bit_matrix(points: Sequence[Point]) -> np.ndarray:
     if not points:
         raise ValueError("empty point list")
     d = points[0].dim
+    for i, p in enumerate(points):
+        if p.dim != d:
+            raise ValueError(f"point {i} has dimension {p.dim}, expected {d}")
     nbytes = (d + 7) // 8
     raw = np.frombuffer(
         b"".join(p.value.to_bytes(nbytes, "little") for p in points), dtype=np.uint8
     ).reshape(len(points), nbytes)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :d]
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows -> (n, ceil(d/64)) uint64 words, little-endian bit packing
+    (bit i of the row's bytes is coordinate i) and zero padding.
+
+    Hamming distance is np.bitwise_count(a ^ b).sum(-1).
+    """
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def unpack_rows(words: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of pack_rows: (n, d) 0/1 uint8 rows."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=d, bitorder="little")
+
+
+def bits_from01(strings: Sequence[str]) -> np.ndarray:
+    """(n, d) 0/1 uint8 rows from 0/1 strings of one length d, coordinate 0
+    leftmost, parsed in one pass rather than one Point per string."""
+    if not strings:
+        raise ValueError("empty point list")
+    d = len(strings[0])
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    for i, s in enumerate(strings):
+        if len(s) != d:
+            raise ValueError(f"point {i} has dimension {len(s)}, expected {d}")
+    bits = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(-1, d) - ord("0")
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    if len(bad):
+        raise ValueError(f"point {bad[0]} is not a 0/1 string: {strings[bad[0]]!r}")
+    return bits
+
+
+def bits_to01(bits: np.ndarray) -> list[str]:
+    """0/1 rows -> one 0/1 string per row, coordinate 0 leftmost."""
+    d = bits.shape[1]
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    return [text[i : i + d] for i in range(0, len(text), d)]
 
 
 def bit_rows_to_points(rows: np.ndarray) -> list[Point]:

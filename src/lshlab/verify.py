@@ -103,8 +103,8 @@ def suite_log_convexity(seed: int, corrupt: bool = False) -> SuiteResult:
     ratio_floor = math.inf
     for _ in range(25):
         d = int(g.integers(2, 9))
-        fam = _random_family(g, d)
-        curve = stability_curve(fam, grid)
+        spectrum = family_spectrum(_random_family(g, d))
+        curve = stability_curve(spectrum, grid)
         if corrupt:
             values = list(curve.values)
             values[10] = min(1.0, values[10] * 1.01)
@@ -117,7 +117,7 @@ def suite_log_convexity(seed: int, corrupt: bool = False) -> SuiteResult:
         if curve.values[1] < 1:  # nonconstant family
             for c in (1.1, 2.0, 5.0):
                 for t in (0.1, 0.5, 1.0):
-                    ratio_floor = min(ratio_floor, stability_ratio(fam, t, c) * c)
+                    ratio_floor = min(ratio_floor, stability_ratio(spectrum, t, c) * c)
     passed = worst <= 1e-9 and ratio_floor >= 1 - 1e-9
     return SuiteResult(
         "log-convexity",

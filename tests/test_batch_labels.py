@@ -17,6 +17,7 @@ from lshlab.hashing import (
     MinHashPermutation,
     PairCollapse,
     Parity,
+    ProjectionProduct,
     bit_sampling_family,
     collision_codes,
     finite_family,
@@ -131,6 +132,28 @@ def test_wide_projection_concatenation_is_exact(data):
     _check(h, values)
     if d <= 6:
         assert np.array_equal(collision_codes(h), ref_codes(h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projection_product_is_exact(data):
+    # One product labels several functions at once, exactly: a label past
+    # 2^53 is reassembled from 32-bit limbs, in int64 up to 2^63 and in
+    # Python ints beyond.
+    d = data.draw(st.integers(1, 80))
+    widths = st.one_of(st.integers(1, 80), st.sampled_from([52, 53, 54, 63, 64, 65]))
+    fns = [
+        Concatenation(tuple(CoordinateProjection(d, c) for c in data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))))
+        for k in data.draw(st.lists(widths, min_size=1, max_size=4))
+    ]
+    values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
+    labels = ProjectionProduct.of(fns).labels(_rows(values, d))
+    assert labels.dtype == (np.int64 if max(len(h.parts) for h in fns) <= 63 else object)
+    assert labels.tolist() == [[ref_label(h, v) for h in fns] for v in values]
+    for h in fns:
+        _check(h, values)
+    # Any other part takes the per-function path.
+    assert ProjectionProduct.of(fns + [Concatenation((Parity(d, (0,)),))]) is None
 
 
 def test_wide_labels_reach_past_int64():

@@ -308,6 +308,7 @@ USAGE_ERRORS = {
                        "--t-grid", "0,1"], "k"),
     "sensitivity-k-0": (["sensitivity", "--family", "bit-sampling", "--d", "6", "--k", "0",
                          "--r", "1", "--cr", "2"], "k"),
+    "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),
 }

@@ -34,10 +34,9 @@ from lshlab.hashing import (
     function_descriptor,
     function_from_descriptor,
     minhash_family,
-    pack_labels,
     power,
+    sample_power,
     trivial_family,
-    unpack_label,
 )
 from lshlab.points import Point
 
@@ -103,18 +102,35 @@ def test_collision_codes_match_eval():
 
 @given(st.lists(st.integers(2, 40), min_size=1, max_size=6))
 def test_packing_bijective(bounds):
-    g = np.random.default_rng(0)
-    labels = tuple(int(g.integers(0, b)) for b in bounds)
-    packed = pack_labels(labels, bounds)
-    assert unpack_label(packed, bounds) == labels
-    assert 0 <= packed < math.prod(bounds)
+    # Packing is little-endian mixed radix: each input's packed label lies
+    # below the product of the bounds and unpacks, digit by digit, to its
+    # component labels, so equal packed labels mean equal components.
+    parts = tuple(
+        ExplicitTable(3, tuple(range(b)) + (0,) * (8 - b)) if b <= 8
+        else ExplicitTable(3, (b - 1,) + (0,) * 7)
+        for b in bounds
+    )
+    h = Concatenation(parts)
+    assert h.label_bound == math.prod(p.label_bound for p in parts)
+    bits = hashing._cube_bits(3)
+    packed = h.labels(bits).tolist()
+    columns = [p.labels(bits).tolist() for p in parts]
+    for v, lab in enumerate(packed):
+        assert 0 <= lab < h.label_bound
+        unpacked = []
+        for p in parts:
+            lab, digit = divmod(lab, p.label_bound)
+            unpacked.append(digit)
+        assert unpacked == [col[v] for col in columns]
 
 
 def test_packing_validates():
-    with pytest.raises(ValueError):
-        pack_labels((5,), (4,))
-    with pytest.raises(ValueError):
-        unpack_label(100, (4, 4))
+    with pytest.raises(ValueError, match="at least one component"):
+        Concatenation(())
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        Concatenation((CoordinateProjection(3, 0), CoordinateProjection(4, 0)))
+    with pytest.raises(DimensionMismatch):
+        Concatenation((CoordinateProjection(3, 0),)).labels(np.zeros((2, 4), dtype=np.uint8))
 
 
 def test_concatenation_collides_iff_components_do():
@@ -223,6 +239,21 @@ def test_power_large_support_falls_back_to_sampling():
     fns = fam.sample(3, seed=11)
     assert all(len(f.parts) == 57 for f in fns)
     assert fam.sample(3, seed=11) == fns
+
+
+@pytest.mark.parametrize("past_limit", [False, True], ids=["at-limit", "past-limit"])
+def test_sample_power_matches_power_sample(past_limit):
+    # Below the atom limit the power is a materialized uniform family, past
+    # it a sampling law; sample_power must draw what each would.
+    weighted = finite_family(
+        [CoordinateProjection(4, 0), Parity(4, (1, 2)), Constant(4)], [0.5, 0.25, 0.25]
+    )
+    for fam, k in [(bit_sampling_family(5), 3), (minhash_family(3, exact=True), 2), (weighted, 2)]:
+        size = len(fam.atoms) ** k
+        with mock.patch.object(hashing, "_POWER_ATOM_LIMIT", size - 1 if past_limit else size):
+            powered = power(fam, k)
+            assert (powered.atoms is None) == past_limit
+            assert sample_power(fam, k, 40, seed=3) == powered.sample(40, seed=3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lshlab import rng as rngmod
 from lshlab.annindex import (
     IndexParams,
+    QueryTrace,
     build,
     load_index,
     plan,
@@ -24,7 +25,7 @@ from lshlab.hashing import (
     minhash_family,
     power,
 )
-from lshlab.points import Point, hamming
+from lshlab.points import Point, hamming, points_to_bit_matrix
 
 
 def _profile(r, cr, p, q):
@@ -35,6 +36,60 @@ def _profile(r, cr, p, q):
 def _random_points(n, d, seed):
     g = rngmod.stream(seed, 0)
     return [Point.random(d, g) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Reference: one dict-of-lists table per function, probed table by table.
+
+
+def _ref_labels(fn, bits):
+    """fn's labels, packed from its parts one part at a time in Python ints."""
+    labels, scale = [0] * len(bits), 1
+    for part in fn.parts:
+        labels = [lab + int(v) * scale for lab, v in zip(labels, part.labels(bits))]
+        scale *= part.label_bound
+    return labels
+
+
+def _ref_tables(functions, points):
+    """Table t maps each label of g_t to the ids of the points carrying it, in id order."""
+    bits = points_to_bit_matrix(points)
+    tables = []
+    for fn in functions:
+        table = {}
+        for i, lab in enumerate(_ref_labels(fn, bits)):
+            table.setdefault(lab, []).append(i)
+        tables.append(table)
+    return tables
+
+
+def _ref_query(idx, tables, points, x):
+    """Probe x's bucket in each table in order and stop at the first point
+    within cr, or when the next candidate would pass the cap."""
+    k, cr, cap = idx.params.k, idx.params.cr, idx.candidate_cap
+    inspected = 0
+    for ti, (fn, table) in enumerate(zip(idx.functions, tables)):
+        for i in table.get(_ref_labels(fn, points_to_bit_matrix([x]))[0], []):
+            if inspected >= cap:
+                return QueryTrace(None, inspected, ti + 1, k * (ti + 1))
+            inspected += 1
+            dist = hamming(x, points[i])
+            if dist <= cr:
+                return QueryTrace((i, dist), inspected, ti + 1, k * (ti + 1))
+    return QueryTrace(None, inspected, len(tables), k * len(tables))
+
+
+def _buckets(idx):
+    """The index's sorted tables read back as dicts: key -> ids."""
+    tables = []
+    for t in range(idx.params.L):
+        lo, hi = idx.table_starts[t], idx.table_starts[t + 1]
+        assert all(idx.keys[u] < idx.keys[u + 1] for u in range(lo, hi - 1))
+        tables.append({
+            int(idx.keys[u]): idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
+            for u in range(lo, hi)
+        })
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +145,7 @@ def test_plan_powered_collision_rate_meets_target(n, p, gap):
 def test_build_single_point():
     params = IndexParams(r=1, cr=2, k=3, L=4, delta=0.1, seed=0)
     idx = build([Point.from01("0101")], bit_sampling_family(4), params)
-    for table in idx.tables:
+    for table in _buckets(idx):
         assert sum(len(b) for b in table.values()) == 1
 
 
@@ -99,7 +154,7 @@ def test_build_is_deterministic():
     params = IndexParams(r=2, cr=6, k=8, L=6, delta=0.1, seed=3)
     a = build(pts, bit_sampling_family(24), params)
     b = build(pts, bit_sampling_family(24), params)
-    assert a.tables == b.tables
+    assert _buckets(a) == _buckets(b)
     assert a.functions == b.functions
 
 
@@ -124,11 +179,7 @@ def test_build_fast_path_matches_generic_labels():
     pts = _random_points(40, 16, seed=7)
     params = IndexParams(r=1, cr=4, k=5, L=3, delta=0.1, seed=9)
     idx = build(pts, bit_sampling_family(16), params)
-    for fn, table in zip(idx.functions, idx.tables):
-        rebuilt = {}
-        for i, pt in enumerate(pts):
-            rebuilt.setdefault(fn(pt), []).append(i)
-        assert rebuilt == table
+    assert _buckets(idx) == _ref_tables(idx.functions, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +209,37 @@ def test_query_respects_candidate_cap():
     trace = query_traced(idx, near)
     assert trace.result == (0, 0)  # first stored copy, probe order
     assert trace.candidates_inspected == 1
+    # Far from every stored copy but in its bucket of table 0: the cap stops
+    # the scan inside table 0, before the second table is probed.
+    fn = idx.functions[0]
+    coords = {p.coord for p in fn.parts}
+    decoy = Point(sum(1 << i for i in range(12) if i not in coords), 12)
+    assert hamming(decoy, near) > 2
+    trace = query_traced(idx, decoy)
+    assert trace == QueryTrace(None, idx.candidate_cap, 1, 3)
+    assert trace == _ref_query(idx, _ref_tables(idx.functions, pts), pts, decoy)
+
+
+def test_query_cap_at_a_table_boundary():
+    # Six far copies in the decoy's bucket of both tables: table 0 fills the
+    # cap exactly, and the first refused candidate is table 1's.
+    pts = [Point(0, 40)] * 6
+    idx = build(pts, bit_sampling_family(40), IndexParams(r=1, cr=2, k=3, L=2, delta=0.1, seed=2))
+    used = {p.coord for fn in idx.functions for p in fn.parts}
+    decoy = Point(sum(1 << i for i in range(40) if i not in used), 40)
+    assert hamming(decoy, pts[0]) > 2
+    trace = query_traced(idx, decoy)
+    assert trace == QueryTrace(None, 6, 2, 6)
+    assert trace == _ref_query(idx, _ref_tables(idx.functions, pts), pts, decoy)
+
+
+def test_query_inspects_the_last_candidate_under_the_cap():
+    # L = 1, cap 3: two far points fill the bucket ahead of the near one.
+    params = IndexParams(r=1, cr=2, k=2, L=1, delta=0.1, seed=4)
+    (fn,) = build([Point(0, 16)], bit_sampling_family(16), params).functions
+    far = Point(sum(1 << i for i in range(16) if i not in {p.coord for p in fn.parts}), 16)
+    idx = build([far, far, Point(0, 16)], bit_sampling_family(16), params)
+    assert query_traced(idx, Point(0, 16)) == QueryTrace((2, 0), 3, 1, 2)
 
 
 def test_query_never_returns_far_point():
@@ -181,6 +263,47 @@ def test_query_dimension_check():
         query(idx, Point(0, 11))
 
 
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_array_index_matches_dict_reference(data):
+    # Duplicate and all-identical points (buckets past the cap), a MinHash
+    # base (label columns, not the projection product) and k > 63 (keys
+    # past int64, held as Python ints).
+    d = data.draw(st.integers(2, 20), label="d")
+    family = data.draw(st.sampled_from([bit_sampling_family(d), minhash_family(d)]), label="family")
+    k = data.draw(st.one_of(st.integers(1, 6), st.integers(64, 70)), label="k")
+    L = data.draw(st.integers(1, 6), label="L")
+    value = st.integers(0, (1 << d) - 1)
+    n = data.draw(st.integers(1, 40), label="n")
+    if data.draw(st.booleans(), label="identical"):
+        values = [data.draw(value)] * n
+    else:
+        values = data.draw(st.lists(value, min_size=n, max_size=n), label="values")
+    pts = [Point(v, d) for v in values]
+    cr = data.draw(st.integers(1, d), label="cr")
+    params = IndexParams(r=cr - 1, cr=cr, k=k, L=L, delta=0.1, seed=data.draw(st.integers(0, 99)))
+    idx = build(pts, family, params)
+
+    tables = _ref_tables(idx.functions, pts)
+    assert _buckets(idx) == tables
+    assert all(ids == sorted(ids) for table in tables for ids in table.values())
+    st_ = stats(idx)
+    assert st_.total_entries == n * L
+    assert st_.max_bucket == max(len(ids) for table in tables for ids in table.values())
+
+    stored = [pts[data.draw(st.integers(0, n - 1))] for _ in range(3)]
+    planted = [
+        p.flip(data.draw(st.sets(st.integers(0, d - 1), max_size=cr), label="flips")) for p in stored
+    ]
+    random_ = [Point(data.draw(value), d) for _ in range(3)]
+    # Off every coordinate a table samples: in the stored point's bucket
+    # there, yet possibly far from it, which is how a probe reaches the cap.
+    used = [{part.coord for part in fn.parts} for fn in idx.functions] if family.law is None else []
+    decoys = [p.flip(set(range(d)) - coords) for p, coords in zip(stored, used + [set().union(*used)])]
+    for x in stored + planted + random_ + decoys:
+        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -193,7 +316,7 @@ def test_save_load_reproduces_queries(tmp_path):
     save_index(idx, path)
     clone = load_index(path)
     assert clone.params == idx.params
-    assert clone.tables == idx.tables
+    assert _buckets(clone) == _buckets(idx)
     g = rngmod.stream(78, 0)
     for _ in range(25):
         x = Point.random(28, g)
@@ -240,7 +363,7 @@ def test_load_rejects_version_1(tmp_path):
     path = tmp_path / "index.json"
     save_index(idx, path)
     doc = json.loads(path.read_text())
-    doc.update(version=1, dim=8, tables=[{str(lab): ids for lab, ids in t.items()} for t in idx.tables])
+    doc.update(version=1, dim=8, tables=[{str(lab): ids for lab, ids in t.items()} for t in _buckets(idx)])
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="rebuild the index with index-build"):
         load_index(path)

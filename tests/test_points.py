@@ -9,11 +9,15 @@ from lshlab import rng as rngmod
 from lshlab.points import (
     Point,
     bit_rows_to_points,
+    bits_from01,
+    bits_to01,
     cube_distance_rows,
     hamming,
     load_points_binary,
     load_points_text,
+    pack_rows,
     points_to_bit_matrix,
+    unpack_rows,
     save_points_binary,
     save_points_text,
 )
@@ -21,8 +25,8 @@ from lshlab.points import (
 
 def test_from01_reads_coordinates_left_to_right():
     p = Point.from01("01011")
-    assert p.bits() == (0, 1, 0, 1, 1)
-    assert p.bit(3) == 1
+    assert p.value == 0b11010
+    assert points_to_bit_matrix([p]).tolist() == [[0, 1, 0, 1, 1]]
     assert p.to01() == "01011"
 
 
@@ -69,7 +73,33 @@ def test_bit_matrix_roundtrip():
     assert mat.shape == (20, 37)
     assert bit_rows_to_points(mat) == pts
     # column i is coordinate i
-    assert mat[0, 5] == pts[0].bit(5)
+    assert mat[0, 5] == (pts[0].value >> 5) & 1
+    with pytest.raises(ValueError, match="point 1 has dimension 36, expected 37"):
+        points_to_bit_matrix([pts[0], Point(0, 36)])
+
+
+@given(st.integers(1, 200), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_packed_rows_and_strings_match_points(d, n, seed):
+    g = np.random.default_rng(seed)
+    pts = [Point(int.from_bytes(g.bytes((d + 7) // 8), "little") & ((1 << d) - 1), d) for _ in range(n)]
+    bits = points_to_bit_matrix(pts)
+    words = pack_rows(bits)
+    assert words.dtype == np.uint64 and words.shape == (n, -(-d // 64))
+    assert np.array_equal(unpack_rows(words, d), bits)
+    dist = np.bitwise_count(words[:, None] ^ words[None]).sum(axis=-1)
+    assert dist.tolist() == [[hamming(a, b) for b in pts] for a in pts]
+    strings = bits_to01(bits)
+    assert strings == [p.to01() for p in pts]
+    assert np.array_equal(bits_from01(strings), bits)
+
+
+def test_bits_from01_names_the_bad_point():
+    with pytest.raises(ValueError, match="point 2 has dimension 3, expected 4"):
+        bits_from01(["0101", "1111", "010"])
+    with pytest.raises(ValueError, match="point 1 is not a 0/1 string"):
+        bits_from01(["0101", "01/1"])
+    with pytest.raises(ValueError):
+        bits_from01([])
 
 
 def test_dataset_files_roundtrip(tmp_path):
