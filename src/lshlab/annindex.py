@@ -128,11 +128,11 @@ class NNIndex:
         bits: np.ndarray,
         family_doc: Optional[dict] = None,
     ):
-        """`bits` holds the points as (n, d) 0/1 rows (see points_to_bit_matrix)."""
+        """`bits` holds the points as (n, d) 0/1 uint8 rows (see points_to_bit_matrix)."""
         if len(functions) != params.L:
             raise ValueError(f"need exactly L = {params.L} functions, got {len(functions)}")
-        if not len(bits):
-            raise ValueError("need at least one point")
+        if bits.dtype != np.uint8 or bits.ndim != 2 or not len(bits) or (bits > 1).any():
+            raise ValueError("need the points as (n, d) 0/1 uint8 rows, n >= 1")
         self.dim = bits.shape[1]
         for i, fn in enumerate(functions):
             if fn.dim != self.dim:
@@ -179,14 +179,10 @@ class NNIndex:
 
 
 def build(
-    points: Sequence[Point], family: HashFamily, params: IndexParams
+    points: np.ndarray | Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
-    """Draw L functions from the family's k-th power and index the points."""
-    if not points:
-        raise ValueError("need at least one point")
-    bits = points_to_bit_matrix(points)
-    if family.dim != bits.shape[1]:
-        raise ValueError(f"family dimension {family.dim} differs from points ({bits.shape[1]})")
+    """Draw L functions from the family's k-th power and index the points (0/1 rows or Points)."""
+    bits = points if isinstance(points, np.ndarray) else points_to_bit_matrix(points)
     functions = sample_power(family, params.k, params.L, params.seed)
     family_doc = None
     try:

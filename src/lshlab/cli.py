@@ -19,6 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .annindex import (
+    IndexParams,
     build,
     load_index,
     plan,
@@ -178,11 +179,6 @@ def cmd_sensitivity(args) -> int:
     fam = _resolve_family(args)
     if args.r is None or args.cr is None:
         raise CliError("sensitivity needs --r and --cr")
-    if fam.atoms is None or fam.dim > 14:
-        raise CliError(
-            "exact sensitivity needs a finite family with d <= 14; "
-            "estimate collision rates by Monte Carlo instead (stability --mode mc)"
-        )
     prof = exact_sensitivity(fam, args.r, args.cr)
     rho = prof.rho if prof.rho is not None else "undefined"
     write_rows(
@@ -197,29 +193,35 @@ def cmd_sensitivity(args) -> int:
 def cmd_index_build(args) -> int:
     if args.r < 1:
         raise CliError("--r must be at least 1")
+    if not 0 < args.delta < 1:
+        raise CliError("--delta must lie in (0, 1)")
     if args.data.endswith(".bin"):
-        points = load_points_binary(args.data)
+        bits = load_points_binary(args.data)
     else:
-        points = load_points_text(args.data)
-    d = points[0].dim
+        bits = load_points_text(args.data)
+    n, d = bits.shape
     profile = bit_sampling_profile(d, args.r, args.cr / args.r)
-    params = plan(len(points), profile, args.delta, seed=args.seed)
-    if args.k is not None:
-        # Another k re-plans L for the same delta; a given L voids the
-        # predicted success probability. rho is the profile's either way.
+    if args.k is None:
+        params = plan(n, profile, args.delta, seed=args.seed)
+        if args.L is not None:
+            params = replace(params, L=args.L)
+    else:
+        # Not planned (plan refuses q < 1/n). A given L voids the predicted p^k.
         p_k = profile.p**args.k
         if args.L is not None:
-            params = replace(params, k=args.k, L=args.L, predicted_p_k=None)
+            L, p_k = args.L, None
         elif p_k < math.log(1 / args.delta) / MAX_REPLANNED_TABLES:
             raise CliError(
                 f"--k {args.k} needs more than {MAX_REPLANNED_TABLES} tables for "
                 f"delta = {args.delta}; give --L as well"
             )
         else:
-            params = replace(params, k=args.k, L=tables_needed(p_k, args.delta), predicted_p_k=p_k)
-    elif args.L is not None:
-        params = replace(params, L=args.L)
-    index = build(points, bit_sampling_family(d), params)
+            L = tables_needed(p_k, args.delta)
+        params = IndexParams(
+            r=int(profile.r), cr=int(profile.cr), k=args.k, L=L, delta=args.delta,
+            seed=args.seed, n_planned=n, predicted_p_k=p_k, planned_rho=profile.rho,
+        )
+    index = build(bits, bit_sampling_family(d), params)
     save_index(index, args.out)
     st = stats(index)
     print(

@@ -847,22 +847,37 @@ def function_descriptor(h: HashFunction) -> dict:
     raise TypeError(f"no descriptor for {type(h).__name__}")
 
 
+def _int(doc: dict, key: str) -> int:
+    """doc[key], which must be an integer (JSON true and 1.0 are not)."""
+    v = doc[key]
+    if type(v) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _ints(doc: dict, key: str) -> tuple[int, ...]:
+    v = doc[key]
+    if type(v) is not list or any(type(i) is not int for i in v):
+        raise ValueError(f"{key!r} must be a list of integers")
+    return tuple(v)
+
+
 def function_from_descriptor(doc: dict) -> HashFunction:
     kind = doc["kind"]
     if kind == "proj":
-        return CoordinateProjection(doc["d"], doc["i"])
+        return CoordinateProjection(_int(doc, "d"), _int(doc, "i"))
     if kind == "subset":
-        return CoordinateSubset(doc["d"], tuple(doc["coords"]))
+        return CoordinateSubset(_int(doc, "d"), _ints(doc, "coords"))
     if kind == "parity":
-        return Parity(doc["d"], tuple(doc["coords"]))
+        return Parity(_int(doc, "d"), _ints(doc, "coords"))
     if kind == "const":
-        return Constant(doc["d"])
+        return Constant(_int(doc, "d"))
     if kind == "table":
-        return ExplicitTable(doc["d"], tuple(doc["labels"]))
+        return ExplicitTable(_int(doc, "d"), _ints(doc, "labels"))
     if kind == "minperm":
-        return MinHashPermutation(doc["d"], tuple(doc["perm"]))
+        return MinHashPermutation(_int(doc, "d"), _ints(doc, "perm"))
     if kind == "pair":
-        return PairCollapse(doc["d"], doc["x"], doc["y"])
+        return PairCollapse(_int(doc, "d"), _int(doc, "x"), _int(doc, "y"))
     if kind == "concat":
         return Concatenation(tuple(function_from_descriptor(p) for p in doc["parts"]))
     raise ValueError(f"unknown function kind {kind!r}")
@@ -888,21 +903,21 @@ def family_descriptor(family: HashFamily) -> dict:
 def family_from_descriptor(doc: dict) -> HashFamily:
     kind = doc["kind"]
     if kind == "bit-sampling":
-        return bit_sampling_family(doc["d"])
+        return bit_sampling_family(_int(doc, "d"))
     if kind == "constant":
-        return constant_family(doc["d"])
+        return constant_family(_int(doc, "d"))
     if kind == "minhash":
-        return minhash_family(doc["d"], exact=doc.get("exact", False))
+        return minhash_family(_int(doc, "d"), exact=doc.get("exact", False))
     if kind == "trivial":
-        return trivial_family(doc["d"], doc["r"])
+        return trivial_family(_int(doc, "d"), _int(doc, "r"))
     if kind == "power":
-        return power(family_from_descriptor(doc["base"]), doc["k"])
+        return power(family_from_descriptor(doc["base"]), _int(doc, "k"))
     if kind == "finite":
         atoms = tuple(
             (Fraction(a["weight"]), function_from_descriptor(a["fn"])) for a in doc["atoms"]
         )
         return HashFamily(
-            dim=doc["d"],
+            dim=_int(doc, "d"),
             atoms=atoms,
             description=doc.get("description", ""),
             distance_symmetric=doc.get("distance_symmetric", False),
@@ -923,5 +938,5 @@ def family_from_json(text: str) -> HashFamily:
         return family_from_descriptor(doc)
     except KeyError as exc:
         raise ValueError(f"family descriptor lacks key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed family descriptor: {exc}") from exc

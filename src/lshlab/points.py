@@ -1,8 +1,9 @@
 """Points of the Boolean hypercube {0,1}^d and bit-level helpers.
 
-A point is stored as a Python integer bitmask: bit i of ``value`` is
-coordinate i. The string form reads coordinates left to right, so
-``from01("01011")`` has coordinate 0 equal to 0 and coordinate 3 equal to 1.
+One point is a `Point`, an integer bitmask: bit i of ``value`` is coordinate
+i. A point set is an (n, d) 0/1 uint8 matrix, column i = coordinate i. The
+string form, coded by `bits_from01` and `bits_to01`, reads coordinates left
+to right: ``from01("01011")`` has coordinate 0 equal to 0 and coordinate 3 equal to 1.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ class Point:
         return Point(self.value ^ mask, self.dim)
 
     def to01(self) -> str:
-        # Coordinate 0 is the lowest bit: the binary numeral, reversed.
-        return format(self.value, f"0{self.dim}b")[::-1]
+        return bits_to01(points_to_bit_matrix([self]))[0]
 
     @classmethod
     def from01(cls, s: str) -> "Point":
-        s = s.strip()
-        if not s or set(s) - {"0", "1"}:
-            raise ValueError(f"not a 0/1 string: {s!r}")
-        return cls(int(s[::-1], 2), len(s))
+        return bit_rows_to_points(bits_from01([s.strip()]))[0]
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "Point":
@@ -117,9 +114,10 @@ def bits_from01(strings: Sequence[str]) -> np.ndarray:
     d = len(strings[0])
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    for i, s in enumerate(strings):
-        if len(s) != d:
-            raise ValueError(f"point {i} has dimension {len(s)}, expected {d}")
+    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    bad = np.flatnonzero(lengths != d)
+    if len(bad):
+        raise ValueError(f"point {bad[0]} has dimension {lengths[bad[0]]}, expected {d}")
     bits = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(-1, d) - ord("0")
     bad = np.flatnonzero((bits > 1).any(axis=1))
     if len(bad):
@@ -142,61 +140,55 @@ def bit_rows_to_points(rows: np.ndarray) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: text form is one 0/1 string per line; binary form is a small
-# header followed by rows of ceil(d/8) bytes, little-endian bit packing
-# (bit i of byte i//8 is coordinate i).
+# Dataset files hold (n, d) 0/1 rows. Text form is one 0/1 string per line;
+# binary form is a header (magic, d, n) followed by rows of ceil(d/8) bytes,
+# little-endian bit packing (bit i of byte i//8 is coordinate i).
 
 _BINARY_MAGIC = b"LSHPTS01"
 
 
-def save_points_text(points: Sequence[Point], path) -> None:
+def save_points_text(bits: np.ndarray, path) -> None:
     with open(path, "w") as f:
-        for p in points:
-            f.write(p.to01())
-            f.write("\n")
+        f.write("\n".join([*bits_to01(bits), ""]))
 
 
-def load_points_text(path) -> list[Point]:
-    points = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                points.append(Point.from01(line))
-    if not points:
-        raise ValueError(f"no points in {path}")
-    dims = {p.dim for p in points}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions in {path}: {sorted(dims)}")
-    return points
+def load_points_text(path) -> np.ndarray:
+    """(n, d) 0/1 rows; blank lines and surrounding whitespace are ignored.
+    A malformed file raises a ValueError that names it."""
+    try:
+        with open(path) as f:
+            lines = list(filter(None, map(str.strip, f)))
+        if lines:
+            return bits_from01(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    raise ValueError(f"no points in {path}")
 
 
-def save_points_binary(points: Sequence[Point], path) -> None:
-    d = points[0].dim
-    nbytes = (d + 7) // 8
+def save_points_binary(bits: np.ndarray, path) -> None:
+    n, d = bits.shape
     with open(path, "wb") as f:
-        f.write(_BINARY_MAGIC)
-        f.write(struct.pack("<II", d, len(points)))
-        for p in points:
-            f.write(p.value.to_bytes(nbytes, "little"))
+        f.write(_BINARY_MAGIC + struct.pack("<II", d, n))
+        f.write(np.packbits(bits, axis=1, bitorder="little").tobytes())
 
 
-def load_points_binary(path) -> list[Point]:
+def load_points_binary(path) -> np.ndarray:
+    """(n, d) 0/1 rows; the file must hold exactly the n rows its header
+    announces, with n, d >= 1."""
     with open(path, "rb") as f:
-        magic = f.read(len(_BINARY_MAGIC))
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"{path} is not a packed point file")
-        header = f.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path} truncated")
-        d, n = struct.unpack("<II", header)
-        nbytes = (d + 7) // 8
-        points = []
-        for _ in range(n):
-            raw = f.read(nbytes)
-            if len(raw) != nbytes:
-                raise ValueError(f"{path} truncated")
-            points.append(Point(int.from_bytes(raw, "little") & ((1 << d) - 1), d))
-        if f.read(1):
-            raise ValueError(f"{path} has bytes after its {n} rows")
-    return points
+        data = f.read()
+    start = len(_BINARY_MAGIC) + 8
+    if not data.startswith(_BINARY_MAGIC):
+        raise ValueError(f"{path} is not a packed point file")
+    if len(data) < start:
+        raise ValueError(f"{path} truncated")
+    d, n = struct.unpack_from("<II", data, len(_BINARY_MAGIC))
+    if n == 0:
+        raise ValueError(f"no points in {path}")
+    if d == 0:
+        raise ValueError(f"{path}: dimension must be at least 1")
+    nbytes = (d + 7) // 8
+    if len(data) != start + n * nbytes:
+        raise ValueError(f"{path} holds {len(data) - start} bytes of rows, not {n} rows of {nbytes}")
+    raw = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(n, nbytes)
+    return np.unpackbits(raw, axis=1, count=d, bitorder="little")

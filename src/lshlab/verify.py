@@ -36,15 +36,6 @@ from .spectral import (
     stability_ratio,
 )
 
-SUITES = (
-    "parseval",
-    "oracle-equivalence",
-    "log-convexity",
-    "sandwich",
-    "chernoff-domination",
-)
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -178,6 +169,7 @@ _SUITE_FNS = {
     "sandwich": suite_sandwich,
     "chernoff-domination": suite_chernoff_domination,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suites(

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lshlab import rng as rngmod
 from lshlab.cli import main
-from lshlab.points import Point, save_points_binary, save_points_text
+from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
 
 
 def run(args):
@@ -132,14 +133,14 @@ def test_sensitivity_rejects_large_dimension():
 @pytest.fixture
 def point_file(tmp_path):
     g = rngmod.stream(55, 0)
-    pts = [Point.random(24, g) for _ in range(80)]
+    bits = points_to_bit_matrix([Point.random(24, g) for _ in range(80)])
     path = tmp_path / "pts.txt"
-    save_points_text(pts, path)
-    return path, pts
+    save_points_text(bits, path)
+    return path, bits
 
 
 def test_index_build_and_query(tmp_path, point_file, capsys):
-    path, pts = point_file
+    path, bits = point_file
     idx_path = tmp_path / "idx.json"
     assert run([
         "index-build", "--data", str(path), "--r", "2", "--cr", "6",
@@ -147,7 +148,7 @@ def test_index_build_and_query(tmp_path, point_file, capsys):
     ]) == 0
     out = tmp_path / "q.csv"
     assert run([
-        "index-query", "--index", str(idx_path), "--point", pts[3].to01(),
+        "index-query", "--index", str(idx_path), "--point", bits_to01(bits)[3],
         "--out", str(out),
     ]) == 0
     header, row = out.read_text().strip().splitlines()
@@ -236,10 +237,38 @@ def test_index_build_k_override_refuses_runaway_L(tmp_path, point_file, capsys):
     assert not (tmp_path / "idx.json").exists()
 
 
-def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
-    _, pts = point_file
+def test_index_build_from_text_and_binary_byte_identical(tmp_path, point_file):
+    path, bits = point_file
     data = tmp_path / "pts.bin"
-    save_points_binary(pts, data)
+    save_points_binary(bits, data)
+    args = ["index-build", "--r", "2", "--cr", "6", "--seed", "9"]
+    assert run(args + ["--data", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    assert run(args + ["--data", str(data), "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_index_build_k_override_skips_planning(tmp_path):
+    # q = 1/4 < 1/n = 1/3: plan() refuses, but --k with --L needs no plan.
+    data, out = tmp_path / "pts.txt", tmp_path / "idx.json"
+    data.write_text("0000\n0111\n1011\n")
+    assert run(["index-build", "--data", str(data), "--r", "1", "--cr", "3", "--out", str(out)]) == 2
+    assert run(["index-build", "--data", str(data), "--r", "1", "--cr", "3", "--k", "1", "--L", "2",
+                "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params == {"r": 1, "cr": 3, "k": 1, "L": 2, "delta": 0.1, "seed": rngmod.DEFAULT_SEED,
+                      "n_planned": 3, "predicted_p_k": None, "planned_rho": params["planned_rho"]}
+    assert params["planned_rho"] == pytest.approx(math.log(4 / 3) / math.log(4))
+    # Without --L, L is re-planned from p^k = 3/4: ceil(ln 10 / 0.75) = 4.
+    assert run(["index-build", "--data", str(data), "--r", "1", "--cr", "3", "--k", "1",
+                "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert (params["k"], params["L"], params["predicted_p_k"]) == (1, 4, 0.75)
+
+
+def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
+    _, bits = point_file
+    data = tmp_path / "pts.bin"
+    save_points_binary(bits, data)
     data.write_bytes(data.read_bytes() + b"\xff")
     assert run([
         "index-build", "--data", str(data), "--r", "2", "--cr", "6",
@@ -266,6 +295,10 @@ def bad_files(tmp_path, point_file):
             {**fn, "parts": [{**part, "d": 25} for part in fn["parts"]]} if i == 0 else fn
             for i, fn in enumerate(doc["functions"])
         ]},
+        "index-bool-coordinate": {**doc, "functions": [
+            {**fn, "parts": [{**fn["parts"][0], "i": True}] + fn["parts"][1:]} if i == 0 else fn
+            for i, fn in enumerate(doc["functions"])
+        ]},
         "family-missing-key": {"kind": "bit-sampling"},
         "family-not-object": [1, 2],
         # 1/2 + (1/2 + 10^-13): within 1e-12 of 1, but not exactly 1.
@@ -273,13 +306,24 @@ def bad_files(tmp_path, point_file):
             {"weight": "1/2", "fn": {"kind": "const", "d": 2}},
             {"weight": "5000000000001/10000000000000", "fn": {"kind": "proj", "d": 2, "i": 0}},
         ]},
+        "family-zero-denominator": {"kind": "finite", "d": 2, "atoms": [
+            {"weight": "1/0", "fn": {"kind": "const", "d": 2}},
+        ]},
+        "family-bool-coordinate": {"kind": "finite", "d": 2, "atoms": [
+            {"weight": "1", "fn": {"kind": "proj", "d": 2, "i": True}},
+        ]},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    (tmp_path / "bad-char.txt").write_text(path.read_text().replace("1", "2", 1))
+    save_points_binary(np.zeros((3, 24), dtype=np.uint8), tmp_path / "truncated.bin")
+    (tmp_path / "truncated.bin").write_bytes((tmp_path / "truncated.bin").read_bytes()[:-1])
+    save_points_binary(np.zeros((0, 24), dtype=np.uint8), tmp_path / "zero-rows.bin")
     return tmp_path
 
 
 QUERY = ["--point", "0" * 24]
+BUILD = ["index-build", "--r", "2", "--cr", "6", "--out", "{dir}/never.json"]
 USAGE_ERRORS = {
     # case: (argv, a fragment the one-line message must contain)
     "index-missing-key": (["index-query", "--index", "{dir}/index-missing-key.json"] + QUERY,
@@ -298,6 +342,14 @@ USAGE_ERRORS = {
                           "index-short-point.json"),
     "index-function-dim": (["index-query", "--index", "{dir}/index-function-dim.json"] + QUERY,
                            "index-function-dim.json"),
+    "index-bool-coordinate": (["index-query", "--index", "{dir}/index-bool-coordinate.json"] + QUERY,
+                              "index-bool-coordinate.json"),
+    "query-point-length": (["index-query", "--index", "{dir}/idx.json", "--point", "0" * 23],
+                           "dimension 23"),
+    "build-bad-char": (BUILD + ["--data", "{dir}/bad-char.txt"], "bad-char.txt"),
+    "build-truncated-bin": (BUILD + ["--data", "{dir}/truncated.bin"], "truncated.bin"),
+    "build-zero-rows-bin": (BUILD + ["--data", "{dir}/zero-rows.bin"], "no points in"),
+    "build-k-delta-0": (BUILD + ["--data", "{dir}/pts.txt", "--k", "3", "--delta", "0"], "--delta"),
     "family-missing-key": (["stability", "--family-file", "{dir}/family-missing-key.json",
                             "--t-grid", "0,1"], "family-missing-key.json"),
     "family-not-object": (["sensitivity", "--family-file", "{dir}/family-not-object.json",
@@ -308,9 +360,14 @@ USAGE_ERRORS = {
                        "--t-grid", "0,1"], "k"),
     "sensitivity-k-0": (["sensitivity", "--family", "bit-sampling", "--d", "6", "--k", "0",
                          "--r", "1", "--cr", "2"], "k"),
+    "family-zero-denominator": (["stability", "--family-file", "{dir}/family-zero-denominator.json",
+                                 "--t-grid", "0,1"], "family-zero-denominator.json"),
+    "family-bool-coordinate": (["sensitivity", "--family-file", "{dir}/family-bool-coordinate.json",
+                                "--r", "1", "--cr", "2"], "family-bool-coordinate.json"),
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),
+    "verify-unknown-suite": (["verify", "--suite", "no-such-suite"], "no-such-suite"),
 }
 
 
@@ -335,10 +392,6 @@ def test_verify_single_suite(tmp_path):
     text = out.read_text()
     assert "suite parseval: PASS" in text
     assert text.endswith("overall: PASS\n")
-
-
-def test_verify_unknown_suite():
-    assert run(["verify", "--suite", "no-such-suite"]) == 2
 
 
 def test_verify_corruption_hook_names_suite(tmp_path):

@@ -24,7 +24,7 @@ from lshlab.hashing import (
     minhash_family,
     power,
 )
-from lshlab.points import Point, load_points_text, save_points_text
+from lshlab.points import Point, bit_rows_to_points, load_points_text, points_to_bit_matrix, save_points_text
 from lshlab.sampling import mc_stability
 
 
@@ -53,9 +53,9 @@ def _sha256(path) -> str:
 @pytest.fixture
 def data_dir(tmp_path):
     g = rngmod.stream(55, 0)
-    save_points_text([Point.random(24, g) for _ in range(80)], tmp_path / "p24.txt")
+    save_points_text(points_to_bit_matrix([Point.random(24, g) for _ in range(80)]), tmp_path / "p24.txt")
     g = rngmod.stream(56, 0)
-    save_points_text([Point.random(128, g) for _ in range(60)], tmp_path / "p128.txt")
+    save_points_text(points_to_bit_matrix([Point.random(128, g) for _ in range(60)]), tmp_path / "p128.txt")
     (tmp_path / "weighted.json").write_text(family_to_json(_weighted_family()))
     return tmp_path
 
@@ -132,7 +132,7 @@ def test_index_query_golden(data_dir, name, digest):
     argv = [a.format(dir=data_dir) for a in GOLDEN_RUNS[name][0]]
     index = data_dir / f"{name}.json"
     assert main(argv + ["--out", str(index)]) == 0
-    points = load_points_text(argv[argv.index("--data") + 1])
+    points = bit_rows_to_points(load_points_text(argv[argv.index("--data") + 1]))
     d, r = points[0].dim, int(argv[argv.index("--r") + 1])
     g = rngmod.stream(57, 0)
     queries = [

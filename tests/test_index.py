@@ -158,6 +158,20 @@ def test_build_is_deterministic():
     assert a.functions == b.functions
 
 
+def test_build_takes_rows_or_points():
+    pts = _random_points(60, 24, seed=5)
+    params = IndexParams(r=2, cr=6, k=8, L=6, delta=0.1, seed=3)
+    a = build(pts, bit_sampling_family(24), params)
+    b = build(points_to_bit_matrix(pts), bit_sampling_family(24), params)
+    assert _buckets(a) == _buckets(b)
+    assert np.array_equal(a.rows, b.rows) and a.functions == b.functions
+    for bad in (points_to_bit_matrix(pts) * 2, points_to_bit_matrix(pts).astype(bool), points_to_bit_matrix(pts)[0]):
+        with pytest.raises(ValueError, match="0/1 uint8 rows"):
+            build(bad, bit_sampling_family(24), params)
+    with pytest.raises(ValueError, match="dimension 25, the points 24"):
+        build(pts, bit_sampling_family(25), params)
+
+
 def test_build_entry_count_invariant():
     pts = _random_points(150, 32, seed=6)
     params = IndexParams(r=2, cr=6, k=10, L=7, delta=0.1, seed=4)

@@ -105,12 +105,40 @@ def test_bits_from01_names_the_bad_point():
 def test_dataset_files_roundtrip(tmp_path):
     g = rngmod.stream(4, 0)
     pts = [Point.random(19, g) for _ in range(11)]
+    bits = points_to_bit_matrix(pts)
     txt = tmp_path / "pts.txt"
     binp = tmp_path / "pts.bin"
-    save_points_text(pts, txt)
-    save_points_binary(pts, binp)
-    assert load_points_text(txt) == pts
-    assert load_points_binary(binp) == pts
+    save_points_text(bits, txt)
+    save_points_binary(bits, binp)
+    assert txt.read_text() == "".join(p.to01() + "\n" for p in pts)
+    assert binp.read_bytes()[16:] == b"".join(p.value.to_bytes(3, "little") for p in pts)
+    for loaded in (load_points_text(txt), load_points_binary(binp)):
+        assert loaded.dtype == np.uint8 and np.array_equal(loaded, bits)
+
+
+def test_text_file_skips_blank_lines_and_names_itself(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("\n  0110 \n\n1011\n")
+    assert load_points_text(path).tolist() == [[0, 1, 1, 0], [1, 0, 1, 1]]
+    path.write_text("0110\n10x1\n")
+    with pytest.raises(ValueError, match="pts.txt: point 1 is not a 0/1 string"):
+        load_points_text(path)
+    path.write_text("01 10\n11 00\n")
+    with pytest.raises(ValueError, match="point 0 is not a 0/1 string"):
+        load_points_text(path)
+    path.write_text("0110\n101\n")
+    with pytest.raises(ValueError, match="pts.txt: point 1 has dimension 3, expected 4"):
+        load_points_text(path)
+    path.write_text("\n \n")
+    with pytest.raises(ValueError, match="no points in .*pts.txt"):
+        load_points_text(path)
+
+
+def test_binary_rejects_zero_rows(tmp_path):
+    path = tmp_path / "pts.bin"
+    save_points_binary(np.zeros((0, 24), dtype=np.uint8), path)
+    with pytest.raises(ValueError, match="no points in .*pts.bin"):
+        load_points_binary(path)
 
 
 def test_binary_rejects_garbage(tmp_path):
@@ -121,15 +149,19 @@ def test_binary_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [lambda data: data[:11], lambda data: data + b"\x00"],
-    ids=["truncated-header", "trailing-byte"],
+    "corrupt, message", [
+        (lambda data: data[:11], "pts.bin truncated"),
+        (lambda data: data[:-1], "pts.bin holds 7 bytes of rows, not 4 rows of 2"),
+        (lambda data: data + b"\x00", "pts.bin holds 9 bytes of rows, not 4 rows of 2"),
+    ],
+    ids=["truncated-header", "truncated-rows", "trailing-byte"],
 )
-def test_binary_rejects_truncated_header_and_trailing_bytes(tmp_path, corrupt):
+def test_binary_rejects_truncated_header_and_trailing_bytes(tmp_path, corrupt, message):
     g = rngmod.stream(5, 0)
     path = tmp_path / "pts.bin"
-    save_points_binary([Point.random(13, g) for _ in range(4)], path)
+    save_points_binary(points_to_bit_matrix([Point.random(13, g) for _ in range(4)]), path)
     path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         load_points_binary(path)
 
 
