@@ -53,27 +53,34 @@ class IndexParams:
     planned_rho: Optional[float] = None
 
     def __post_init__(self):
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.k, self.L)):
-            raise ValueError(f"k and L must be integers, got k={self.k!r}, L={self.L!r}")
+        for name in ("r", "cr", "k", "L"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.k < 1 or self.L < 1:
             raise ValueError("k and L must be at least 1")
         if not 0 <= self.r < self.cr:
             raise ValueError("need 0 <= r < cr")
 
+    @classmethod
+    def from_profile(cls, profile: SensitivityProfile, **fields) -> "IndexParams":
+        """Parameters at the profile's radii, rounded down to integers, and its rho."""
+        r, cr = (math.floor(_snap(v)) for v in (profile.r, profile.cr))
+        return cls(r=r, cr=cr, planned_rho=profile.rho, **fields)
 
-def _snapped_ceil(v: float) -> int:
-    # Guard against float droop just below an integer.
+
+def _snap(v: float) -> float:
+    """v, or the integer within 1e-9 of it: float droop must not carry a
+    rounding past an integer ((61 / 7) * 7 is 60.99999999999999)."""
     nearest = round(v)
-    if abs(v - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(v))
+    return nearest if abs(v - nearest) < 1e-9 else v
 
 
 def tables_needed(p_k: float, delta: float) -> int:
     """L = ceil(ln(1/delta) / p^k): with that many tables a near pair, which
     collides in each with probability p^k, misses all of them with
     probability at most delta."""
-    return _snapped_ceil(math.log(1 / delta) / p_k)
+    return math.ceil(_snap(math.log(1 / delta) / p_k))
 
 
 def plan(
@@ -96,18 +103,11 @@ def plan(
             f"q = {q} is below 1/n = {1 / n}: the reduction degenerates; "
             "build with k = 1 and L = ceil(ln(1/delta)/p) directly"
         )
-    k = max(1, _snapped_ceil(math.log(n) / math.log(1 / q)))
+    k = max(1, math.ceil(_snap(math.log(n) / math.log(1 / q))))
     p_k = p**k
-    return IndexParams(
-        r=int(profile.r),
-        cr=int(profile.cr),
-        k=k,
-        L=tables_needed(p_k, delta),
-        delta=delta,
-        seed=seed,
-        n_planned=n,
-        predicted_p_k=p_k,
-        planned_rho=profile.rho,
+    return IndexParams.from_profile(
+        profile, k=k, L=tables_needed(p_k, delta), delta=delta, seed=seed,
+        n_planned=n, predicted_p_k=p_k,
     )
 
 
@@ -357,9 +357,8 @@ def planted_experiment(
 ) -> ExperimentReport:
     if n_queries < 1:
         raise ValueError("need at least one query")
-    profile = bit_sampling_profile(d, r, c)
-    cr = int(profile.cr)
-    params = plan(n, profile, delta, seed=seed)
+    params = plan(n, bit_sampling_profile(d, r, c), delta, seed=seed)
+    cr = params.cr
 
     g_data = rngmod.stream(seed, 1)
     points = [Point.random(d, g_data) for _ in range(n)]

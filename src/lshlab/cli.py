@@ -217,9 +217,8 @@ def cmd_index_build(args) -> int:
             )
         else:
             L = tables_needed(p_k, args.delta)
-        params = IndexParams(
-            r=int(profile.r), cr=int(profile.cr), k=args.k, L=L, delta=args.delta,
-            seed=args.seed, n_planned=n, predicted_p_k=p_k, planned_rho=profile.rho,
+        params = IndexParams.from_profile(
+            profile, k=args.k, L=L, delta=args.delta, seed=args.seed, n_planned=n, predicted_p_k=p_k
         )
     index = build(bits, bit_sampling_family(d), params)
     save_index(index, args.out)

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import im_rho
 from .points import Point, cube_distance_rows, points_to_bit_matrix
 from . import rng as rngmod
 
@@ -272,13 +273,7 @@ class Concatenation(HashFunction):
             bound *= p.label_bound
         return bound
 
-    @functools.cached_property
-    def _product(self) -> Optional[ProjectionProduct]:
-        return ProjectionProduct.of([self])
-
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        if self._product is not None:
-            return self._product.labels(bits)[:, 0]
         dtype = _label_dtype(self.label_bound)
         packed = np.zeros(len(bits), dtype=dtype)
         scale = 1
@@ -652,23 +647,12 @@ def _rho_from(p: float, q: float) -> tuple[Optional[float], str]:
 
 
 def bit_sampling_profile(d: int, r: float, c: float) -> SensitivityProfile:
-    """Sensitivity of coordinate sampling: (r, cr, 1 - r/d, 1 - cr/d).
-
-    The rho parameter ln(1/(1 - r/d)) / ln(1/(1 - cr/d)) increases to 1/c as
-    r/d -> 0.
-    """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if c <= 1:
-        raise ValueError("approximation factor c must exceed 1")
+    """Sensitivity of coordinate sampling: (r, cr, 1 - r/d, 1 - cr/d), with
+    rho = bounds.im_rho(d, r, c), which increases to 1/c as r/d -> 0."""
+    rho = im_rho(d, r, c)
     cr = c * r
-    if cr >= d:
-        raise ValueError(f"degenerate q: cr = {cr} >= d = {d}")
     p = 1 - r / d
     q = 1 - cr / d
-    rho = math.log1p(-r / d) / math.log1p(-cr / d)
     p_exact = q_exact = None
     if float(r).is_integer() and float(cr).is_integer():
         p_exact = Fraction(d - int(r), d)
@@ -855,6 +839,14 @@ def _int(doc: dict, key: str) -> int:
     return v
 
 
+def _bool(doc: dict, key: str) -> bool:
+    """doc.get(key, False), which must be a JSON boolean (the string "false" is not)."""
+    v = doc.get(key, False)
+    if type(v) is not bool:
+        raise ValueError(f"{key!r} must be true or false, got {v!r}")
+    return v
+
+
 def _ints(doc: dict, key: str) -> tuple[int, ...]:
     v = doc[key]
     if type(v) is not list or any(type(i) is not int for i in v):
@@ -907,7 +899,7 @@ def family_from_descriptor(doc: dict) -> HashFamily:
     if kind == "constant":
         return constant_family(_int(doc, "d"))
     if kind == "minhash":
-        return minhash_family(_int(doc, "d"), exact=doc.get("exact", False))
+        return minhash_family(_int(doc, "d"), exact=_bool(doc, "exact"))
     if kind == "trivial":
         return trivial_family(_int(doc, "d"), _int(doc, "r"))
     if kind == "power":
@@ -920,7 +912,7 @@ def family_from_descriptor(doc: dict) -> HashFamily:
             dim=_int(doc, "d"),
             atoms=atoms,
             description=doc.get("description", ""),
-            distance_symmetric=doc.get("distance_symmetric", False),
+            distance_symmetric=_bool(doc, "distance_symmetric"),
         )
     raise ValueError(f"unknown family kind {kind!r}")
 

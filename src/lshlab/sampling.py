@@ -129,38 +129,31 @@ def _binom_logpmf(d: int, eta: float, js: np.ndarray) -> np.ndarray:
     )
 
 
-def binomial_tail_above(d: int, eta: float, r: float) -> float:
-    """Pr[Binomial(d, eta) > r], strict."""
+def _binomial_range(d: int, eta: float, lo: int, hi: int) -> float:
+    """Pr[lo <= Binomial(d, eta) <= hi] for integers lo, hi."""
     if not 0 <= eta <= 1:
         raise ValueError(f"success probability must lie in [0, 1], got {eta}")
-    j0 = int(math.floor(r)) + 1
-    if j0 > d:
+    lo, hi = max(lo, 0), min(hi, d)
+    if lo > hi:
         return 0.0
-    if j0 <= 0:
+    if lo == 0 and hi == d:
         return 1.0
     if eta == 0:
-        return 0.0
+        return 1.0 if lo == 0 else 0.0
     if eta == 1:
-        return 1.0 if d >= j0 else 0.0
-    js = np.arange(j0, d + 1, dtype=np.float64)
+        return 1.0 if hi == d else 0.0
+    js = np.arange(lo, hi + 1, dtype=np.float64)
     return float(math.exp(logsumexp(_binom_logpmf(d, eta, js))))
+
+
+def binomial_tail_above(d: int, eta: float, r: float) -> float:
+    """Pr[Binomial(d, eta) > r], strict."""
+    return _binomial_range(d, eta, math.floor(r) + 1, d)
 
 
 def binomial_tail_below(d: int, eta: float, cr: float) -> float:
     """Pr[Binomial(d, eta) < cr], strict."""
-    if not 0 <= eta <= 1:
-        raise ValueError(f"success probability must lie in [0, 1], got {eta}")
-    j1 = int(math.ceil(cr)) - 1
-    if j1 < 0:
-        return 0.0
-    if j1 >= d:
-        return 1.0
-    if eta == 0:
-        return 1.0
-    if eta == 1:
-        return 0.0
-    js = np.arange(0, j1 + 1, dtype=np.float64)
-    return float(math.exp(logsumexp(_binom_logpmf(d, eta, js))))
+    return _binomial_range(d, eta, 0, math.ceil(cr) - 1)
 
 
 class TailEstimates(NamedTuple):

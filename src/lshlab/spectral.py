@@ -18,13 +18,12 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction, collision_codes
+from .hashing import HashFamily, HashFunction, collision_codes, finite_family
 from .points import cube_distance_rows
 from . import rng as rngmod
 
 _TRANSFORM_DIM_LIMIT = 20
 _BRUTE_FORCE_DIM_LIMIT = 12
-_PRUNE_BELOW = 1e-15
 # Cells of the integer matrix in which exact spectra transform their label
 # columns: 512 KiB as int16 (1 MiB as int32), plus 2 MiB for the int64 squares.
 _BATCH_CELLS = 1 << 18
@@ -59,13 +58,11 @@ class FourierSpectrum:
     """Squared Fourier mass per subset of coordinates (subsets are bitmasks).
 
     Weights are nonnegative and sum to 1 (Parseval for the unit-vector
-    embedding); entries below 1e-15 are dropped at construction with the
-    dropped total kept in pruned_mass.
+    embedding); exact spectra leave out only the subsets of zero mass.
     """
 
     dim: int
     weights: dict[int, float]
-    pruned_mass: float = 0.0
 
     def __post_init__(self):
         n = 1 << self.dim
@@ -79,7 +76,7 @@ class FourierSpectrum:
             raise ValueError(f"weights sum to {total}, expected 1")
 
     def total_mass(self) -> float:
-        return math.fsum(self.weights.values()) + self.pruned_mass
+        return math.fsum(self.weights.values())
 
     def level_weights(self) -> np.ndarray:
         """Mass per subset size, length dim + 1."""
@@ -93,10 +90,8 @@ class FourierSpectrum:
 
 
 def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
-    keep = w > _PRUNE_BELOW
-    pruned = float(w[~keep].sum())
-    weights = {int(mask): float(w[mask]) for mask in np.nonzero(keep)[0]}
-    return FourierSpectrum(dim=dim, weights=weights, pruned_mass=pruned)
+    weights = {int(mask): float(w[mask]) for mask in np.flatnonzero(w)}
+    return FourierSpectrum(dim=dim, weights=weights)
 
 
 def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
@@ -153,14 +148,9 @@ def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
-    """Squared Fourier mass of the label-indicator embedding of h."""
-    if h.dim > _TRANSFORM_DIM_LIMIT:
-        raise ValueError(
-            f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
-            "use Monte Carlo stability estimates instead"
-        )
-    (w,) = _squared_mass_rows([h], h.dim)
-    return _spectrum_from_array(h.dim, w)
+    """Squared Fourier mass of the label-indicator embedding of h: the
+    spectrum of the one-atom family."""
+    return family_spectrum(finite_family([h]))
 
 
 def family_spectrum(
@@ -231,7 +221,6 @@ class StabilityCurve:
     values: tuple[float, ...]
     provenance: str
     stderr: Optional[tuple[float, ...]] = None
-    pruned_mass: float = 0.0
 
     def __post_init__(self):
         if len(self.grid) != len(self.values):
@@ -250,9 +239,7 @@ def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> Stabilit
     levels = spectrum.level_weights()
     sizes = np.arange(len(levels))
     values = tuple(float(np.dot(levels, np.exp(-t * sizes))) for t in grid)
-    return StabilityCurve(
-        grid=grid, values=values, provenance=EXACT, pruned_mass=spectrum.pruned_mass
-    )
+    return StabilityCurve(grid=grid, values=values, provenance=EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +285,6 @@ class LogConvexityCertificate:
     worst_triple: Optional[tuple[float, float, float]]
     n_checks: int
     tolerance: float
-    pruned_mass: float
     note: str = ""
 
 
@@ -323,7 +309,6 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
             worst_triple=None,
             n_checks=0,
             tolerance=tolerance,
-            pruned_mass=curve.pruned_mass,
             note="nonpositive curve value",
         )
     logk = np.log(k)
@@ -370,7 +355,6 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
         worst_triple=worst_triple,
         n_checks=n_checks,
         tolerance=tolerance,
-        pruned_mass=curve.pruned_mass,
     )
 
 

@@ -227,6 +227,19 @@ def test_index_build_k_override_replans_L(tmp_path, point_file):
     assert got == {**want, "k": k, "L": 2, "predicted_p_k": None}
 
 
+def test_index_build_keeps_integer_cr(tmp_path):
+    # cr / r * r is 60.99999999999999 here; the stored radius must stay 61.
+    g = rngmod.stream(58, 0)
+    data = tmp_path / "p128.txt"
+    save_points_text(points_to_bit_matrix([Point.random(128, g) for _ in range(20)]), data)
+    out = tmp_path / "idx.json"
+    for extra in ([], ["--k", "3"]):
+        assert run(["index-build", "--data", str(data), "--r", "7", "--cr", "61", "--out", str(out)]
+                   + extra) == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["r"], params["cr"]) == (7, 61)
+
+
 def test_index_build_k_override_refuses_runaway_L(tmp_path, point_file, capsys):
     path, _ = point_file
     code = run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--k", "400",
@@ -290,6 +303,8 @@ def bad_files(tmp_path, point_file):
         "index-k-mismatch": {**doc, "params": {**doc["params"], "k": doc["params"]["k"] + 5}},
         "index-float-L": {**doc, "params": {**doc["params"], "L": float(doc["params"]["L"])}},
         "index-L-mismatch": {**doc, "params": {**doc["params"], "L": doc["params"]["L"] + 1}},
+        "index-float-cr": {**doc, "params": {**doc["params"], "cr": doc["params"]["cr"] + 0.5}},
+        "index-bool-r": {**doc, "params": {**doc["params"], "r": True}},
         "index-short-point": {**doc, "points": [p[:-1] if i == 3 else p for i, p in enumerate(doc["points"])]},
         "index-function-dim": {**doc, "functions": [
             {**fn, "parts": [{**part, "d": 25} for part in fn["parts"]]} if i == 0 else fn
@@ -312,6 +327,12 @@ def bad_files(tmp_path, point_file):
         "family-bool-coordinate": {"kind": "finite", "d": 2, "atoms": [
             {"weight": "1", "fn": {"kind": "proj", "d": 2, "i": True}},
         ]},
+        # Read by truthiness, the string "false" would mark the family symmetric.
+        "family-string-symmetric": {"kind": "finite", "d": 4, "distance_symmetric": "false", "atoms": [
+            {"weight": "1/2", "fn": {"kind": "minperm", "d": 4, "perm": [0, 1, 2, 3]}},
+            {"weight": "1/2", "fn": {"kind": "minperm", "d": 4, "perm": [3, 2, 1, 0]}},
+        ]},
+        "family-string-exact": {"kind": "minhash", "d": 4, "exact": "false"},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -338,6 +359,10 @@ USAGE_ERRORS = {
                       "index-float-L.json"),
     "index-L-mismatch": (["index-query", "--index", "{dir}/index-L-mismatch.json"] + QUERY,
                          "index-L-mismatch.json"),
+    "index-float-cr": (["index-query", "--index", "{dir}/index-float-cr.json"] + QUERY,
+                       "index-float-cr.json"),
+    "index-bool-r": (["index-query", "--index", "{dir}/index-bool-r.json"] + QUERY,
+                     "index-bool-r.json"),
     "index-short-point": (["index-query", "--index", "{dir}/index-short-point.json"] + QUERY,
                           "index-short-point.json"),
     "index-function-dim": (["index-query", "--index", "{dir}/index-function-dim.json"] + QUERY,
@@ -364,6 +389,10 @@ USAGE_ERRORS = {
                                  "--t-grid", "0,1"], "family-zero-denominator.json"),
     "family-bool-coordinate": (["sensitivity", "--family-file", "{dir}/family-bool-coordinate.json",
                                 "--r", "1", "--cr", "2"], "family-bool-coordinate.json"),
+    "family-string-symmetric": (["sensitivity", "--family-file", "{dir}/family-string-symmetric.json",
+                                 "--r", "1", "--cr", "3"], "family-string-symmetric.json"),
+    "family-string-exact": (["stability", "--family-file", "{dir}/family-string-exact.json",
+                             "--t-grid", "0,1"], "family-string-exact.json"),
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),

@@ -111,6 +111,12 @@ GOLDEN_RUNS = {
          "--t-grid", "0.25,1", "--samples", "3000", "--seed", "8"],
         "3074a8489869ec47b69e925f00a31a607f97106bf4986916a55d7585f42b849e",
     ),
+    # Every suite of the certification path: spectra, oracle, curves,
+    # sandwich tails and Chernoff domination.
+    "verify-1729": (
+        ["verify", "--seed", "1729"],
+        "151c591bb877dde931eb1edeb8610b833dae793afc914919ec1257e82d54c93b",
+    ),
 }
 
 

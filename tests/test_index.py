@@ -121,6 +121,12 @@ def test_plan_validates_delta():
         plan(100, prof, 1.0)
 
 
+def test_plan_rounds_radii_down_past_float_droop():
+    # (61 / 7) * 7 is 60.99999999999999, which int() would cut to 60.
+    assert plan(20, bit_sampling_profile(128, 7, 61 / 7), 0.1).cr == 61
+    assert plan(20, bit_sampling_profile(128, 3, 1.5), 0.1).cr == 4
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     n=st.integers(10, 10**6),

@@ -137,6 +137,26 @@ def test_tails_match_scipy():
             )
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+def test_tails_exact_at_the_boundaries(eta):
+    d = 10
+    # Thresholds below 0, at d and above d: empty or full ranges.
+    assert binomial_tail_above(d, eta, -1) == 1.0
+    assert binomial_tail_above(d, eta, -0.5) == 1.0
+    assert binomial_tail_above(d, eta, d) == 0.0
+    assert binomial_tail_above(d, eta, d + 5) == 0.0
+    assert binomial_tail_below(d, eta, 0) == 0.0
+    assert binomial_tail_below(d, eta, -3) == 0.0
+    assert binomial_tail_below(d, eta, d + 0.5) == 1.0
+    assert binomial_tail_below(d, eta, d + 5) == 1.0
+    if eta != 0.3:
+        # All the mass sits at 0 (eta = 0) or at d (eta = 1).
+        assert binomial_tail_above(d, eta, 2) == eta
+        assert binomial_tail_above(d, eta, d - 1) == eta
+        assert binomial_tail_below(d, eta, 2) == 1 - eta
+        assert binomial_tail_below(d, eta, d) == 1 - eta
+
+
 def test_tails_no_underflow_at_large_d():
     v = binomial_tail_above(5000, 0.001, 60)
     assert 0 < v < 1e-30  # far tail computed in log space

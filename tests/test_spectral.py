@@ -162,7 +162,6 @@ def test_injective_table_spans_many_batches():
     g = np.random.default_rng(12)
     h = ExplicitTable(d, tuple(int(v) for v in g.permutation(1 << d)))
     spec = fourier_spectrum(h)
-    assert spec.pruned_mass == 0.0
     assert spec.weights == {mask: 1 / 4096 for mask in range(1 << d)}
     for rho in (0.0, 0.5, 0.9):
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
