@@ -24,6 +24,7 @@ from .hashing import (
     HashFunction,
     ProjectionProduct,
     SensitivityProfile,
+    _snap,
     bit_sampling_family,
     bit_sampling_profile,
     family_descriptor,
@@ -67,13 +68,6 @@ class IndexParams:
         """Parameters at the profile's radii, rounded down to integers, and its rho."""
         r, cr = (math.floor(_snap(v)) for v in (profile.r, profile.cr))
         return cls(r=r, cr=cr, planned_rho=profile.rho, **fields)
-
-
-def _snap(v: float) -> float:
-    """v, or the integer within 1e-9 of it: float droop must not carry a
-    rounding past an integer ((61 / 7) * 7 is 60.99999999999999)."""
-    nearest = round(v)
-    return nearest if abs(v - nearest) < 1e-9 else v
 
 
 def tables_needed(p_k: float, delta: float) -> int:
@@ -307,7 +301,8 @@ def load_index(path) -> NNIndex:
                 f"version {INDEX_VERSION}); rebuild the index with index-build"
             )
         params = IndexParams(**doc["params"])
-        functions = [function_from_descriptor(d) for d in doc["functions"]]
+        built: dict = {}  # one part object per distinct part descriptor
+        functions = [function_from_descriptor(d, built) for d in doc["functions"]]
         for i, fn in enumerate(functions):
             if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
                 raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")

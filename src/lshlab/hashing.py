@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,14 +91,68 @@ class HashFunction:
         return int(self._labels(points_to_bit_matrix([x]))[0])
 
 
+# Cells of one stacked code matrix: 128 KiB as int16, 512 KiB of int64 labels.
+# Its presence table has at most twice as many.
+_CODE_CELLS = 1 << 16
+
+
+def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
+    """Row i holds the labels of all 2^dim inputs of functions[i], in
+    point-value order, recoded to consecutive ints in label order: int16 up
+    to dim 14, int32 beyond.
+
+    Rows whose label_bound is at most 2^(dim+1) are recoded together: a
+    presence table marks each row's labels, and its running count along the
+    row is every present label's code plus one. Other rows (long
+    concatenations, wide tables) are ranked by one row-wise sort.
+    """
+    dim = functions[0].dim
+    n = 1 << dim
+    bits = _cube_bits(dim)
+    dtype = np.int16 if dim <= 14 else np.int32
+    codes = np.empty((len(functions), n), dtype=dtype)
+    narrow = np.array([h.label_bound <= 2 * n for h in functions])
+    for rows in (np.flatnonzero(narrow), np.flatnonzero(~narrow)):
+        if not len(rows):
+            continue
+        bound = max(functions[i].label_bound for i in rows)
+        labels = np.empty((len(rows), n), dtype=_label_dtype(bound))
+        for j, i in enumerate(rows):
+            labels[j] = functions[i].labels(bits)
+        if narrow[rows[0]]:
+            seen = np.zeros((len(rows), bound), dtype=dtype)
+            labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
+            seen.reshape(-1)[labels] = 1
+            np.cumsum(seen, axis=1, out=seen)
+            codes[rows] = seen.reshape(-1)[labels] - 1
+        else:
+            order = np.argsort(labels, axis=1)
+            ranked = np.take_along_axis(labels, order, axis=1)
+            step = np.zeros(labels.shape, dtype=dtype)
+            step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            np.cumsum(step, axis=1, out=step)
+            ranks = np.empty_like(step)
+            np.put_along_axis(ranks, order, step, axis=1)
+            codes[rows] = ranks
+    return codes
+
+
+def _code_chunks(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
+    """collision_code_matrix of consecutive runs of the functions, at most
+    _CODE_CELLS cells (and at least one row) at a time."""
+    functions = iter(functions)
+    rows = max(1, _CODE_CELLS >> dim)
+    while chunk := list(itertools.islice(functions, rows)):
+        yield collision_code_matrix(chunk)
+
+
 def collision_codes(h: HashFunction) -> np.ndarray:
     """Labels of all 2^dim inputs of h, in point-value order, recoded to
-    consecutive ints in label order.
+    consecutive ints in label order: the one-row collision_code_matrix.
 
     Only the equality structure is preserved; use h.labels for real labels.
     """
-    _, codes = np.unique(h.labels(_cube_bits(h.dim)), return_inverse=True)
-    return codes.astype(np.int64)
+    return collision_code_matrix([h])[0].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -646,11 +700,20 @@ def _rho_from(p: float, q: float) -> tuple[Optional[float], str]:
     return math.log(1 / p) / math.log(1 / q), ""
 
 
+def _snap(v: float) -> float:
+    """v, or the integer within 1e-9 of it: float droop must not carry a
+    rounding past an integer ((61 / 7) * 7 is 60.99999999999999)."""
+    nearest = round(v)
+    return nearest if abs(v - nearest) < 1e-9 else v
+
+
 def bit_sampling_profile(d: int, r: float, c: float) -> SensitivityProfile:
     """Sensitivity of coordinate sampling: (r, cr, 1 - r/d, 1 - cr/d), with
-    rho = bounds.im_rho(d, r, c), which increases to 1/c as r/d -> 0."""
+    rho = bounds.im_rho(d, r, c), which increases to 1/c as r/d -> 0. A cr
+    within 1e-9 of an integer is that integer, so integer radii keep their
+    exact p and q."""
     rho = im_rho(d, r, c)
-    cr = c * r
+    cr = _snap(c * r)
     p = 1 - r / d
     q = 1 - cr / d
     p_exact = q_exact = None
@@ -696,6 +759,8 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
 
 
 _BLOCK_VECTORS = 1 << 16
+# Cells of one broadcast collision comparison in _class_extremes: 1 MiB of bool.
+_COMPARE_CELLS = 1 << 20
 
 
 def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]:
@@ -704,17 +769,21 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
     With the weights scaled to integers over their common denominator D, D
     times a pair's collision probability is a sum over groups of equal-weight
     atoms: weight times how many of the group's atoms collide on the pair.
-    Groups are packed into blocks of at most _BLOCK_VECTORS count vectors,
-    each indexing an exact table of its block's part of the sum; a lone
-    block's table holds the sums' ranks instead. Sums past 2^63 are held as
-    base-2^b digits and compared from the top digit down.
+    A group's counts come from its rows of the family's code matrix, one
+    broadcast comparison per run of atoms. Groups are packed into blocks of
+    at most _BLOCK_VECTORS count vectors, each indexing an exact table of
+    its block's part of the sum; a lone block's table holds the sums' ranks
+    instead. Sums past 2^63 are held as base-2^b digits and compared from
+    the top digit down.
     """
     d = family.dim
     denom = math.lcm(*(w.denominator for w, _ in family.atoms))
-    groups: dict[int, list[np.ndarray]] = {}
-    for w, h in family.atoms:
-        groups.setdefault(int(w * denom), []).append(collision_codes(h))
-    blocks: list[list[list[np.ndarray]]] = []
+    codes = np.concatenate(list(_code_chunks((h for _, h in family.atoms), d)))
+    members: dict[int, list[int]] = {}
+    for i, (w, _) in enumerate(family.atoms):
+        members.setdefault(int(w * denom), []).append(i)
+    groups = {w: np.array(atoms) for w, atoms in members.items()}
+    blocks: list[list[np.ndarray]] = []
     sums: list[list[int]] = []
     vectors = _BLOCK_VECTORS + 1
     for w, group in groups.items():
@@ -745,14 +814,17 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
     mins, maxs = [top] * (d + 1), [0] * (d + 1)
     extremes = ((np.minimum, min, np.iinfo(dtype).max, mins), (np.maximum, max, -1, maxs))
     for xs, dist in cube_distance_rows(d):
+        step = max(1, _COMPARE_CELLS // dist.size)  # atoms per broadcast comparison
         limbs = np.zeros((n_limbs,) + dist.shape, dtype=dtype)
         for block, table in zip(blocks, tables):
             key = np.zeros(dist.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
             radix = 1
             for group in block:
                 count = np.zeros(dist.shape, dtype=np.min_scalar_type(len(group)))
-                for t in group:
-                    count += t[xs][:, None] == t
+                for start in range(0, len(group), step):
+                    t = codes[group[start : start + step]]
+                    same = t[:, xs][:, :, None] == t[:, None, :]
+                    count += same[0] if len(same) == 1 else same.sum(0, dtype=count.dtype)
                 key += count * key.dtype.type(radix)
                 radix *= len(group) + 1
             for j in range(n_limbs):
@@ -854,25 +926,39 @@ def _ints(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(v)
 
 
-def function_from_descriptor(doc: dict) -> HashFunction:
+def _function_args(doc: dict) -> tuple[type, tuple]:
+    """The class and checked constructor arguments a non-concat descriptor names."""
     kind = doc["kind"]
     if kind == "proj":
-        return CoordinateProjection(_int(doc, "d"), _int(doc, "i"))
+        return CoordinateProjection, (_int(doc, "d"), _int(doc, "i"))
     if kind == "subset":
-        return CoordinateSubset(_int(doc, "d"), _ints(doc, "coords"))
+        return CoordinateSubset, (_int(doc, "d"), _ints(doc, "coords"))
     if kind == "parity":
-        return Parity(_int(doc, "d"), _ints(doc, "coords"))
+        return Parity, (_int(doc, "d"), _ints(doc, "coords"))
     if kind == "const":
-        return Constant(_int(doc, "d"))
+        return Constant, (_int(doc, "d"),)
     if kind == "table":
-        return ExplicitTable(_int(doc, "d"), _ints(doc, "labels"))
+        return ExplicitTable, (_int(doc, "d"), _ints(doc, "labels"))
     if kind == "minperm":
-        return MinHashPermutation(_int(doc, "d"), _ints(doc, "perm"))
+        return MinHashPermutation, (_int(doc, "d"), _ints(doc, "perm"))
     if kind == "pair":
-        return PairCollapse(_int(doc, "d"), _int(doc, "x"), _int(doc, "y"))
-    if kind == "concat":
-        return Concatenation(tuple(function_from_descriptor(p) for p in doc["parts"]))
+        return PairCollapse, (_int(doc, "d"), _int(doc, "x"), _int(doc, "y"))
     raise ValueError(f"unknown function kind {kind!r}")
+
+
+def function_from_descriptor(doc: dict, built: Optional[dict] = None) -> HashFunction:
+    """The function a descriptor names. With a `built` dict, a descriptor
+    whose checked arguments were seen before (a part shared by many
+    concatenations) returns the function made then."""
+    if doc["kind"] == "concat":
+        return Concatenation(tuple(function_from_descriptor(p, built) for p in doc["parts"]))
+    cls, args = _function_args(doc)
+    if built is None:
+        return cls(*args)
+    key = (cls, args)
+    if key not in built:
+        built[key] = cls(*args)
+    return built[key]
 
 
 def family_descriptor(family: HashFamily) -> dict:

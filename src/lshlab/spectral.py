@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction, collision_codes, finite_family
+from .hashing import HashFamily, HashFunction, _code_chunks, collision_codes, finite_family
 from .points import cube_distance_rows
 from . import rng as rngmod
 
@@ -97,54 +97,112 @@ def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
 def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
     """Each function's squared Fourier mass w_S (indexed by subset mask S), in order.
 
-    The label-indicator columns of consecutive functions share one integer
-    matrix of _BATCH_CELLS cells; a function whose columns do not fit in what
-    is left of it continues in the next. Each batch is transformed in
-    place, squared into int64 and summed per function, so a row holds
-    n^2 w_S as an exact integer (n = 2^dim). Every partial sum of the
-    transform has magnitude at most n, which int16 holds up to dim 14 and
-    int32 up to the limit of 20, and every row entry is at most n^2 <= 2^40,
-    so the float64 row is exact and independent of the batching.
+    Every label class of two or more points gets one indicator column in an
+    integer matrix of _BATCH_CELLS cells, shared by consecutive functions; a
+    function whose columns do not fit in what is left of it continues in the
+    next. A class of one point gets no column: the transform of one point's
+    indicator is +-1 at every S, so it adds exactly 1 to every entry. Each
+    batch is transformed in place, squared and summed per function, so a
+    row holds n^2 w_S as an exact integer (n = 2^dim). Every partial sum of
+    the transform has magnitude at most n, which int16 holds up to dim 14
+    and int32 up to the limit of 20; every row entry, and so every sum of
+    squares, is at most n^2, which int32 holds up to dim 14 and int64 up
+    to 2^40. The float64 row is exact and independent of the batching.
     """
     n = 1 << dim
     width = max(1, _BATCH_CELLS // n)
-    batch = np.zeros((n, width), dtype=np.int16 if dim <= 14 else np.int32)
-    points = np.arange(n)
-    starts: list[int] = []  # first batch column of each function's segment
-    finishes: list[bool] = []  # whether that segment holds its function's last label
+    # Flat cell n * width, past the batch, takes the points of one-point classes.
+    cells = np.zeros(n * width + 1, dtype=np.int16 if dim <= 14 else np.int32)
+    square_type = np.int32 if dim <= 14 else np.int64
+    batch = cells[:-1].reshape(n, width)
+    points = np.arange(n, dtype=np.int32)
+    row_starts = points * width
+    # Rows are yielded `slab` at a time, float64 slabs no larger than the batch.
+    slab = max(1, width // 4)
     used = 0
-    partial = None  # int64 row of the function the next segment continues
+    starts: list[int] = []  # first batch column of each segment
+    owners: list[int] = []  # ordinal of each segment's function
+    singles: list[int] = []  # one-point classes of each function not yet yielded
+    first = placed = 0  # ordinals of the first function not yet yielded / not yet placed
+    carry = None  # sums of the earlier segments of a function split across batches
 
-    def transform():
-        nonlocal used, partial
-        block = _fwht_in_place(batch[:, :used])
-        sums = np.add.reduceat(np.square(block, dtype=np.int64), starts, axis=1)
-        for j, done in enumerate(finishes):
-            partial = sums[:, j] if partial is None else partial + sums[:, j]
-            if done:
-                yield partial / float(n * n)
-                partial = None
-        block[:] = 0
-        starts.clear()
-        finishes.clear()
-        used = 0
+    def transform(stop):
+        """Yield the rows of functions first .. stop - 1 once the batch is summed."""
+        nonlocal used, first, carry
+        sums = np.zeros((0, n), dtype=square_type)
+        if used:
+            block = _fwht_in_place(batch[:, :used])
+            sums = np.add.reduceat(
+                np.square(block, dtype=square_type), starts, axis=1, dtype=square_type
+            ).T
+            block[:] = 0
+            if carry is not None:
+                sums[0] += carry
+                carry = None
+            if owners[-1] == stop:  # the last segment's function goes on in the next batch
+                carry = sums[-1]
+                sums = sums[:-1]
+                del owners[-1]
+        # Segment j belongs to function owners[j]; owners ascend.
+        count = stop - first
+        owned = np.array(owners, dtype=np.intp) - first
+        bounds = np.searchsorted(owned, np.arange(0, count + slab, slab))
+        for a, lo, hi in zip(range(0, count, slab), bounds, bounds[1:]):
+            rows = np.empty((min(slab, count - a), n))
+            rows[:] = np.array(singles[a : a + len(rows)], dtype=np.float64)[:, None]
+            rows[owned[lo:hi] - a] += sums[lo:hi]
+            rows /= float(n * n)
+            yield from rows
+        del singles[:count], starts[:], owners[:]
+        used, first = 0, stop
 
-    for h in functions:
-        codes = collision_codes(h)
-        n_labels = int(codes.max()) + 1
-        lo = 0
-        while lo < n_labels:
-            hi = min(n_labels, lo + width - used)
-            sel = (codes >= lo) & (codes < hi)
-            batch[points[sel], codes[sel] + (used - lo)] = 1
-            starts.append(used)
-            finishes.append(hi == n_labels)
-            used += hi - lo
-            lo = hi
-            if used == width:
-                yield from transform()
-    if used:
-        yield from transform()
+    for codes in _code_chunks(functions, dim):
+        m, k = len(codes), int(codes.max()) + 1
+        # Flat (function, code) cells of the chunk's class tables.
+        codes = codes + (np.arange(m, dtype=np.int32) * k)[:, None]
+        sizes = np.bincount(codes.ravel(), minlength=m * k).reshape(m, k)
+        shared = sizes > 1
+        singles.extend((sizes == 1).sum(axis=1).tolist())
+        n_columns = shared.sum(axis=1, dtype=np.int32)
+        column = np.where(shared, np.cumsum(shared, axis=1, dtype=np.int32) - 1, n * width)
+        i = 0
+        while i < m:
+            # The functions that fit whole in what is left of the batch go in at once.
+            ends = np.cumsum(n_columns[i:], dtype=np.int32)
+            fit = int(np.searchsorted(ends, width - used, side="right"))
+            fit = min(fit, width - (placed - first))  # at most `width` functions await rows
+            if fit:
+                offsets = used + ends[:fit] - n_columns[i : i + fit]
+                # One-point classes sit at n * width or past it; they all land there.
+                at = (column[i : i + fit] + offsets[:, None]).ravel()[codes[i : i + fit] - i * k]
+                at += row_starts
+                cells[np.minimum(at, n * width, out=at)] = 1
+                filled = np.flatnonzero(n_columns[i : i + fit])
+                starts.extend(offsets[filled].tolist())
+                owners.extend((filled + placed).tolist())
+                used += int(ends[fit - 1])
+                i += fit
+                placed += fit
+            else:
+                # Function i does not fit: split its columns across batches.
+                at = column[i][codes[i] - i * k]
+                lo = 0
+                while lo < n_columns[i]:
+                    hi = min(int(n_columns[i]), lo + width - used)
+                    sel = (at >= lo) & (at < hi)
+                    batch[points[sel], at[sel] + (used - lo)] = 1
+                    starts.append(used)
+                    owners.append(placed)
+                    used += hi - lo
+                    lo = hi
+                    if used == width:
+                        yield from transform(placed if lo < n_columns[i] else placed + 1)
+                i += 1
+                placed += 1
+            if used == width or placed - first >= width:
+                yield from transform(placed)
+    if placed > first:
+        yield from transform(placed)
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:

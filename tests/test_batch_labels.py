@@ -19,6 +19,7 @@ from lshlab.hashing import (
     Parity,
     ProjectionProduct,
     bit_sampling_family,
+    collision_code_matrix,
     collision_codes,
     finite_family,
     minhash_family,
@@ -120,6 +121,20 @@ def test_labels_match_definitions(case):
 def test_collision_codes_match_definitions(case):
     h, _ = case
     assert np.array_equal(collision_codes(h), ref_codes(h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_code_matrix_rows_are_collision_codes(data):
+    # One matrix of several functions: rows of narrow labels (presence table)
+    # and of wide or object labels (row-wise sort) interleave.
+    d = data.draw(st.integers(1, 6))
+    fns = data.draw(st.lists(st.one_of(atoms(d), st.lists(atoms(d), min_size=1, max_size=12)
+                                       .map(lambda ps: Concatenation(tuple(ps)))), min_size=1, max_size=6))
+    codes = collision_code_matrix(fns)
+    assert codes.shape == (len(fns), 1 << d) and codes.dtype == np.int16
+    for h, row in zip(fns, codes):
+        assert row.tolist() == ref_codes(h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -175,6 +175,15 @@ def test_bit_sampling_profile_values():
         bit_sampling_profile(10, 4, 3)
 
 
+def test_bit_sampling_profile_snaps_integer_cr():
+    # index-build --r 7 --cr 61 passes c = 61 / 7, and (61 / 7) * 7 is
+    # 60.99999999999999: the radii are still integers with exact p and q.
+    prof = bit_sampling_profile(128, 7, 61 / 7)
+    assert prof.cr == 61
+    assert (prof.p_exact, prof.q_exact) == (Fraction(121, 128), Fraction(67, 128))
+    assert bit_sampling_profile(128, 3, 1.5).q_exact is None
+
+
 def test_bit_sampling_rho_increases_to_limit():
     # rho climbs toward 1/c as r/d shrinks
     rhos = [bit_sampling_profile(d, 1, 2).rho for d in (10, 100, 1000, 10**5)]
@@ -443,6 +452,29 @@ def test_weighted_exact_sensitivity_matches_all_pairs(case, block_vectors, cells
         prof = exact_sensitivity(fam, r, cr)
     assert prof.p_exact == min(near) and prof.q_exact == max(far)
     assert (prof.p, prof.q) == (float(min(near)), float(max(far)))
+
+
+def test_minhash_class_extremes_in_atom_chunks_match_all_pairs():
+    # A non-symmetric weighted MinHash family at d = 5: groups of 5, 4 and 3
+    # equal-weight permutations, compared two atoms at a time from code
+    # matrices of three rows, against every pair's exact collision probability.
+    d = 5
+    g = np.random.default_rng(55)
+    fns = [MinHashPermutation(d, tuple(int(i) for i in g.permutation(d))) for _ in range(12)]
+    fam = finite_family(fns, [Fraction(w, 34) for w in [2] * 5 + [3] * 4 + [4] * 3])
+    lo, hi = [Fraction(1)] * (d + 1), [Fraction(0)] * (d + 1)
+    for x, y in itertools.combinations_with_replacement(range(1 << d), 2):
+        prob = collision_probability(fam, Point(x, d), Point(y, d))
+        m = (x ^ y).bit_count()
+        lo[m], hi[m] = min(lo[m], prob), max(hi[m], prob)
+    with (
+        mock.patch.object(hashing, "_COMPARE_CELLS", 2 << (2 * d)),
+        mock.patch.object(hashing, "_CODE_CELLS", 3 << d),
+    ):
+        for r in range(d):
+            for cr in range(r + 1, d + 1):
+                prof = exact_sensitivity(fam, r, cr)
+                assert (prof.p_exact, prof.q_exact) == (min(lo[: r + 1]), max(hi[cr:]))
 
 
 def test_digit_sums_carry_before_they_compare():

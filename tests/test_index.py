@@ -375,6 +375,25 @@ def test_load_rejects_out_of_range_ids(tmp_path, bad_id):
         load_index(path)
 
 
+def test_load_shares_equal_parts_and_checks_every_one(tmp_path):
+    # 12 functions of 5 projections each on d = 6 name at most 6 distinct
+    # parts; loading makes one object per distinct part. A part equal in
+    # value but not an integer ("i": 1.0) is still refused.
+    pts = _random_points(30, 6, seed=13)
+    idx = build(pts, bit_sampling_family(6), IndexParams(r=1, cr=3, k=5, L=12, delta=0.1, seed=8))
+    path = tmp_path / "index.json"
+    save_index(idx, path)
+    clone = load_index(path)
+    parts = [p for fn in clone.functions for p in fn.parts]
+    assert len({id(p) for p in parts}) == len(set(parts)) <= 6
+    assert [fn.parts for fn in clone.functions] == [fn.parts for fn in idx.functions]
+    doc = json.loads(path.read_text())
+    doc["functions"][-1]["parts"][-1]["i"] = float(doc["functions"][-1]["parts"][-1]["i"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_index(path)
+
+
 def test_load_rejects_version_1(tmp_path):
     # Version 1 stored the tables; version 2 rebuilds them on load and has
     # the only reader.

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lshlab import hashing
 from lshlab.hashing import (
     Concatenation,
     Constant,
     CoordinateProjection,
     ExplicitTable,
+    PairCollapse,
     Parity,
     bit_sampling_family,
     constant_family,
@@ -19,7 +21,7 @@ from lshlab.hashing import (
     power,
 )
 from lshlab import spectral
-from lshlab.points import Point
+from lshlab.points import Point, points_to_bit_matrix
 from lshlab.spectral import (
     EXACT,
     FourierSpectrum,
@@ -167,6 +169,18 @@ def test_injective_table_spans_many_batches():
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
 
 
+def test_two_point_classes_span_many_batches():
+    # Labels x >> 1 at d = 12: 2048 classes of two points, so 2048 label
+    # columns, which a 64-column batch splits 32 ways. w_S = 1/2048 on every
+    # S without coordinate 0, where each class's transform is +-2.
+    d = 12
+    h = ExplicitTable(d, tuple(x >> 1 for x in range(1 << d)))
+    spec = fourier_spectrum(h)
+    assert spec.weights == {mask: 1 / 2048 for mask in range(0, 1 << d, 2)}
+    for rho in (0.0, 0.5, 0.9):
+        assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
+
+
 @functools.lru_cache(maxsize=None)
 def _characters(d):
     n = 1 << d
@@ -174,8 +188,8 @@ def _characters(d):
 
 
 def _naive_squared_mass(h):
-    # Direct sum over points of every label indicator of an explicit table.
-    labels = np.array(h.table)
+    # Direct sum over points of every label indicator, one column per label.
+    labels = h.labels(points_to_bit_matrix([Point(v, h.dim) for v in range(1 << h.dim)]))
     onehot = (labels[:, None] == np.unique(labels)[None, :]).astype(np.float64)
     return ((_characters(h.dim) @ onehot / (1 << h.dim)) ** 2).sum(axis=1)
 
@@ -210,6 +224,69 @@ def test_family_spectrum_equals_per_atom_reference(fam, seed, width):
         assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
         got = family_spectrum(fam, mode="mc", n_samples=5, seed=seed)
     assert got == _spectrum_from_array(fam.dim, sampled / 5)
+
+
+@st.composite
+def _mixed_families(draw):
+    # Atoms of every kind the code matrix treats apart: injective tables (no
+    # label column at all), tables of two-point classes (no one-point class),
+    # random tables (both), wide labels (ranked by sorting) and pair-collapse
+    # concatenations past 2^63 (object labels).
+    d = draw(st.integers(1, 7))
+    n = 1 << d
+    fns = []
+    for kind in draw(st.lists(st.sampled_from(["injective", "pairs", "random", "wide", "object"]),
+                              min_size=1, max_size=8)):
+        perm = draw(st.permutations(range(n)))
+        if kind == "injective":
+            fns.append(ExplicitTable(d, tuple(perm)))
+        elif kind == "pairs":
+            fns.append(ExplicitTable(d, tuple(v >> 1 for v in perm)))
+        elif kind == "random":
+            fns.append(ExplicitTable(d, tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))))
+        elif kind == "wide":
+            fns.append(ExplicitTable(d, tuple(draw(st.lists(st.integers(0, 1 << 40), min_size=n, max_size=n)))))
+        else:
+            xy = st.integers(0, n - 1)
+            fns.append(Concatenation(tuple(PairCollapse(d, draw(xy), draw(xy)) for _ in range(64 // d + 1))))
+    parts = draw(st.lists(st.integers(1, 50), min_size=len(fns), max_size=len(fns)))
+    return finite_family(fns, [Fraction(p, sum(parts)) for p in parts])
+
+
+@settings(deadline=None, max_examples=60)
+@given(fam=_mixed_families(), seed=st.integers(0, 100), width=st.sampled_from([1, 3, 64, None]),
+       code_rows=st.sampled_from([1, 3, None]))
+def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, seed, width, code_rows):
+    # Column-free atoms, atoms split across batches and code chunks of one
+    # or a few rows must still give the per-atom float64 accumulation bit for bit.
+    w = np.zeros(1 << fam.dim)
+    for weight, h in fam.atoms:
+        w += float(weight) * _naive_squared_mass(h)
+    sampled = np.zeros(1 << fam.dim)
+    for h in fam.sample(5, seed):
+        sampled += _naive_squared_mass(h)
+    cells = spectral._BATCH_CELLS if width is None else width << fam.dim
+    code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << fam.dim
+    with (
+        mock.patch.object(spectral, "_BATCH_CELLS", cells),
+        mock.patch.object(hashing, "_CODE_CELLS", code_cells),
+    ):
+        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        got = family_spectrum(fam, mode="mc", n_samples=5, seed=seed)
+    assert got == _spectrum_from_array(fam.dim, sampled / 5)
+
+
+def test_object_label_concatenation_spectrum():
+    # 17^16 > 2^63: the concatenation's labels are Python ints, ranked by the
+    # code matrix's sorting path, next to int64 atoms in the same chunk.
+    d = 4
+    wide = Concatenation(tuple(PairCollapse(d, x, (x * 5 + 3) % 16) for x in range(16)))
+    assert wide.label_bound > 1 << 63
+    fam = finite_family([wide, CoordinateProjection(d, 2), ExplicitTable(d, tuple(range(16)))], [0.5, 0.25, 0.25])
+    w = np.zeros(1 << d)
+    for weight, h in fam.atoms:
+        w += float(weight) * _naive_squared_mass(h)
+    assert family_spectrum(fam) == _spectrum_from_array(d, w)
 
 
 # ---------------------------------------------------------------------------
