@@ -75,8 +75,8 @@ def correction_scale(d: int, q: float) -> float:
 def rho_lower_bound(c: float, d: int, q: float, big_k: float = 1.0) -> float:
     """max(0, 1/c - K lambda(d, q)^{1/3}): the sharp lower bound with the
     universal constant K left as a caller-supplied knob."""
-    if c <= 1:
-        raise ValueError("approximation factor c must exceed 1")
+    if c < 1:
+        raise ValueError("approximation factor c must be at least 1")
     if big_k <= 0:
         raise ValueError("K must be positive")
     return max(0.0, 1 / c - big_k * correction_scale(d, q) ** (1 / 3))
@@ -270,7 +270,6 @@ def bound_table(
     c_values: Sequence[float], d: int, q: float, big_k: float = 1.0, s: float = 1.0
 ) -> list[BoundRow]:
     rows = []
-    lam_third = correction_scale(d, q) ** (1 / 3)
     for c in c_values:
         c = float(c)
         rows.append(
@@ -280,7 +279,7 @@ def bound_table(
                 ai=ai_upper(c),
                 diim=diim_upper(c, s),
                 mnp=mnp_lower(c),
-                main=max(0.0, 1 / c - big_k * lam_third),
+                main=rho_lower_bound(c, d, q, big_k),
             )
         )
     return rows

@@ -450,14 +450,20 @@ class HashFamily:
         if self.atoms is not None:
             if not self.atoms:
                 raise ValueError("empty finite support")
-            total = sum(w for w, _ in self.atoms)
-            if any(w < 0 for w, _ in self.atoms):
+            denom, nums = self._integer_weights
+            if min(nums) < 0:
                 raise ValueError("negative weight")
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected exactly 1")
+            if sum(nums) != denom:
+                raise ValueError(f"weights sum to {Fraction(sum(nums), denom)}, expected exactly 1")
             for _, h in self.atoms:
                 if h.dim != self.dim:
                     raise DimensionMismatch("atom dimension differs from family dimension")
+
+    @functools.cached_property
+    def _integer_weights(self) -> tuple[int, list[int]]:
+        """(D, numerators): the atoms' weights over their common denominator D."""
+        denom = math.lcm(*(w.denominator for w, _ in self.atoms))
+        return denom, [w.numerator * (denom // w.denominator) for w, _ in self.atoms]
 
     @functools.cached_property
     def is_uniform(self) -> bool:
@@ -777,11 +783,11 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
     the top digit down.
     """
     d = family.dim
-    denom = math.lcm(*(w.denominator for w, _ in family.atoms))
+    denom, nums = family._integer_weights
     codes = np.concatenate(list(_code_chunks((h for _, h in family.atoms), d)))
     members: dict[int, list[int]] = {}
-    for i, (w, _) in enumerate(family.atoms):
-        members.setdefault(int(w * denom), []).append(i)
+    for i, w in enumerate(nums):
+        members.setdefault(w, []).append(i)
     groups = {w: np.array(atoms) for w, atoms in members.items()}
     blocks: list[list[np.ndarray]] = []
     sums: list[list[int]] = []

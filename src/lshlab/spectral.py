@@ -24,8 +24,9 @@ from . import rng as rngmod
 
 _TRANSFORM_DIM_LIMIT = 20
 _BRUTE_FORCE_DIM_LIMIT = 12
-# Cells of the integer matrix in which exact spectra transform their label
-# columns: 512 KiB as int16 (1 MiB as int32), plus 2 MiB for the int64 squares.
+# Cells of the integer block in which exact spectra transform their label
+# columns: 512 KiB as int16 with 1 MiB of int32 squares up to d = 14, and
+# 1 MiB as int32 with 2 MiB of int64 squares above.
 _BATCH_CELLS = 1 << 18
 
 EXACT = "exact-spectral"
@@ -97,112 +98,49 @@ def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
 def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
     """Each function's squared Fourier mass w_S (indexed by subset mask S), in order.
 
-    Every label class of two or more points gets one indicator column in an
-    integer matrix of _BATCH_CELLS cells, shared by consecutive functions; a
-    function whose columns do not fit in what is left of it continues in the
-    next. A class of one point gets no column: the transform of one point's
-    indicator is +-1 at every S, so it adds exactly 1 to every entry. Each
-    batch is transformed in place, squared and summed per function, so a
-    row holds n^2 w_S as an exact integer (n = 2^dim). Every partial sum of
-    the transform has magnitude at most n, which int16 holds up to dim 14
-    and int32 up to the limit of 20; every row entry, and so every sum of
-    squares, is at most n^2, which int32 holds up to dim 14 and int64 up
-    to 2^40. The float64 row is exact and independent of the batching.
+    Functions come a code chunk at a time. A row holds n^2 w_S as an exact
+    integer (n = 2^dim) and starts at its function's count of one-point
+    label classes: the transform of one point's indicator is +-1 at every S,
+    so each such class adds exactly 1 to every entry. Every class of two or
+    more points is one indicator column, in function order; columns are
+    transformed _BATCH_CELLS cells at a time as one contiguous (n, c) block,
+    squared, and summed into their function's row. Every partial sum of the
+    transform has magnitude at most n, which int16 holds up to dim 14 and
+    int32 up to the limit of 20; every row entry is at most n^2, which int32
+    holds up to dim 14 and int64 up to 2^40. The float64 row is exact and
+    independent of the batching.
     """
     n = 1 << dim
     width = max(1, _BATCH_CELLS // n)
-    # Flat cell n * width, past the batch, takes the points of one-point classes.
-    cells = np.zeros(n * width + 1, dtype=np.int16 if dim <= 14 else np.int32)
+    cells = np.zeros(n * width, dtype=np.int16 if dim <= 14 else np.int32)
     square_type = np.int32 if dim <= 14 else np.int64
-    batch = cells[:-1].reshape(n, width)
     points = np.arange(n, dtype=np.int32)
-    row_starts = points * width
-    # Rows are yielded `slab` at a time, float64 slabs no larger than the batch.
-    slab = max(1, width // 4)
-    used = 0
-    starts: list[int] = []  # first batch column of each segment
-    owners: list[int] = []  # ordinal of each segment's function
-    singles: list[int] = []  # one-point classes of each function not yet yielded
-    first = placed = 0  # ordinals of the first function not yet yielded / not yet placed
-    carry = None  # sums of the earlier segments of a function split across batches
-
-    def transform(stop):
-        """Yield the rows of functions first .. stop - 1 once the batch is summed."""
-        nonlocal used, first, carry
-        sums = np.zeros((0, n), dtype=square_type)
-        if used:
-            block = _fwht_in_place(batch[:, :used])
-            sums = np.add.reduceat(
-                np.square(block, dtype=square_type), starts, axis=1, dtype=square_type
-            ).T
-            block[:] = 0
-            if carry is not None:
-                sums[0] += carry
-                carry = None
-            if owners[-1] == stop:  # the last segment's function goes on in the next batch
-                carry = sums[-1]
-                sums = sums[:-1]
-                del owners[-1]
-        # Segment j belongs to function owners[j]; owners ascend.
-        count = stop - first
-        owned = np.array(owners, dtype=np.intp) - first
-        bounds = np.searchsorted(owned, np.arange(0, count + slab, slab))
-        for a, lo, hi in zip(range(0, count, slab), bounds, bounds[1:]):
-            rows = np.empty((min(slab, count - a), n))
-            rows[:] = np.array(singles[a : a + len(rows)], dtype=np.float64)[:, None]
-            rows[owned[lo:hi] - a] += sums[lo:hi]
-            rows /= float(n * n)
-            yield from rows
-        del singles[:count], starts[:], owners[:]
-        used, first = 0, stop
-
     for codes in _code_chunks(functions, dim):
         m, k = len(codes), int(codes.max()) + 1
         # Flat (function, code) cells of the chunk's class tables.
         codes = codes + (np.arange(m, dtype=np.int32) * k)[:, None]
-        sizes = np.bincount(codes.ravel(), minlength=m * k).reshape(m, k)
-        shared = sizes > 1
-        singles.extend((sizes == 1).sum(axis=1).tolist())
-        n_columns = shared.sum(axis=1, dtype=np.int32)
-        column = np.where(shared, np.cumsum(shared, axis=1, dtype=np.int32) - 1, n * width)
-        i = 0
-        while i < m:
-            # The functions that fit whole in what is left of the batch go in at once.
-            ends = np.cumsum(n_columns[i:], dtype=np.int32)
-            fit = int(np.searchsorted(ends, width - used, side="right"))
-            fit = min(fit, width - (placed - first))  # at most `width` functions await rows
-            if fit:
-                offsets = used + ends[:fit] - n_columns[i : i + fit]
-                # One-point classes sit at n * width or past it; they all land there.
-                at = (column[i : i + fit] + offsets[:, None]).ravel()[codes[i : i + fit] - i * k]
-                at += row_starts
-                cells[np.minimum(at, n * width, out=at)] = 1
-                filled = np.flatnonzero(n_columns[i : i + fit])
-                starts.extend(offsets[filled].tolist())
-                owners.extend((filled + placed).tolist())
-                used += int(ends[fit - 1])
-                i += fit
-                placed += fit
-            else:
-                # Function i does not fit: split its columns across batches.
-                at = column[i][codes[i] - i * k]
-                lo = 0
-                while lo < n_columns[i]:
-                    hi = min(int(n_columns[i]), lo + width - used)
-                    sel = (at >= lo) & (at < hi)
-                    batch[points[sel], at[sel] + (used - lo)] = 1
-                    starts.append(used)
-                    owners.append(placed)
-                    used += hi - lo
-                    lo = hi
-                    if used == width:
-                        yield from transform(placed if lo < n_columns[i] else placed + 1)
-                i += 1
-                placed += 1
-            if used == width or placed - first >= width:
-                yield from transform(placed)
-    if placed > first:
-        yield from transform(placed)
+        sizes = np.bincount(codes.ravel(), minlength=m * k)
+        sums = np.zeros((m, n), dtype=square_type)
+        sums += (sizes == 1).reshape(m, k).sum(axis=1, dtype=square_type)[:, None]
+        shared = np.flatnonzero(sizes > 1)  # one column per class, in function order
+        function_of = shared // k
+        column = np.full(m * k, -1, dtype=np.int32)
+        column[shared] = np.arange(len(shared), dtype=np.int32)
+        at = column[codes]  # each (function, point)'s column, -1 for a one-point class
+        for lo in range(0, len(shared), width):
+            hi = min(lo + width, len(shared))
+            batch = cells[: n * (hi - lo)].reshape(n, hi - lo)
+            # The batch's columns belong to a run of consecutive functions.
+            run = at[function_of[lo] : function_of[hi - 1] + 1]
+            cells[(run + (points * (hi - lo) - lo))[(run >= lo) & (run < hi)]] = 1
+            _fwht_in_place(batch)
+            fns = function_of[lo:hi]
+            starts = np.flatnonzero(np.diff(fns, prepend=-1))
+            sums[fns[starts]] += np.add.reduceat(
+                np.square(batch, dtype=square_type), starts, axis=1, dtype=square_type
+            ).T
+            batch[:] = 0
+        yield from sums / float(n * n)
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:

@@ -122,7 +122,8 @@ def suite_sandwich(seed: int, corrupt: bool = False) -> SuiteResult:
     fam = bit_sampling_family(12)
     prof = exact_sensitivity(fam, 2, 4)
     for u in (0.1, 0.3, 1.0):
-        p = prof.p + (1e-3 if corrupt else 0.0)
+        # Corrupt: near pairs always collide (p = 1), which breaks the lower side at u = 0.1.
+        p = 1.0 if corrupt else prof.p
         corrupt = False
         reports.append(verify_sandwich(fam, 2, 4, u, p, prof.q))
     triv = trivial_family(6, 1)

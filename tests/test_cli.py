@@ -7,6 +7,7 @@ import pytest
 from lshlab import rng as rngmod
 from lshlab.cli import main
 from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
+from lshlab.verify import SUITES
 
 
 def run(args):
@@ -394,6 +395,8 @@ USAGE_ERRORS = {
     "family-string-exact": (["stability", "--family-file", "{dir}/family-string-exact.json",
                              "--t-grid", "0,1"], "family-string-exact.json"),
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
+    "bounds-K-0": (["bounds", "--K", "0"], "K must be positive"),
+    "bounds-K-negative": (["bounds", "--K", "-1"], "K must be positive"),
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),
     "verify-unknown-suite": (["verify", "--suite", "no-such-suite"], "no-such-suite"),
@@ -423,14 +426,12 @@ def test_verify_single_suite(tmp_path):
     assert text.endswith("overall: PASS\n")
 
 
-def test_verify_corruption_hook_names_suite(tmp_path):
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_corruption_hook_names_suite(tmp_path, suite):
     out = tmp_path / "rep.txt"
-    code = run([
-        "verify", "--suite", "oracle-equivalence", "--corrupt", "oracle-equivalence",
-        "--out", str(out),
-    ])
+    code = run(["verify", "--suite", suite, "--corrupt", suite, "--out", str(out)])
     assert code == 1
-    assert "suite oracle-equivalence: FAIL" in out.read_text()
+    assert f"suite {suite}: FAIL" in out.read_text()
 
 
 def test_verify_full_suite_reruns_byte_identical(tmp_path):

@@ -403,8 +403,10 @@ def test_family_weight_validation():
 
 def test_weights_sum_to_exactly_one():
     fns = [Constant(3), CoordinateProjection(3, 0)]
-    with pytest.raises(ValueError, match="exactly 1"):
+    with pytest.raises(ValueError, match="weights sum to 10000000000001/10000000000000, expected exactly 1"):
         HashFamily(dim=3, atoms=((Fraction(1, 2), fns[0]), (Fraction(1, 2) + Fraction(1, 10**13), fns[1])))
+    with pytest.raises(ValueError, match="negative weight"):
+        HashFamily(dim=3, atoms=((Fraction(3, 2), fns[0]), (Fraction(-1, 2), fns[1])))
     # The float 1 - 1e-30 is 1.0, so the raw weights sum to 1 + 1e-30; they
     # are divided by that sum, which keeps every probability at most 1.
     fam = finite_family(fns, [1e-30, 1 - 1e-30])
