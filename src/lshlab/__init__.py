@@ -27,7 +27,6 @@ from .spectral import (
     check_log_convexity,
     family_spectrum,
     fourier_spectrum,
-    noise_stability_at_time,
     stability,
     stability_curve,
     stability_ratio,
@@ -48,7 +47,6 @@ from .bounds import (
     effective_exponents,
     im_rho,
     im_upper,
-    ls_transfer,
     mnp_lower,
     rho_lower_bound,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "check_log_convexity",
     "family_spectrum",
     "fourier_spectrum",
-    "noise_stability_at_time",
     "stability",
     "stability_curve",
     "stability_ratio",
@@ -93,7 +90,6 @@ __all__ = [
     "effective_exponents",
     "im_rho",
     "im_upper",
-    "ls_transfer",
     "mnp_lower",
     "rho_lower_bound",
     "NNIndex",

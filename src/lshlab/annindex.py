@@ -136,16 +136,23 @@ class NNIndex:
         self.family_doc = family_doc
         self.rows = pack_rows(bits)
         self._product = ProjectionProduct.of(self.functions)
-        # One stable argsort per table keeps each bucket's ids ascending.
         keys = self._keys(bits).T
-        order = np.argsort(keys, axis=1, kind="stable")
+        order = np.argsort(keys, axis=1)
         keys = np.take_along_axis(keys, order, axis=1)
         first = np.ones(keys.shape, dtype=bool)
         first[:, 1:] = keys[:, 1:] != keys[:, :-1]
         # Row t of the flattened tables starts at t*n, always with a new bucket.
         starts = np.flatnonzero(first)
         self.keys = keys.ravel()[starts]
-        self.offsets = np.append(starts, keys.size).astype(np.int32)
+        self.offsets = np.append(starts.astype(np.int32), np.int32(first.size))
+        # Each table's buckets are numbered in order; one sort of
+        # (bucket + 1) * n + id per table puts each bucket's ids in ascending
+        # order, with temporaries of one table at a time.
+        n = len(bits)
+        for ids, heads in zip(order, first):
+            runs = np.cumsum(heads) * n + ids
+            runs.sort()
+            ids[:] = runs % n
         self.ids = order.ravel().astype(np.int32)
         self.table_starts = np.concatenate(([0], np.cumsum(first.sum(axis=1))))
 

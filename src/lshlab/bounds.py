@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def im_upper(c: float) -> float:
@@ -80,18 +80,6 @@ def rho_lower_bound(c: float, d: int, q: float, big_k: float = 1.0) -> float:
     if big_k <= 0:
         raise ValueError("K must be positive")
     return max(0.0, 1 / c - big_k * correction_scale(d, q) ** (1 / 3))
-
-
-def ls_transfer(bound_fn: Callable[[float], float], s: float) -> Callable[[float], float]:
-    """Transfer a Hamming-cube bound to l_s by substituting c -> c^s
-    (distances satisfy ||x-y||_s = ||x-y||_1^{1/s} on the cube)."""
-    if s <= 0:
-        raise ValueError("exponent s must be positive")
-
-    def transferred(c: float) -> float:
-        return bound_fn(c**s)
-
-    return transferred
 
 
 # ---------------------------------------------------------------------------

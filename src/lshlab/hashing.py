@@ -90,6 +90,14 @@ class HashFunction:
             raise DimensionMismatch(f"point has dimension {x.dim}, function expects {self.dim}")
         return int(self._labels(points_to_bit_matrix([x]))[0])
 
+    @classmethod
+    def _cube_labels(cls, functions: Sequence["HashFunction"]) -> np.ndarray:
+        """Labels of all 2^dim points, in point-value order, one row per
+        function; every function is of this class. Classes whose labels of
+        the whole cube have a closed form compute all rows at once."""
+        bits = _cube_bits(functions[0].dim)
+        return np.stack([h.labels(bits) for h in functions])
+
 
 # Cells of one stacked code matrix: 128 KiB as int16, 512 KiB of int64 labels.
 # Its presence table has at most twice as many.
@@ -101,14 +109,14 @@ def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
     point-value order, recoded to consecutive ints in label order: int16 up
     to dim 14, int32 beyond.
 
-    Rows whose label_bound is at most 2^(dim+1) are recoded together: a
-    presence table marks each row's labels, and its running count along the
-    row is every present label's code plus one. Other rows (long
-    concatenations, wide tables) are ranked by one row-wise sort.
+    The rows of each class are labelled together (_cube_labels). Rows whose
+    label_bound is at most 2^(dim+1) are recoded together: a presence table
+    marks each row's labels, and its running count along the row is every
+    present label's code plus one. Other rows (long concatenations, wide
+    tables) are ranked by one row-wise sort.
     """
     dim = functions[0].dim
     n = 1 << dim
-    bits = _cube_bits(dim)
     dtype = np.int16 if dim <= 14 else np.int32
     codes = np.empty((len(functions), n), dtype=dtype)
     narrow = np.array([h.label_bound <= 2 * n for h in functions])
@@ -117,8 +125,11 @@ def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
             continue
         bound = max(functions[i].label_bound for i in rows)
         labels = np.empty((len(rows), n), dtype=_label_dtype(bound))
+        kinds: dict[type, list[int]] = {}
         for j, i in enumerate(rows):
-            labels[j] = functions[i].labels(bits)
+            kinds.setdefault(type(functions[i]), []).append(j)
+        for kind, mine in kinds.items():
+            labels[mine] = kind._cube_labels([functions[rows[j]] for j in mine])
         if narrow[rows[0]]:
             seen = np.zeros((len(rows), bound), dtype=dtype)
             labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
@@ -278,6 +289,18 @@ class MinHashPermutation(HashFunction):
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return _min_rank(self._ranks, bits, self.dim)
 
+    @classmethod
+    def _cube_labels(cls, functions: Sequence["MinHashPermutation"]) -> np.ndarray:
+        # A running minimum: coordinate i lowers the half of the cube that
+        # contains it to its rank, and the empty set keeps the label dim.
+        d = functions[0].dim
+        ranks = np.array([h.perm for h in functions], dtype=np.min_scalar_type(d))
+        out = np.full((len(functions), 1 << d), d, dtype=ranks.dtype)
+        for i in range(d):
+            ones = out.reshape(len(functions), -1, 2, 1 << i)[:, :, 1]
+            np.minimum(ones, ranks[:, i, None, None], out=ones)
+        return out
+
 
 @dataclass(frozen=True)
 class PairCollapse(HashFunction):
@@ -299,6 +322,15 @@ class PairCollapse(HashFunction):
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         v = _row_values(bits, _label_dtype(self.label_bound))
         return np.where((v == self.x0) | (v == self.y0), 0, v + 1)
+
+    @classmethod
+    def _cube_labels(cls, functions: Sequence["PairCollapse"]) -> np.ndarray:
+        # Point v has the label v + 1, except the pair's points, which have 0.
+        n = 1 << functions[0].dim
+        out = np.tile(np.arange(1, n + 1), (len(functions), 1))
+        for ends in ([h.x0 for h in functions], [h.y0 for h in functions]):
+            out[np.arange(len(functions)), ends] = 0
+        return out
 
 
 @dataclass(frozen=True)

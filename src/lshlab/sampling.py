@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -22,8 +22,9 @@ from .points import Point, bit_rows_to_points
 from .spectral import (
     EXACT,
     MONTE_CARLO,
+    FourierSpectrum,
     StabilityCurve,
-    family_spectrum,
+    _as_spectrum,
     stability,
 )
 from . import rng as rngmod
@@ -221,7 +222,7 @@ class SandwichReport:
 
 
 def verify_sandwich(
-    family: HashFamily,
+    family: Union[HashFamily, FourierSpectrum],
     r: float,
     cr: float,
     u: float,
@@ -231,14 +232,18 @@ def verify_sandwich(
     n_samples: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
 ) -> SandwichReport:
+    """Check p (1 - Pr[dist > r]) <= K(u) <= q + Pr[dist < cr]. In exact
+    mode the family may be given as its spectrum, computed once for every u."""
     if u < 0:
         raise ValueError("u must be nonnegative")
+    if mode == "mc" and not isinstance(family, HashFamily):
+        raise TypeError("Monte Carlo sandwich checks need the family itself")
     tails = tail_probabilities(family.dim, u, r, cr, mode="exact")
     lower = p * (1 - tails.above_r)
     upper = q + tails.below_cr
 
     if mode == "exact":
-        k_value = stability(family_spectrum(family), math.exp(-u))
+        k_value = stability(_as_spectrum(family), math.exp(-u))
         tol = 1e-9
         stderr = 0.0
     elif mode == "mc":

@@ -12,6 +12,7 @@ stability_ratio exhibits the resulting ln(1/K(t)) / ln(1/K(ct)) >= 1/c bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -80,10 +81,15 @@ class FourierSpectrum:
         return math.fsum(self.weights.values())
 
     def level_weights(self) -> np.ndarray:
-        """Mass per subset size, length dim + 1."""
+        """Mass per subset size, length dim + 1 (read-only)."""
+        return self._levels
+
+    @functools.cached_property
+    def _levels(self) -> np.ndarray:
         levels = np.zeros(self.dim + 1)
         for mask, w in self.weights.items():
             levels[mask.bit_count()] += w
+        levels.flags.writeable = False
         return levels
 
     def weight_zero(self) -> float:
@@ -95,52 +101,91 @@ def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
     return FourierSpectrum(dim=dim, weights=weights)
 
 
+def _class_mass(codes: np.ndarray, cells: np.ndarray, square_type) -> np.ndarray:
+    """(m, 2^j) rows of n^2 w_S (n = 2^j), as exact integers, of the
+    functions on {0,1}^j whose labels are the (m, 2^j) code matrix.
+
+    A row starts at its function's count of one-point label classes: the
+    transform of one point's indicator is +-1 at every S, so each such class
+    adds exactly 1 to every entry. Every class of two or more points is one
+    indicator column, in function order; columns are transformed as many at
+    a time as fill the flat buffer `cells`, as one contiguous (n, c) block,
+    squared, and summed into their function's row.
+    """
+    m, n = codes.shape
+    width = max(1, len(cells) // n)
+    points = np.arange(n, dtype=np.int32)
+    k = int(codes.max()) + 1
+    # Flat (function, code) cells of the class tables.
+    codes = codes + (np.arange(m, dtype=np.int32) * k)[:, None]
+    sizes = np.bincount(codes.ravel(), minlength=m * k)
+    sums = np.zeros((m, n), dtype=square_type)
+    sums += (sizes == 1).reshape(m, k).sum(axis=1, dtype=square_type)[:, None]
+    shared = np.flatnonzero(sizes > 1)  # one column per class, in function order
+    function_of = shared // k
+    column = np.full(m * k, -1, dtype=np.int32)
+    column[shared] = np.arange(len(shared), dtype=np.int32)
+    at = column[codes]  # each (function, point)'s column, -1 for a one-point class
+    for lo in range(0, len(shared), width):
+        hi = min(lo + width, len(shared))
+        batch = cells[: n * (hi - lo)].reshape(n, hi - lo)
+        # The batch's columns belong to a run of consecutive functions.
+        run = at[function_of[lo] : function_of[hi - 1] + 1]
+        cells[(run + (points * (hi - lo) - lo))[(run >= lo) & (run < hi)]] = 1
+        _fwht_in_place(batch)
+        fns = function_of[lo:hi]
+        starts = np.flatnonzero(np.diff(fns, prepend=-1))
+        sums[fns[starts]] += np.add.reduceat(
+            np.square(batch, dtype=square_type), starts, axis=1, dtype=square_type
+        ).T
+        batch[:] = 0
+    return sums
+
+
 def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
     """Each function's squared Fourier mass w_S (indexed by subset mask S), in order.
 
-    Functions come a code chunk at a time. A row holds n^2 w_S as an exact
-    integer (n = 2^dim) and starts at its function's count of one-point
-    label classes: the transform of one point's indicator is +-1 at every S,
-    so each such class adds exactly 1 to every entry. Every class of two or
-    more points is one indicator column, in function order; columns are
-    transformed _BATCH_CELLS cells at a time as one contiguous (n, c) block,
-    squared, and summed into their function's row. Every partial sum of the
-    transform has magnitude at most n, which int16 holds up to dim 14 and
-    int32 up to the limit of 20; every row entry is at most n^2, which int32
-    holds up to dim 14 and int64 up to 2^40. The float64 row is exact and
-    independent of the batching.
+    Functions come a code chunk at a time. Coordinate i is relevant to a
+    function iff flipping it changes some label. The flip at x = 0 or at
+    x = 1...1 usually shows it; the chunk's halves along i are compared in
+    full only when some function shows no change at either. A function whose
+    relevant coordinates are J has w_S = 0 unless S is a subset of J, and is
+    transformed on the subcube of J alone: subcube point s is the cube point
+    pdep(s, J), whose value is also the mask of the subset of J that s
+    spells. The points inside J are therefore, in order, both the subcube's
+    codes and the places of its row, so one boolean mask gathers the one and
+    scatters the other. The chunk's functions are taken in groups of equal
+    |J| (|J| = dim for a function that reads every coordinate), with
+    _class_mass. Every partial sum of a transform has magnitude at most
+    2^|J|, which int16 holds up to dim 14 and int32 up to the limit of 20; a
+    subcube row holds 4^|J| w_S as an exact integer of at most 4^|J|, which
+    int32 holds up to dim 14 and int64 up to 2^40, so the float64 row scaled
+    by 4^-|J| is exact and independent of the batching.
     """
     n = 1 << dim
-    width = max(1, _BATCH_CELLS // n)
-    cells = np.zeros(n * width, dtype=np.int16 if dim <= 14 else np.int32)
+    cells = np.zeros(max(n, _BATCH_CELLS), dtype=np.int16 if dim <= 14 else np.int32)
     square_type = np.int32 if dim <= 14 else np.int64
     points = np.arange(n, dtype=np.int32)
+    flips = 1 << np.arange(dim, dtype=np.int32)
     for codes in _code_chunks(functions, dim):
-        m, k = len(codes), int(codes.max()) + 1
-        # Flat (function, code) cells of the chunk's class tables.
-        codes = codes + (np.arange(m, dtype=np.int32) * k)[:, None]
-        sizes = np.bincount(codes.ravel(), minlength=m * k)
-        sums = np.zeros((m, n), dtype=square_type)
-        sums += (sizes == 1).reshape(m, k).sum(axis=1, dtype=square_type)[:, None]
-        shared = np.flatnonzero(sizes > 1)  # one column per class, in function order
-        function_of = shared // k
-        column = np.full(m * k, -1, dtype=np.int32)
-        column[shared] = np.arange(len(shared), dtype=np.int32)
-        at = column[codes]  # each (function, point)'s column, -1 for a one-point class
-        for lo in range(0, len(shared), width):
-            hi = min(lo + width, len(shared))
-            batch = cells[: n * (hi - lo)].reshape(n, hi - lo)
-            # The batch's columns belong to a run of consecutive functions.
-            run = at[function_of[lo] : function_of[hi - 1] + 1]
-            cells[(run + (points * (hi - lo) - lo))[(run >= lo) & (run < hi)]] = 1
-            _fwht_in_place(batch)
-            fns = function_of[lo:hi]
-            starts = np.flatnonzero(np.diff(fns, prepend=-1))
-            sums[fns[starts]] += np.add.reduceat(
-                np.square(batch, dtype=square_type), starts, axis=1, dtype=square_type
-            ).T
-            batch[:] = 0
-        yield from sums / float(n * n)
+        m = len(codes)
+        # (m, dim): whether flipping coordinate i changes the label at 0 or at 1...1.
+        relevant = (codes[:, flips] != codes[:, :1]) | (codes[:, (n - 1) ^ flips] != codes[:, -1:])
+        for i in np.flatnonzero(~relevant.all(axis=0)):
+            # The 2^i codes on each side of a flip, read as whole words of up to 8 bytes.
+            side = codes.itemsize << i
+            word = min(side, 8)
+            halves = codes.view(f"u{word}").reshape(m, -1, 2, side // word)
+            relevant[:, i] = (halves[:, :, 0] != halves[:, :, 1]).reshape(m, -1).any(axis=1)
+        # Function t's subcube, in order of s, is the points inside its J.
+        inside = (points & ~(relevant @ flips)[:, None]) == 0
+        sizes = relevant.sum(axis=1)
+        rows = np.zeros((m, n))
+        for j in map(int, np.unique(sizes)):
+            cube = inside & (sizes == j)[:, None]  # the subcubes of the functions with |J| = j
+            rows[cube] = _class_mass(codes[cube].reshape(-1, 1 << j), cells, square_type).ravel()
+        rows *= np.ldexp(1.0, -2 * sizes)[:, None]
+        yield from rows
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
@@ -199,13 +244,6 @@ def stability(spectrum: FourierSpectrum, rho: float) -> float:
         raise ValueError(f"correlation must lie in [0, 1], got {rho}")
     levels = spectrum.level_weights()
     return float(np.dot(levels, rho ** np.arange(len(levels))))
-
-
-def noise_stability_at_time(source: SpectrumSource, t: float) -> float:
-    """K(t): the stability at correlation e^{-t}, for t >= 0."""
-    if t < 0:
-        raise ValueError(f"time parameter must be nonnegative, got {t}")
-    return stability(_as_spectrum(source), math.exp(-t))
 
 
 @dataclass(frozen=True)

@@ -121,15 +121,17 @@ def suite_sandwich(seed: int, corrupt: bool = False) -> SuiteResult:
     reports = []
     fam = bit_sampling_family(12)
     prof = exact_sensitivity(fam, 2, 4)
+    spec = family_spectrum(fam)
     for u in (0.1, 0.3, 1.0):
         # Corrupt: near pairs always collide (p = 1), which breaks the lower side at u = 0.1.
         p = 1.0 if corrupt else prof.p
         corrupt = False
-        reports.append(verify_sandwich(fam, 2, 4, u, p, prof.q))
+        reports.append(verify_sandwich(spec, 2, 4, u, p, prof.q))
     triv = trivial_family(6, 1)
     tprof = exact_sensitivity(triv, 1, 2)
+    tspec = family_spectrum(triv)
     for u in (0.1, 0.3, 1.0):
-        reports.append(verify_sandwich(triv, 1, 2, u, tprof.p, tprof.q))
+        reports.append(verify_sandwich(tspec, 1, 2, u, tprof.p, tprof.q))
     passed = all(r.passed for r in reports)
     margin = min(min(r.k_value - r.lower, r.upper - r.k_value) for r in reports)
     return SuiteResult("sandwich", passed, f"min slack across {len(reports)} checks = {margin:.3e}")

@@ -1,6 +1,7 @@
 """Batch labels against per-point references written from each class's
 definition, and bulk Monte Carlo scoring against one draw per pair."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,23 @@ def test_code_matrix_rows_are_collision_codes(data):
     assert codes.shape == (len(fns), 1 << d) and codes.dtype == np.int16
     for h, row in zip(fns, codes):
         assert row.tolist() == ref_codes(h)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 7])
+def test_stacked_cube_labels_equal_per_function_codes(d):
+    # All MinHash permutations of a matrix are labelled at once, and so are
+    # all pair collapses (the pair may be one point). Each row must match
+    # that function's own labels recoded, and its collision_codes, with rows
+    # of other classes interleaved.
+    n = 1 << d
+    fns = [MinHashPermutation(d, p) for p in itertools.permutations(range(d))]
+    fns[1:1] = [Parity(d, tuple(range(d))), PairCollapse(d, 0, n - 1), CoordinateProjection(d, d - 1)]
+    fns[-1:-1] = [PairCollapse(d, x, (3 * x + 1) % n) for x in range(n)]
+    codes = collision_code_matrix(fns)
+    cube = _rows(range(1 << d), d)
+    for h, row in zip(fns, codes, strict=True):
+        assert np.array_equal(row, np.unique(h.labels(cube), return_inverse=True)[1])
+        assert np.array_equal(row, collision_codes(h))
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,6 @@ from lshlab.bounds import (
     effective_exponents,
     im_rho,
     im_upper,
-    ls_transfer,
     mnp_lower,
     rho_lower_bound,
 )
@@ -88,17 +87,6 @@ def test_rho_lower_bound_limit():
     assert rho_lower_bound(2.0, 100, 0.5) >= 0.0  # clamped when the correction swamps 1/c
     for c in (1.5, 2.0, 5.0):
         assert rho_lower_bound(c, 10**6, 0.5) <= im_upper(c)
-
-
-def test_ls_transfer():
-    f = ls_transfer(im_upper, 1.0)
-    assert f(3.0) == im_upper(3.0)
-    g = ls_transfer(im_upper, 2.0)
-    assert g(2.0) == 0.25
-    m = ls_transfer(mnp_lower, 2.0)
-    assert m(2.0) == pytest.approx(math.expm1(1 / 4) / (math.exp(1 / 4) + 1), abs=1e-12)
-    with pytest.raises(ValueError):
-        ls_transfer(im_upper, 0.0)
 
 
 # ---------------------------------------------------------------------------

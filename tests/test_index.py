@@ -324,6 +324,17 @@ def test_array_index_matches_dict_reference(data):
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_buckets_hold_ascending_ids_when_keys_repeat(k):
+    # With k = 1 each table has two keys, so every bucket is a long run of
+    # equal keys whose ids the unstable key sort leaves in any order.
+    pts = _random_points(700, 9, seed=5) * 2
+    params = IndexParams(r=1, cr=3, k=k, L=12, delta=0.1, seed=2)
+    idx = build(pts, bit_sampling_family(9), params)
+    assert _buckets(idx) == _ref_tables(idx.functions, pts)
+    assert all(np.all(np.diff(idx.ids[lo:hi]) > 0) for lo, hi in zip(idx.offsets[:-1], idx.offsets[1:]))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

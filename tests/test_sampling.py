@@ -208,10 +208,13 @@ def test_exact_tails_below_chernoff_bounds():
 def test_sandwich_bit_sampling_exact():
     fam = bit_sampling_family(12)
     prof = exact_sensitivity(fam, 2, 4)
+    spec = family_spectrum(fam)
     for u in (0.1, 0.3, 1.0):
         rep = verify_sandwich(fam, 2, 4, u, prof.p, prof.q)
         assert rep.passed
         assert rep.lower <= rep.k_value <= rep.upper
+        # The spectrum, taken once, stands in for the family in exact mode.
+        assert verify_sandwich(spec, 2, 4, u, prof.p, prof.q) == rep
 
 
 def test_sandwich_trivial_family_q_zero():
@@ -243,6 +246,8 @@ def test_sandwich_mc_mode():
     rep = verify_sandwich(fam, 2, 4, 0.3, prof.p, prof.q, mode="mc", n_samples=4000, seed=13)
     assert rep.passed
     assert rep.k_stderr > 0
+    with pytest.raises(TypeError, match="family itself"):
+        verify_sandwich(family_spectrum(fam), 2, 4, 0.3, prof.p, prof.q, mode="mc", n_samples=4000, seed=13)
 
 
 def test_sandwich_detects_false_profile():

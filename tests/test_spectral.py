@@ -12,7 +12,9 @@ from lshlab.hashing import (
     Concatenation,
     Constant,
     CoordinateProjection,
+    CoordinateSubset,
     ExplicitTable,
+    MinHashPermutation,
     PairCollapse,
     Parity,
     bit_sampling_family,
@@ -33,7 +35,6 @@ from lshlab.spectral import (
     collision_counts_by_distance,
     family_spectrum,
     fourier_spectrum,
-    noise_stability_at_time,
     stability,
     stability_curve,
     stability_ratio,
@@ -66,6 +67,10 @@ def test_fwht_matches_naive():
 def test_dictator_spectrum():
     spec = fourier_spectrum(CoordinateProjection(6, 2))
     assert spec.weights == pytest.approx({0: 0.5, 1 << 2: 0.5})
+    # Level weights are summed once per spectrum and shared read-only.
+    levels = spec.level_weights()
+    assert levels.tolist() == [0.5, 0.5, 0, 0, 0, 0, 0]
+    assert levels is spec.level_weights() and not levels.flags.writeable
 
 
 def test_constant_spectrum():
@@ -276,6 +281,85 @@ def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, seed, width, 
     assert got == _spectrum_from_array(fam.dim, sampled / 5)
 
 
+@st.composite
+def _junta_families(draw):
+    # Functions of every support size J in one code chunk: constants
+    # (|J| = 0), projections, subsets, parities, concatenations that read a
+    # coordinate twice, tables that ignore chosen coordinates, and MinHash
+    # (|J| = d).
+    d = draw(st.integers(1, 7))
+    n = 1 << d
+    coord = st.integers(0, d - 1)
+    coords = st.lists(coord, unique=True, max_size=d).map(tuple)
+    fns = []
+    for kind in draw(st.lists(st.sampled_from(["const", "proj", "subset", "parity", "repeat", "table", "minhash"]),
+                              min_size=1, max_size=10)):
+        if kind == "const":
+            fns.append(Constant(d))
+        elif kind == "proj":
+            fns.append(CoordinateProjection(d, draw(coord)))
+        elif kind == "subset":
+            fns.append(CoordinateSubset(d, draw(coords)))
+        elif kind == "parity":
+            fns.append(Parity(d, draw(coords)))
+        elif kind == "repeat":
+            i = draw(coord)
+            fns.append(Concatenation((CoordinateProjection(d, i), Parity(d, draw(coords)), CoordinateProjection(d, i))))
+        elif kind == "table":
+            ignored = sum(1 << i for i in draw(coords))
+            base = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+            fns.append(ExplicitTable(d, tuple(base[v & ~ignored] for v in range(n))))
+        else:
+            fns.append(MinHashPermutation(d, tuple(draw(st.permutations(range(d))))))
+    parts = draw(st.lists(st.integers(1, 50), min_size=len(fns), max_size=len(fns)))
+    return finite_family(fns, [Fraction(p, sum(parts)) for p in parts])
+
+
+@settings(deadline=None, max_examples=60)
+@given(fam=_junta_families(), seed=st.integers(0, 100), cells=st.sampled_from([1, 3, 64, None]),
+       code_rows=st.sampled_from([1, 3, None]))
+def test_junta_spectra_equal_per_atom_reference(fam, seed, cells, code_rows):
+    # Each function is transformed on the subcube of its relevant
+    # coordinates; groups of every |J| share a chunk, and batches of one or
+    # a few cells split every subcube's columns.
+    w = np.zeros(1 << fam.dim)
+    for weight, h in fam.atoms:
+        w += float(weight) * _naive_squared_mass(h)
+    sampled = np.zeros(1 << fam.dim)
+    for h in fam.sample(5, seed):
+        sampled += _naive_squared_mass(h)
+    code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << fam.dim
+    with (
+        mock.patch.object(spectral, "_BATCH_CELLS", cells or spectral._BATCH_CELLS),
+        mock.patch.object(hashing, "_CODE_CELLS", code_cells),
+    ):
+        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        got = family_spectrum(fam, mode="mc", n_samples=5, seed=seed)
+    assert got == _spectrum_from_array(fam.dim, sampled / 5)
+
+
+@pytest.mark.parametrize("code_rows", [1, 3, None])
+def test_full_and_partial_support_rows_at_dimension_14(code_rows):
+    # A table that is constant but at one point reads all 14 coordinates,
+    # and its zero entry (n - 1)^2 + 1 comes within 2^15 of 4^14 = n^2, the
+    # top of the int32 rows.
+    d, n = 14, 1 << 14
+    table = ExplicitTable(d, (1,) + (0,) * (n - 1))
+    subset = CoordinateSubset(d, tuple(range(1, d)))
+    fns = [table, Parity(d, tuple(range(d))), Constant(d), subset, CoordinateProjection(d, 5)]
+    expected = [np.full(n, 2.0), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)]
+    expected[0][0] = (n - 1) ** 2 + 1
+    expected[1][[0, n - 1]] = n * n / 2
+    expected[2][0] = n * n
+    expected[3][::2] = 2 * n  # every subset of coordinates 1..13
+    expected[4][[0, 1 << 5]] = n * n / 2
+    code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << d
+    with mock.patch.object(hashing, "_CODE_CELLS", code_cells):
+        rows = list(spectral._squared_mass_rows(fns, d))
+    for row, want in zip(rows, expected, strict=True):
+        assert np.array_equal(row, want / float(n * n))
+
+
 def test_object_label_concatenation_spectrum():
     # 17^16 > 2^63: the concatenation's labels are Python ints, ranked by the
     # code matrix's sorting path, next to int64 atoms in the same chunk.
@@ -327,15 +411,14 @@ def test_stability_rejects_bad_rho():
 
 def test_time_parametrization():
     fam = bit_sampling_family(9)
-    assert noise_stability_at_time(fam, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert noise_stability_at_time(fam, math.log(2)) == pytest.approx(0.75, abs=1e-12)
+    assert stability_curve(fam, [0.0, math.log(2)]).values == pytest.approx((1.0, 0.75), abs=1e-12)
     # curve is d-independent for bit sampling
     for d in (2, 5, 12):
-        assert noise_stability_at_time(bit_sampling_family(d), 0.7) == pytest.approx(
+        assert stability_curve(bit_sampling_family(d), [0.7]).values[0] == pytest.approx(
             (1 + math.exp(-0.7)) / 2, abs=1e-12
         )
     with pytest.raises(ValueError):
-        noise_stability_at_time(fam, -0.2)
+        stability_curve(fam, [-0.2])
 
 
 # ---------------------------------------------------------------------------
