@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -435,9 +435,14 @@ class MinHashLaw:
         return MinHashPermutation(self.dim, tuple(int(i) for i in g.permutation(self.dim)))
 
     def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
-        # One row of ranks per pair, shuffled row by row as successive draws would be.
+        # One row of ranks per pair, shuffled row by row as successive draws
+        # would be. The minima of x and y agree iff the smallest-ranked
+        # element of x | y lies in both sets, or x | y is empty.
         ranks = g.permuted(np.tile(np.arange(self.dim), (len(x_bits), 1)), axis=1)
-        return _min_rank(ranks, x_bits, self.dim) == _min_rank(ranks, y_bits, self.dim)
+        union = (x_bits | y_bits).astype(bool)
+        first = np.where(union, ranks, self.dim).argmin(axis=1)
+        rows = np.arange(len(x_bits))
+        return (x_bits[rows, first] & y_bits[rows, first]).astype(bool) | ~union.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -522,14 +527,37 @@ class HashFamily:
         g = rngmod.stream(seed, substream)
         return [self.draw(g) for _ in range(n)]
 
+    @functools.cached_property
+    def _part_table(self) -> tuple[list[HashFunction], np.ndarray]:
+        """(parts, table): the distinct leaf functions of the atoms, equal
+        ones once, and an (atoms, width) matrix whose row i lists atom i's
+        parts by index, padded with -1. A concatenation's parts are its
+        leaves, nested ones flattened; any other atom is its own one part."""
+        rows = [_leaves(h) for _, h in self.atoms]
+        flat = [p for row in rows for p in row]
+        # Atoms often share part objects: compare by equality once per object.
+        ids, first, inverse = np.unique(
+            np.fromiter(map(id, flat), np.uint64, len(flat)), return_index=True, return_inverse=True
+        )
+        index: dict[HashFunction, int] = {}
+        part_of = np.empty(len(ids), dtype=np.int64)
+        for u in np.argsort(first):
+            part_of[u] = index.setdefault(flat[first[u]], len(index))
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
+        table[np.arange(table.shape[1]) < lengths[:, None]] = part_of[inverse]
+        return list(index), table
+
     def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Whether h(x) = h(y) on each row pair of two (n, dim) bit matrices,
         with a fresh h drawn per pair.
 
         The draws take g to the same state as n calls of draw would, so the
         result equals scoring those draws one pair at a time; here they come
-        from one generator call and each drawn function labels all of its
-        pairs at once.
+        from one generator call. A concatenation collides iff each of its
+        parts does (its mixed-radix packing is injective), so the pairs are
+        grouped by drawn part and each distinct part labels all of its pairs
+        in one call.
         """
         if self.atoms is None:
             return self.law.collisions(x_bits, y_bits, g)
@@ -538,14 +566,29 @@ class HashFamily:
             picks = g.integers(len(self.atoms), size=n)
         else:
             picks = g.choice(len(self.atoms), size=n, p=self._draw_weights)
-        hits = np.empty(n, dtype=bool)
-        # Group the pairs by drawn atom with one sort; each group is labelled in one call.
-        order = np.argsort(picks, kind="stable")
-        drawn, starts = np.unique(picks[order], return_index=True)
-        for atom, rows in zip(drawn, np.split(order, starts[1:])):
-            labels = self.atoms[atom][1].labels(np.concatenate((x_bits[rows], y_bits[rows])))
-            hits[rows] = labels[: len(rows)] == labels[len(rows) :]
+        parts, table = self._part_table
+        cells = table[picks]
+        pairs, slots = np.nonzero(cells >= 0)
+        drawn_parts = cells[pairs, slots]
+        # Group the (pair, part) cells by part with one sort.
+        order = np.argsort(drawn_parts, kind="stable")
+        drawn, starts = np.unique(drawn_parts[order], return_index=True)
+        hits = np.ones(n, dtype=bool)
+        for part, rows in zip(drawn, np.split(pairs[order], starts[1:])):
+            labels = parts[part].labels(np.concatenate((x_bits[rows], y_bits[rows])))
+            # A part repeated within an atom lists its pair twice; plain
+            # assignment of False is right however often a pair recurs.
+            hits[rows[labels[: len(rows)] != labels[len(rows) :]]] = False
         return hits
+
+
+def _leaves(h: HashFunction) -> tuple[HashFunction, ...]:
+    """The non-concatenation functions h is built from, in part order."""
+    if not isinstance(h, Concatenation):
+        return (h,)
+    if any(isinstance(p, Concatenation) for p in h.parts):
+        return tuple(itertools.chain.from_iterable(map(_leaves, h.parts)))
+    return h.parts
 
 
 def finite_family(
@@ -553,6 +596,7 @@ def finite_family(
     weights: Optional[Sequence] = None,
     description: str = "",
     distance_symmetric: bool = False,
+    descriptor_doc: Optional[dict] = None,
 ) -> HashFamily:
     """Finite support with the given weights (uniform when omitted).
 
@@ -574,7 +618,11 @@ def finite_family(
         atoms = tuple((w / total, h) for w, h in zip(exact, functions))
     dim = functions[0].dim
     return HashFamily(
-        dim=dim, atoms=atoms, description=description, distance_symmetric=distance_symmetric
+        dim=dim,
+        atoms=atoms,
+        description=description,
+        distance_symmetric=distance_symmetric,
+        descriptor_doc=descriptor_doc,
     )
 
 
@@ -582,17 +630,20 @@ def bit_sampling_family(d: int) -> HashFamily:
     """Uniform over the d coordinate projections x -> x_i."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    fam = finite_family(
+    return finite_family(
         [CoordinateProjection(d, i) for i in range(d)],
         description=f"uniform over the {d} coordinate projections on {{0,1}}^{d}",
         distance_symmetric=True,
+        descriptor_doc={"kind": "bit-sampling", "d": d},
     )
-    return replace(fam, descriptor_doc={"kind": "bit-sampling", "d": d})
 
 
 def constant_family(d: int) -> HashFamily:
-    fam = finite_family([Constant(d)], description=f"the constant function on {{0,1}}^{d}")
-    return replace(fam, descriptor_doc={"kind": "constant", "d": d})
+    return finite_family(
+        [Constant(d)],
+        description=f"the constant function on {{0,1}}^{d}",
+        descriptor_doc={"kind": "constant", "d": d},
+    )
 
 
 def minhash_family(d: int, exact: bool = False) -> HashFamily:
@@ -604,18 +655,20 @@ def minhash_family(d: int, exact: bool = False) -> HashFamily:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    doc = {"kind": "minhash", "d": d, "exact": bool(exact)}
     if exact:
         if d > 8:
             raise ValueError("exact MinHash enumeration is limited to d <= 8")
         fns = [MinHashPermutation(d, perm) for perm in itertools.permutations(range(d))]
-        fam = finite_family(fns, description=f"uniform over all {d}! MinHash permutations")
-    else:
-        fam = HashFamily(
-            dim=d,
-            law=MinHashLaw(d),
-            description=f"MinHash with a seeded random permutation of [{d}]",
+        return finite_family(
+            fns, description=f"uniform over all {d}! MinHash permutations", descriptor_doc=doc
         )
-    return replace(fam, descriptor_doc={"kind": "minhash", "d": d, "exact": bool(exact)})
+    return HashFamily(
+        dim=d,
+        law=MinHashLaw(d),
+        description=f"MinHash with a seeded random permutation of [{d}]",
+        descriptor_doc=doc,
+    )
 
 
 def trivial_family(d: int, r: int) -> HashFamily:
@@ -637,10 +690,11 @@ def trivial_family(d: int, r: int) -> HashFamily:
                 fns.append(PairCollapse(d, x, y))
     if not fns:
         raise ValueError(f"no point pairs within distance {r}")
-    fam = finite_family(
-        fns, description=f"uniform over the {len(fns)} pair-collapse functions at distance <= {r}"
+    return finite_family(
+        fns,
+        description=f"uniform over the {len(fns)} pair-collapse functions at distance <= {r}",
+        descriptor_doc={"kind": "trivial", "d": d, "r": r},
     )
-    return replace(fam, descriptor_doc={"kind": "trivial", "d": d, "r": r})
 
 
 _POWER_ATOM_LIMIT = 200_000

@@ -213,6 +213,28 @@ def _weighted_family():
     return finite_family(fns, [Fraction(1, 2), Fraction(1, 8), Fraction(1, 8), Fraction(3, 16), Fraction(1, 16)])
 
 
+def _repeated_part_family():
+    # One part twice in an atom, and a part shared by atoms of different lengths.
+    p, q = Parity(10, (1, 2, 5)), CoordinateProjection(10, 0)
+    return finite_family([Concatenation((p, p)), Concatenation((q, p, q)), p])
+
+
+def _mixed_family():
+    # Atoms of mixed lengths and kinds, a nested concatenation, equal parts
+    # held by distinct objects, and a table whose labels pass 2^63.
+    d = 10
+    table = ExplicitTable(d, tuple((v * 0x9E3779B97F4A7C15) % (1 << 70) for v in range(1 << d)))
+    perm = MinHashPermutation(d, (3, 1, 4, 0, 5, 9, 2, 6, 8, 7))
+    fns = [
+        CoordinateProjection(d, 4),
+        Concatenation((CoordinateProjection(d, 4), Constant(d), perm)),
+        Concatenation((Concatenation((Parity(d, (0, 9)), table)), CoordinateProjection(d, 4))),
+        Concatenation((CoordinateSubset(d, (2, 3)), PairCollapse(d, 5, 6), perm, Parity(d, (0, 9)))),
+        table,
+    ]
+    return finite_family(fns, [Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
+
+
 @pytest.mark.parametrize("family", [
     bit_sampling_family(10),
     power(bit_sampling_family(10), 2),
@@ -220,11 +242,19 @@ def _weighted_family():
     minhash_family(10),
     power(minhash_family(10), 3),
     power(minhash_family(6, exact=True), 2),
-], ids=["uniform", "uniform-power", "weighted", "minhash-law", "minhash-law-power", "exact-minhash-power-law"])
+    _repeated_part_family(),
+    power(power(bit_sampling_family(6), 2), 2),
+    _mixed_family(),
+    power(bit_sampling_family(128), 2),
+], ids=["uniform", "uniform-power", "weighted", "minhash-law", "minhash-law-power", "exact-minhash-power-law",
+        "repeated-part", "nested-power", "mixed-atoms", "paper-dim-power"])
 def test_bulk_collisions_match_one_draw_per_pair(family):
     g = rngmod.stream(3, 1)
     xb = g.integers(0, 2, size=(500, family.dim), dtype=np.uint8)
     yb = xb ^ (g.random(size=xb.shape) < 0.2).astype(np.uint8)
+    # Empty sets for MinHash: x alone, both, then y alone.
+    xb[:40] = 0
+    yb[20:60] = 0
     bulk_g, seq_g = rngmod.stream(4, 0), rngmod.stream(4, 0)
     bulk = family.collisions(xb, yb, bulk_g)
     seq = []
@@ -233,3 +263,14 @@ def test_bulk_collisions_match_one_draw_per_pair(family):
         seq.append(h(x) == h(y))
     assert bulk.tolist() == seq
     assert bulk_g.random() == seq_g.random()
+
+
+def test_part_table_flattens_and_dedupes():
+    p, q = Parity(10, (1, 2, 5)), CoordinateProjection(10, 0)
+    parts, table = _repeated_part_family()._part_table
+    assert parts == [p, q]
+    assert table.tolist() == [[0, 0, -1], [1, 0, 1], [0, -1, -1]]
+    parts, table = power(power(bit_sampling_family(6), 2), 2)._part_table
+    assert parts == [CoordinateProjection(6, i) for i in range(6)]
+    assert table.shape == (6**4, 4)
+    assert table[1 + 6 * 2 + 36 * 3].tolist() == [0, 3, 2, 1]
