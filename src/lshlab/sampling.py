@@ -73,12 +73,13 @@ class StabilityEstimate(NamedTuple):
 
 
 def mc_stability(
-    family: HashFamily, rho: float, n_samples: int, seed: int
+    family: HashFamily, rho: float, n_samples: int, seed: int, substream: int = 0
 ) -> StabilityEstimate:
     """Unbiased collision-rate estimate over fresh (function, pair) draws.
 
-    Work is split into fixed-size chunks with one substream each; a chunk
-    draws its pairs, then one function per pair, and scores them together.
+    Work is split into fixed-size chunks; chunk j draws from substream
+    (substream << 32) + j of the seed. A chunk draws its pairs, then one
+    function per pair, and scores them together.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
@@ -92,7 +93,7 @@ def mc_stability(
 
     hits = 0
     for idx, size in enumerate(sizes):
-        g = rngmod.stream(seed, idx)
+        g = rngmod.stream(seed, (substream << 32) + idx)
         x, y = _flipped_pairs(g, size, d, (1 - rho) / 2)
         hits += int(np.count_nonzero(family.collisions(x, y, g)))
 
@@ -103,9 +104,11 @@ def mc_stability(
 def mc_stability_curve(
     family: HashFamily, t_grid: Sequence[float], n_samples: int, seed: int
 ) -> StabilityCurve:
+    """mc_stability at each grid point, point i on substream i of the seed,
+    so no two seeds or points share a stream."""
     grid = tuple(float(t) for t in t_grid)
     estimates = [
-        mc_stability(family, math.exp(-t), n_samples, seed + 7919 * i)
+        mc_stability(family, math.exp(-t), n_samples, seed, substream=i)
         for i, t in enumerate(grid)
     ]
     return StabilityCurve(

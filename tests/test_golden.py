@@ -89,27 +89,29 @@ GOLDEN_RUNS = {
         ["stability", "--family-file", "{dir}/weighted.json", "--t-grid", "0:3:7"],
         "f8326deb71895f8701d14bcf804585ebd8a70f4b5c0531a0cf09fbaf817e9fc6",
     ),
+    # Monte Carlo curves: grid point i draws chunk j from substream
+    # (i << 32) + j of the seed.
     "mc-bit-sampling-k2": (
         ["stability", "--mode", "mc", "--family", "bit-sampling", "--d", "12", "--k", "2",
          "--t-grid", "0:3:4", "--samples", "5000", "--seed", "3"],
-        "e8b35ffb6f4e1c6bfd7c772ee960a09a53573302ee814efe7b0c220cfbe9514e",
+        "477843f6e1c571197881bfe1bd3c70739b4868670c13dc5d6925d1293d03c728",
     ),
     "mc-minhash-law": (
         ["stability", "--mode", "mc", "--family", "minhash", "--d", "20",
          "--t-grid", "0:3:4", "--samples", "5000", "--seed", "3"],
-        "dab8b574ee328bf4640aa8458f0c36402ce36d75b0a3c49ba686e609102a57f6",
+        "44a19ff1e6ecbafeb4579f3e3f6c08d329d17318a09c41470aa8fae192beee05",
     ),
     # 720^2 atoms exceed the materialization limit, so this is a power law
     # over a finite base.
     "mc-exact-minhash-k2": (
         ["stability", "--mode", "mc", "--family", "minhash", "--d", "6", "--k", "2",
          "--t-grid", "0.5,1.5", "--samples", "3000", "--seed", "5"],
-        "c3f768715f1e96214b9c6ee750a21be403c7ac35079334fb07d058f5cec2008a",
+        "9fc91a7595039d50d3264fa72fb4795ce197389de3696fdb207ec248e6c9fa77",
     ),
     "mc-weighted-family-file": (
         ["stability", "--mode", "mc", "--family-file", "{dir}/weighted.json",
          "--t-grid", "0.25,1", "--samples", "3000", "--seed", "8"],
-        "3074a8489869ec47b69e925f00a31a607f97106bf4986916a55d7585f42b849e",
+        "d2a544ebfc1d6056147cb8e7b37f8102163f1cb68eba3d73c527834373cb842a",
     ),
     # Every suite of the certification path: spectra, oracle, curves,
     # sandwich tails and Chernoff domination.

@@ -122,6 +122,17 @@ def test_mc_curve():
     assert abs(curve.values[1] - expected) <= 4 * curve.stderr[1]
 
 
+def test_mc_curve_seeds_do_not_share_streams():
+    # Seeds 0 and 7919 once shared streams: grid point i + 1 of seed 0
+    # replayed grid point i of seed 7919, so on a grid of one repeated t the
+    # second curve was the first shifted by one. Point 0 keeps mc_stability's.
+    fam = bit_sampling_family(10)
+    a = mc_stability_curve(fam, [0.5] * 4, 1000, seed=0)
+    b = mc_stability_curve(fam, [0.5] * 4, 1000, seed=7919)
+    assert a.values[1:] != b.values[:-1]
+    assert a.values[0] == mc_stability(fam, math.exp(-0.5), 1000, seed=0).estimate
+
+
 # ---------------------------------------------------------------------------
 # exact Binomial tails
 
