@@ -533,19 +533,11 @@ class HashFamily:
         ones once, and an (atoms, width) matrix whose row i lists atom i's
         parts by index, padded with -1. A concatenation's parts are its
         leaves, nested ones flattened; any other atom is its own one part."""
-        rows = [_leaves(h) for _, h in self.atoms]
-        flat = [p for row in rows for p in row]
-        # Atoms often share part objects: compare by equality once per object.
-        ids, first, inverse = np.unique(
-            np.fromiter(map(id, flat), np.uint64, len(flat)), return_index=True, return_inverse=True
-        )
         index: dict[HashFunction, int] = {}
-        part_of = np.empty(len(ids), dtype=np.int64)
-        for u in np.argsort(first):
-            part_of[u] = index.setdefault(flat[first[u]], len(index))
+        rows = [[index.setdefault(p, len(index)) for p in _leaves(h)] for _, h in self.atoms]
         lengths = np.fromiter(map(len, rows), np.int64, len(rows))
         table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
-        table[np.arange(table.shape[1]) < lengths[:, None]] = part_of[inverse]
+        table[np.arange(table.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
         return list(index), table
 
     def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
@@ -586,9 +578,7 @@ def _leaves(h: HashFunction) -> tuple[HashFunction, ...]:
     """The non-concatenation functions h is built from, in part order."""
     if not isinstance(h, Concatenation):
         return (h,)
-    if any(isinstance(p, Concatenation) for p in h.parts):
-        return tuple(itertools.chain.from_iterable(map(_leaves, h.parts)))
-    return h.parts
+    return tuple(itertools.chain.from_iterable(map(_leaves, h.parts)))
 
 
 def finite_family(
