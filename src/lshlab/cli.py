@@ -150,10 +150,8 @@ def cmd_stability(args) -> int:
     grid = _parse_grid(args.t_grid)
     if args.mode == "exact":
         curve = stability_curve(fam, grid)
-    elif args.mode == "mc":
-        curve = mc_stability_curve(fam, grid, args.samples, args.seed)
     else:
-        raise CliError(f"unknown mode {args.mode!r}")
+        curve = mc_stability_curve(fam, grid, args.samples, args.seed)
 
     if curve.stderr is None:
         rows = list(zip(curve.grid, curve.values))

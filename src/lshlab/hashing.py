@@ -468,17 +468,12 @@ class HashFamily:
     Exactly one of ``atoms`` (finite weighted support, Fraction weights that
     sum to exactly 1) and ``law`` (a seeded sampling rule) may be preferred for
     computation, but a finite family is always also samplable.
-    ``distance_symmetric`` asserts that the collision probability of a pair
-    depends on its Hamming distance only (true for coordinate sampling and
-    its powers); enumeration uses one representative pair per distance class
-    when it is set.
     """
 
     dim: int
     atoms: Optional[tuple[tuple[Fraction, HashFunction], ...]] = None
     law: object = None
     description: str = ""
-    distance_symmetric: bool = False
     descriptor_doc: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -540,6 +535,27 @@ class HashFamily:
         table[np.arange(table.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
         return list(index), table
 
+    @functools.cached_property
+    def distance_symmetric(self) -> bool:
+        """Whether a pair's collision probability depends on its Hamming
+        distance only, read off the atoms: true exactly when the family is
+        uniform over all d^k ordered k-tuples of coordinate projections
+        (bit sampling and its powers, nested ones flattened), where a pair
+        at distance m collides with probability (1 - m/d)^k. The first
+        atom's leaves settle every other family before any per-atom work."""
+        if self.atoms is None:
+            return False
+        leaves = _leaves(self.atoms[0][1])
+        d, k = self.dim, len(leaves)
+        if not (_projections(leaves) and len(self.atoms) == d**k and self.is_uniform):
+            return False
+        parts, table = self._part_table
+        if table.shape[1] != k or table.min() < 0 or not _projections(parts):
+            return False
+        # d^k atoms spell d^k distinct tuples iff they spell every one.
+        coords = np.array([p.coord for p in parts], dtype=np.int64)[table]
+        return len(np.unique(coords @ d ** np.arange(k, dtype=np.int64))) == d**k
+
     def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Whether h(x) = h(y) on each row pair of two (n, dim) bit matrices,
         with a fresh h drawn per pair.
@@ -581,11 +597,14 @@ def _leaves(h: HashFunction) -> tuple[HashFunction, ...]:
     return tuple(itertools.chain.from_iterable(map(_leaves, h.parts)))
 
 
+def _projections(functions: Iterable[HashFunction]) -> bool:
+    return all(isinstance(h, CoordinateProjection) for h in functions)
+
+
 def finite_family(
     functions: Sequence[HashFunction],
     weights: Optional[Sequence] = None,
     description: str = "",
-    distance_symmetric: bool = False,
     descriptor_doc: Optional[dict] = None,
 ) -> HashFamily:
     """Finite support with the given weights (uniform when omitted).
@@ -606,13 +625,8 @@ def finite_family(
         if abs(total - 1) > Fraction(1, 10**12):
             raise ValueError(f"weights sum to {float(total)}, expected 1")
         atoms = tuple((w / total, h) for w, h in zip(exact, functions))
-    dim = functions[0].dim
     return HashFamily(
-        dim=dim,
-        atoms=atoms,
-        description=description,
-        distance_symmetric=distance_symmetric,
-        descriptor_doc=descriptor_doc,
+        dim=functions[0].dim, atoms=atoms, description=description, descriptor_doc=descriptor_doc
     )
 
 
@@ -623,7 +637,6 @@ def bit_sampling_family(d: int) -> HashFamily:
     return finite_family(
         [CoordinateProjection(d, i) for i in range(d)],
         description=f"uniform over the {d} coordinate projections on {{0,1}}^{d}",
-        distance_symmetric=True,
         descriptor_doc={"kind": "bit-sampling", "d": d},
     )
 
@@ -703,17 +716,18 @@ def power(family: HashFamily, k: int) -> HashFamily:
     shared = dict(
         dim=family.dim,
         description=f"{k}-fold concatenation of: {family.description}",
-        distance_symmetric=family.distance_symmetric,
         descriptor_doc=doc,
     )
     if family.atoms is not None and len(family.atoms) ** k <= _POWER_ATOM_LIMIT:
-        atoms = []
-        for combo in itertools.product(family.atoms, repeat=k):
-            w = Fraction(1)
-            for wi, _ in combo:
-                w *= wi
-            atoms.append((w, Concatenation(tuple(h for _, h in combo))))
-        return HashFamily(atoms=tuple(atoms), **shared)
+        # Atom weights over D^k, in itertools.product order (last part fastest).
+        denom, nums = family._integer_weights
+        products = [1]
+        for _ in range(k):
+            products = [p * n for p in products for n in nums]
+        weight = {p: Fraction(p, denom**k) for p in set(products)}
+        combos = itertools.product([h for _, h in family.atoms], repeat=k)
+        atoms = tuple((weight[p], Concatenation(combo)) for p, combo in zip(products, combos))
+        return HashFamily(atoms=atoms, **shared)
     return HashFamily(law=PowerLaw(family, k), **shared)
 
 
@@ -808,15 +822,22 @@ def bit_sampling_profile(d: int, r: float, c: float) -> SensitivityProfile:
 
 
 def _collision_masses(family: HashFamily, bits: np.ndarray) -> list[Fraction]:
-    """Exact Pr[h(row i) = h(row 0)] for each row i of a bit matrix."""
+    """Exact Pr[h(row i) = h(row 0)] for each row i of a bit matrix.
+
+    Each distinct part labels the rows once; an atom collides iff all its
+    parts do, and D times a row's mass is the sum of its colliding atoms'
+    integer weights."""
     if family.atoms is None:
         raise ValueError("collision probability needs a finite family")
-    masses = [Fraction(0)] * len(bits)
-    for w, h in family.atoms:
+    parts, table = family._part_table
+    # same[j, i]: part j agrees on rows i and 0. The padding index -1 reads the all-true last row.
+    same = np.ones((len(parts) + 1, len(bits)), dtype=bool)
+    for j, h in enumerate(parts):
         labels = h.labels(bits)
-        for i in np.flatnonzero(labels == labels[0]):
-            masses[i] += w
-    return masses
+        same[j] = labels == labels[0]
+    hits = same[table].all(axis=1).T.tolist()  # (rows, atoms)
+    denom, nums = family._integer_weights
+    return [Fraction(sum(itertools.compress(nums, row)), denom) for row in hits]
 
 
 def collision_probability(family: HashFamily, x: Point, y: Point) -> Fraction:
@@ -834,7 +855,7 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
     collision law depends on distance only (one representative pair per class).
     """
     if not family.distance_symmetric:
-        raise ValueError("family is not marked distance_symmetric")
+        raise ValueError("family is not distance-symmetric")
     d = family.dim
     # Row m has its first m coordinates set: at distance m from row 0, the origin.
     return _collision_masses(family, np.tri(d + 1, d, -1, dtype=np.uint8))
@@ -1051,7 +1072,6 @@ def family_descriptor(family: HashFamily) -> dict:
     return {
         "kind": "finite",
         "d": family.dim,
-        "distance_symmetric": family.distance_symmetric,
         "description": family.description,
         "atoms": [
             {"weight": f"{w.numerator}/{w.denominator}", "fn": function_descriptor(h)}
@@ -1076,12 +1096,14 @@ def family_from_descriptor(doc: dict) -> HashFamily:
         atoms = tuple(
             (Fraction(a["weight"]), function_from_descriptor(a["fn"])) for a in doc["atoms"]
         )
-        return HashFamily(
-            dim=_int(doc, "d"),
-            atoms=atoms,
-            description=doc.get("description", ""),
-            distance_symmetric=_bool(doc, "distance_symmetric"),
-        )
+        family = HashFamily(dim=_int(doc, "d"), atoms=atoms, description=doc.get("description", ""))
+        # The legacy key, still checked: the atoms decide the symmetry.
+        if _bool(doc, "distance_symmetric") and not family.distance_symmetric:
+            raise ValueError(
+                "'distance_symmetric' is true, but the atoms are not uniform over all "
+                "k-tuples of coordinate projections"
+            )
+        return family
     raise ValueError(f"unknown family kind {kind!r}")
 
 

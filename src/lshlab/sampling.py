@@ -1,4 +1,4 @@
-"""Correlated-pair generation and Monte Carlo / exact tail machinery.
+"""Correlated-pair generation, Monte Carlo stability and exact tail machinery.
 
 A rho-correlated pair is a uniform x together with y obtained by
 rerandomizing each coordinate independently with probability 1 - rho, i.e.
@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .hashing import HashFamily
 from .points import Point, bit_rows_to_points
-from .spectral import (
-    EXACT,
-    MONTE_CARLO,
-    FourierSpectrum,
-    StabilityCurve,
-    _as_spectrum,
-    stability,
-)
+from .spectral import MONTE_CARLO, FourierSpectrum, StabilityCurve, _as_spectrum, stability
 from . import rng as rngmod
 
 _MC_CHUNK = 4096
@@ -163,19 +156,9 @@ def binomial_tail_below(d: int, eta: float, cr: float) -> float:
 class TailEstimates(NamedTuple):
     above_r: float
     below_cr: float
-    above_stderr: float
-    below_stderr: float
 
 
-def tail_probabilities(
-    d: int,
-    t: float,
-    r: float,
-    cr: float,
-    mode: str = "exact",
-    n_samples: int = 100_000,
-    seed: int = rngmod.DEFAULT_SEED,
-) -> TailEstimates:
+def tail_probabilities(d: int, t: float, r: float, cr: float) -> TailEstimates:
     """Pr[dist > r] and Pr[dist < cr] for an e^{-t}-correlated pair in
     dimension d; the distance is Binomial(d, (1 - e^{-t})/2).
 
@@ -187,22 +170,7 @@ def tail_probabilities(
     if not 0 <= r <= d:
         raise ValueError(f"threshold r must lie in [0, d], got {r}")
     eta = -math.expm1(-t) / 2
-    if mode == "exact":
-        return TailEstimates(
-            binomial_tail_above(d, eta, r), binomial_tail_below(d, eta, cr), 0.0, 0.0
-        )
-    if mode == "mc":
-        g = rngmod.stream(seed, 0)
-        dists = g.binomial(d, eta, size=n_samples)
-        above = float(np.mean(dists > r))
-        below = float(np.mean(dists < cr))
-        return TailEstimates(
-            above,
-            below,
-            math.sqrt(above * (1 - above) / n_samples),
-            math.sqrt(below * (1 - below) / n_samples),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return TailEstimates(binomial_tail_above(d, eta, r), binomial_tail_below(d, eta, cr))
 
 
 # ---------------------------------------------------------------------------
@@ -220,44 +188,21 @@ class SandwichReport:
     tail_below_cr: float
     passed: bool
     tolerance: float
-    mode: str
-    k_stderr: float = 0.0
 
 
 def verify_sandwich(
-    family: Union[HashFamily, FourierSpectrum],
-    r: float,
-    cr: float,
-    u: float,
-    p: float,
-    q: float,
-    mode: str = "exact",
-    n_samples: int = 100_000,
-    seed: int = rngmod.DEFAULT_SEED,
+    family: Union[HashFamily, FourierSpectrum], r: float, cr: float, u: float, p: float, q: float
 ) -> SandwichReport:
-    """Check p (1 - Pr[dist > r]) <= K(u) <= q + Pr[dist < cr]. In exact
-    mode the family may be given as its spectrum, computed once for every u."""
+    """Check p (1 - Pr[dist > r]) <= K(u) <= q + Pr[dist < cr] with the
+    exact K(u); the family may be given as its spectrum, computed once for
+    every u."""
     if u < 0:
         raise ValueError("u must be nonnegative")
-    if mode == "mc" and not isinstance(family, HashFamily):
-        raise TypeError("Monte Carlo sandwich checks need the family itself")
-    tails = tail_probabilities(family.dim, u, r, cr, mode="exact")
+    tails = tail_probabilities(family.dim, u, r, cr)
     lower = p * (1 - tails.above_r)
     upper = q + tails.below_cr
-
-    if mode == "exact":
-        k_value = stability(_as_spectrum(family), math.exp(-u))
-        tol = 1e-9
-        stderr = 0.0
-    elif mode == "mc":
-        est = mc_stability(family, math.exp(-u), n_samples, seed)
-        k_value = est.estimate
-        stderr = est.stderr
-        tol = 5 * stderr
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    passed = (lower <= k_value + tol) and (k_value <= upper + tol)
+    k_value = stability(_as_spectrum(family), math.exp(-u))
+    tol = 1e-9
     return SandwichReport(
         u=u,
         lower=lower,
@@ -265,10 +210,8 @@ def verify_sandwich(
         upper=upper,
         tail_above_r=tails.above_r,
         tail_below_cr=tails.below_cr,
-        passed=passed,
+        passed=(lower <= k_value + tol) and (k_value <= upper + tol),
         tolerance=tol,
-        mode=mode,
-        k_stderr=stderr,
     )
 
 

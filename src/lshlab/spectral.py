@@ -21,7 +21,6 @@ import numpy as np
 
 from .hashing import HashFamily, HashFunction, _code_chunks, collision_codes, finite_family
 from .points import cube_distance_rows
-from . import rng as rngmod
 
 _TRANSFORM_DIM_LIMIT = 20
 _BRUTE_FORCE_DIM_LIMIT = 12
@@ -48,11 +47,6 @@ def _fwht_in_place(a: np.ndarray) -> np.ndarray:
         y += x  # (x + y) - 2y = x - y
         h *= 2
     return a
-
-
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a float64 copy of a."""
-    return _fwht_in_place(np.array(a, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -194,35 +188,21 @@ def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
     return family_spectrum(finite_family([h]))
 
 
-def family_spectrum(
-    family: HashFamily,
-    mode: str = "exact",
-    n_samples: Optional[int] = None,
-    seed: int = rngmod.DEFAULT_SEED,
-) -> FourierSpectrum:
-    """Expected spectrum over the family: the probability-weighted average in
-    exact mode (finite support), or an average over sampled functions."""
+def family_spectrum(family: HashFamily) -> FourierSpectrum:
+    """Expected spectrum over a finite family: the probability-weighted
+    average of its atoms' spectra."""
     if family.dim > _TRANSFORM_DIM_LIMIT:
         raise ValueError(
             f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
             "use Monte Carlo stability estimates instead"
         )
-    if mode == "exact":
-        if family.atoms is None:
-            raise ValueError("exact family spectrum needs a finite support")
-        w = np.zeros(1 << family.dim)
-        rows = _squared_mass_rows((h for _, h in family.atoms), family.dim)
-        for (weight, _), row in zip(family.atoms, rows):
-            w += float(weight) * row
-        return _spectrum_from_array(family.dim, w)
-    if mode == "mc":
-        if not n_samples or n_samples < 1:
-            raise ValueError("mc mode needs n_samples >= 1")
-        w = np.zeros(1 << family.dim)
-        for row in _squared_mass_rows(family.sample(n_samples, seed), family.dim):
-            w += row
-        return _spectrum_from_array(family.dim, w / n_samples)
-    raise ValueError(f"unknown mode {mode!r}")
+    if family.atoms is None:
+        raise ValueError("exact family spectrum needs a finite support")
+    w = np.zeros(1 << family.dim)
+    rows = _squared_mass_rows((h for _, h in family.atoms), family.dim)
+    for (weight, _), row in zip(family.atoms, rows):
+        w += float(weight) * row
+    return _spectrum_from_array(family.dim, w)
 
 
 SpectrumSource = Union[FourierSpectrum, HashFamily, HashFunction]

@@ -179,13 +179,13 @@ def test_criterion_8_sandwich():
     fam = bit_sampling_family(12)
     prof = exact_sensitivity(fam, 2, 4)
     for u in (0.1, 0.3, 1.0):
-        rep = verify_sandwich(fam, 2, 4, u, prof.p, prof.q, mode="exact")
+        rep = verify_sandwich(fam, 2, 4, u, prof.p, prof.q)
         assert rep.passed, rep
     triv = trivial_family(6, 1)
     tprof = exact_sensitivity(triv, 1, 2)
     assert tprof.q == 0
     for u in (0.1, 0.3, 1.0):
-        rep = verify_sandwich(triv, 1, 2, u, tprof.p, tprof.q, mode="exact")
+        rep = verify_sandwich(triv, 1, 2, u, tprof.p, tprof.q)
         assert rep.passed, rep
 
 

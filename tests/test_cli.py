@@ -334,6 +334,10 @@ def bad_files(tmp_path, point_file):
             {"weight": "1/2", "fn": {"kind": "minperm", "d": 4, "perm": [3, 2, 1, 0]}},
         ]},
         "family-string-exact": {"kind": "minhash", "d": 4, "exact": "false"},
+        # The dictator x -> x_0 is not distance-symmetric: taken at its word, q would read 0, not 1.
+        "family-false-symmetric": {"kind": "finite", "d": 4, "distance_symmetric": True, "atoms": [
+            {"weight": "1", "fn": {"kind": "proj", "d": 4, "i": 0}},
+        ]},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -394,6 +398,8 @@ USAGE_ERRORS = {
                                  "--r", "1", "--cr", "3"], "family-string-symmetric.json"),
     "family-string-exact": (["stability", "--family-file", "{dir}/family-string-exact.json",
                              "--t-grid", "0,1"], "family-string-exact.json"),
+    "family-false-symmetric": (["sensitivity", "--family-file", "{dir}/family-false-symmetric.json",
+                                "--r", "1", "--cr", "2"], "distance_symmetric"),
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "bounds-K-0": (["bounds", "--K", "0"], "K must be positive"),
     "bounds-K-negative": (["bounds", "--K", "-1"], "K must be positive"),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -25,6 +26,7 @@ from lshlab.hashing import (
     collision_codes,
     collision_by_distance,
     collision_probability,
+    constant_family,
     exact_sensitivity,
     family_descriptor,
     family_from_descriptor,
@@ -351,8 +353,6 @@ def test_trivial_family_rejects_r_zero():
 
 
 def test_constant_family_profile():
-    from lshlab.hashing import constant_family
-
     prof = exact_sensitivity(constant_family(4), 1, 2)
     assert prof.p == 1 and prof.q == 1
     assert prof.rho is None
@@ -370,12 +370,95 @@ def test_exact_sensitivity_validates():
 
 def test_symmetric_path_agrees_with_full_enumeration():
     fam = bit_sampling_family(6)
-    general = finite_family([h for _, h in fam.atoms])  # same atoms, symmetry flag off
+    assert fam.distance_symmetric
+    mins, maxs = hashing._class_extremes(fam)  # every pair, no symmetry assumed
     for r, cr in ((1, 2), (2, 4), (1, 5), (1.5, 2.5)):
-        a = exact_sensitivity(fam, r, cr)
-        b = exact_sensitivity(general, r, cr)
-        assert a.p_exact == b.p_exact == Fraction(6 - math.floor(r), 6)
-        assert a.q_exact == b.q_exact == Fraction(6 - math.ceil(cr), 6)
+        prof = exact_sensitivity(fam, r, cr)
+        assert prof.p_exact == min(mins[: math.floor(r) + 1]) == Fraction(6 - math.floor(r), 6)
+        assert prof.q_exact == max(maxs[math.ceil(cr) :]) == Fraction(6 - math.ceil(cr), 6)
+
+
+def _finite_file(d, atoms, symmetric):
+    # A "finite" family document with the legacy symmetry key.
+    return json.dumps({"kind": "finite", "d": d, "distance_symmetric": symmetric, "atoms": [
+        {"weight": str(w), "fn": function_descriptor(h)} for w, h in atoms
+    ]})
+
+
+def _all_but_one_pair(d, repeat):
+    # Uniform over the d^2 - 1 ordered pairs of projections but the first,
+    # or over d^2 atoms with the last pair listed twice in its place.
+    fns = [h for _, h in power(bit_sampling_family(d), 2).atoms[1:]]
+    return finite_family(fns + fns[-1:] * repeat)
+
+
+def _short_atom(d):
+    # The pair (x_0, x_2) replaced by x_0 alone: d^2 atoms of projections,
+    # one of them shorter, so pairs differing only in x_2 collide more often
+    # than pairs differing only in x_0.
+    fns = [h for _, h in power(bit_sampling_family(d), 2).atoms]
+    fns[2] = CoordinateProjection(d, 0)
+    return finite_family(fns)
+
+
+SYMMETRY_CASES = {
+    "bit-sampling-1": (lambda: bit_sampling_family(1), True),
+    "bit-sampling-5": (lambda: bit_sampling_family(5), True),
+    "power-4-2": (lambda: power(bit_sampling_family(4), 2), True),
+    "nested-power-3": (lambda: power(power(bit_sampling_family(3), 2), 2), True),
+    "finite-file-projections-5": (lambda: family_from_json(_finite_file(
+        5, [(Fraction(1, 5), CoordinateProjection(5, i)) for i in (3, 0, 4, 2, 1)], True)), True),
+    "dictator-4": (lambda: finite_family([CoordinateProjection(4, 0)]), False),
+    "all-but-one-pair-3": (lambda: _all_but_one_pair(3, 0), False),
+    "one-pair-twice-3": (lambda: _all_but_one_pair(3, 1), False),
+    "short-atom-3": (lambda: _short_atom(3), False),
+    "nonuniform-projections-5": (lambda: finite_family(
+        [CoordinateProjection(5, i) for i in range(5)], [Fraction(2, 6)] + [Fraction(1, 6)] * 4), False),
+    "minhash-exact-4": (lambda: minhash_family(4, exact=True), False),
+    "trivial-4": (lambda: trivial_family(4, 1), False),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
+def test_distance_symmetry_is_derived_from_atoms(case):
+    make, symmetric = SYMMETRY_CASES[case]
+    fam = make()
+    assert fam.distance_symmetric is symmetric
+    # Collision masses, counted part by part, against a sum over the atoms.
+    x = Point(0, fam.dim)
+    for v in range(1 << fam.dim):
+        y = Point(v, fam.dim)
+        assert collision_probability(fam, x, y) == sum(w for w, h in fam.atoms if h(x) == h(y))
+    # Whichever path exact_sensitivity takes, it equals the all-pairs enumeration.
+    d = fam.dim
+    mins, maxs = hashing._class_extremes(fam)
+    for r in range(d):
+        for cr in range(r + 1, d + 1):
+            prof = exact_sensitivity(fam, r, cr)
+            assert (prof.p_exact, prof.q_exact) == (min(mins[: r + 1]), max(maxs[cr:]))
+    # The legacy key may say true only when the atoms agree.
+    text = _finite_file(d, fam.atoms, True)
+    if symmetric:
+        assert family_from_json(text).distance_symmetric
+    else:
+        with pytest.raises(ValueError, match="distance_symmetric"):
+            family_from_json(text)
+
+
+def test_constructor_families_keep_their_symmetry():
+    # The derived flag is what the constructors used to set by hand: true
+    # for bit sampling and its finite powers, false for the rest.
+    for d in range(1, 15):
+        fams = [bit_sampling_family(d), power(bit_sampling_family(d), 2)]
+        if d <= 8:
+            fams.append(power(power(bit_sampling_family(d), 2), 2))
+        assert all(f.distance_symmetric for f in fams), d
+    others = (constant_family(4), minhash_family(5), minhash_family(5, exact=True), trivial_family(3, 1),
+              power(minhash_family(4, exact=True), 2))
+    assert not any(f.distance_symmetric for f in others)
+    # Past the atom limit a power is a sampling law, with no atoms to enumerate.
+    assert power(bit_sampling_family(14), 5).atoms is None
+    assert not power(bit_sampling_family(14), 5).distance_symmetric
 
 
 def test_mixed_weights_full_path():

@@ -186,14 +186,6 @@ def test_tail_probabilities_exact_example():
     assert est.above_r == pytest.approx(float(sps.binom.sf(15, 1000, 0.01)), rel=1e-9)
 
 
-def test_tail_probabilities_mc_agrees():
-    t = 0.05
-    exact = tail_probabilities(2000, t, 60, 30)
-    mc = tail_probabilities(2000, t, 60, 30, mode="mc", n_samples=40000, seed=12)
-    assert abs(mc.above_r - exact.above_r) <= 4 * mc.above_stderr + 1e-9
-    assert abs(mc.below_cr - exact.below_cr) <= 4 * mc.below_stderr + 1e-9
-
-
 def test_tail_probabilities_validates():
     with pytest.raises(ValueError):
         tail_probabilities(100, 0.1, 200, 5)
@@ -249,16 +241,6 @@ def test_sandwich_large_u_is_loose_but_holds():
     # the lower side collapses toward 0
     assert rep.k_value == pytest.approx(0.5, abs=1e-6)
     assert rep.lower < 0.05
-
-
-def test_sandwich_mc_mode():
-    fam = bit_sampling_family(12)
-    prof = exact_sensitivity(fam, 2, 4)
-    rep = verify_sandwich(fam, 2, 4, 0.3, prof.p, prof.q, mode="mc", n_samples=4000, seed=13)
-    assert rep.passed
-    assert rep.k_stderr > 0
-    with pytest.raises(TypeError, match="family itself"):
-        verify_sandwich(family_spectrum(fam), 2, 4, 0.3, prof.p, prof.q, mode="mc", n_samples=4000, seed=13)
 
 
 def test_sandwich_detects_false_profile():
