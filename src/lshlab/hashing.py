@@ -90,71 +90,102 @@ class HashFunction:
             raise DimensionMismatch(f"point has dimension {x.dim}, function expects {self.dim}")
         return int(self._labels(points_to_bit_matrix([x]))[0])
 
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The sorted coordinates the labels may read: all of them, unless
+        the class knows a smaller set."""
+        return tuple(range(self.dim))
+
     @classmethod
     def _cube_labels(cls, functions: Sequence["HashFunction"]) -> np.ndarray:
-        """Labels of all 2^dim points, in point-value order, one row per
-        function; every function is of this class. Classes whose labels of
-        the whole cube have a closed form compute all rows at once."""
-        bits = _cube_bits(functions[0].dim)
-        return np.stack([h.labels(bits) for h in functions])
+        """Labels of the 2^j points pdep(s, support) of each function's
+        subcube, in order of s, one row per function; every function is of
+        this class and has a support of size j. Classes whose labels of the
+        cube have a closed form compute all rows at once."""
+        rows = []
+        for h in functions:
+            bits = np.zeros((1 << len(h.support), h.dim), dtype=np.uint8)
+            bits[:, h.support] = _cube_bits(len(h.support))
+            rows.append(h.labels(bits))
+        return np.stack(rows)
 
 
-# Cells of one stacked code matrix: 128 KiB as int16, 512 KiB of int64 labels.
-# Its presence table has at most twice as many.
+# Cells of one chunk of codes (subcube points in _code_chunks, cube points
+# in _class_extremes): 128 KiB as int16, 512 KiB of int64 labels. Its
+# presence tables have at most twice as many.
 _CODE_CELLS = 1 << 16
 
 
-def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
-    """Row i holds the labels of all 2^dim inputs of functions[i], in
-    point-value order, recoded to consecutive ints in label order: int16 up
-    to dim 14, int32 beyond.
-
-    The rows of each class are labelled together (_cube_labels). Rows whose
-    label_bound is at most 2^(dim+1) are recoded together: a presence table
-    marks each row's labels, and its running count along the row is every
-    present label's code plus one. Other rows (long concatenations, wide
-    tables) are ranked by one row-wise sort.
+def _code_groups(
+    functions: Sequence[HashFunction], supports: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, J, codes) for each group of the functions of one class whose
+    supports (given, in order) have one size j: J[i] is the support of
+    functions[rows[i]] and codes[i] its labels at the 2^j points of its
+    subcube (_cube_labels, all rows at once), which are all its labels,
+    recoded to consecutive ints in label order: int16 up to dim 14, int32
+    beyond. If every label_bound is at most 2^(j+1), a presence table marks
+    each row's labels, and its running count along the row is every present
+    label's code plus one; otherwise one row-wise sort ranks them.
     """
-    dim = functions[0].dim
-    n = 1 << dim
-    dtype = np.int16 if dim <= 14 else np.int32
-    codes = np.empty((len(functions), n), dtype=dtype)
-    narrow = np.array([h.label_bound <= 2 * n for h in functions])
-    for rows in (np.flatnonzero(narrow), np.flatnonzero(~narrow)):
-        if not len(rows):
-            continue
+    dtype = np.int16 if functions[0].dim <= 14 else np.int32
+    groups: dict[tuple[int, type], list[int]] = {}
+    for i, (h, support) in enumerate(zip(functions, supports)):
+        groups.setdefault((len(support), type(h)), []).append(i)
+    for (j, kind), rows in groups.items():
         bound = max(functions[i].label_bound for i in rows)
-        labels = np.empty((len(rows), n), dtype=_label_dtype(bound))
-        kinds: dict[type, list[int]] = {}
-        for j, i in enumerate(rows):
-            kinds.setdefault(type(functions[i]), []).append(j)
-        for kind, mine in kinds.items():
-            labels[mine] = kind._cube_labels([functions[rows[j]] for j in mine])
-        if narrow[rows[0]]:
+        labels = kind._cube_labels([functions[i] for i in rows]).astype(_label_dtype(bound), copy=False)
+        if bound <= 2 << j:
             seen = np.zeros((len(rows), bound), dtype=dtype)
             labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
             seen.reshape(-1)[labels] = 1
             np.cumsum(seen, axis=1, out=seen)
-            codes[rows] = seen.reshape(-1)[labels] - 1
+            codes = seen.reshape(-1)[labels] - 1
         else:
             order = np.argsort(labels, axis=1)
             ranked = np.take_along_axis(labels, order, axis=1)
             step = np.zeros(labels.shape, dtype=dtype)
             step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
             np.cumsum(step, axis=1, out=step)
-            ranks = np.empty_like(step)
-            np.put_along_axis(ranks, order, step, axis=1)
-            codes[rows] = ranks
+            codes = np.empty_like(step)
+            np.put_along_axis(codes, order, step, axis=1)
+        J = np.array([supports[i] for i in rows], dtype=np.int32).reshape(len(rows), j)
+        yield np.array(rows), J, codes
+
+
+def _code_chunks(functions: Iterable[HashFunction]) -> Iterator[tuple[list, list]]:
+    """(chunk, supports): consecutive runs of the functions, with their
+    supports, whose subcubes hold at most _CODE_CELLS points together (and
+    at least one function)."""
+    chunk, supports, cells = [], [], 0
+    for h in functions:
+        support = h.support
+        if chunk and cells + (1 << len(support)) > _CODE_CELLS:
+            yield chunk, supports
+            chunk, supports, cells = [], [], 0
+        chunk.append(h)
+        supports.append(support)
+        cells += 1 << len(support)
+    if chunk:
+        yield chunk, supports
+
+
+def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
+    """Row i holds the labels of all 2^dim inputs of functions[i], in
+    point-value order, recoded to consecutive ints in label order: int16 up
+    to dim 14, int32 beyond. Cube point v has the code of the subcube point
+    pext(v, support) (_code_groups)."""
+    dim = functions[0].dim
+    codes = np.empty((len(functions), 1 << dim), dtype=np.int16 if dim <= 14 else np.int32)
+    for rows, J, sub in _code_groups(functions, [h.support for h in functions]):
+        if J.shape[1] == dim:
+            codes[rows] = sub
+            continue
+        # pext(v, J) packs the bits of v at the coordinates J.
+        place = np.zeros((dim, len(rows)), dtype=np.int64)
+        place[J.T, np.arange(len(rows))] = 1 << np.arange(J.shape[1])[:, None]
+        codes[rows] = np.take_along_axis(sub, (_cube_bits(dim) @ place).T, axis=1)
     return codes
-
-
-def _code_chunks(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
-    """collision_code_matrix of consecutive runs of the functions, at most
-    _CODE_CELLS cells (and at least one row) at a time."""
-    functions = iter(functions)
-    rows = max(1, _CODE_CELLS >> dim)
-    while chunk := list(itertools.islice(functions, rows)):
-        yield collision_code_matrix(chunk)
 
 
 def collision_codes(h: HashFunction) -> np.ndarray:
@@ -179,6 +210,8 @@ class CoordinateProjection(HashFunction):
     def label_bound(self) -> int:
         return 2
 
+    support = property(lambda self: (self.coord,))
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return bits[:, self.coord].astype(np.int64)
 
@@ -201,6 +234,8 @@ class CoordinateSubset(HashFunction):
     def label_bound(self) -> int:
         return 1 << len(self.coords)
 
+    support = property(lambda self: tuple(sorted(self.coords)))
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return _row_values(bits[:, list(self.coords)], _label_dtype(self.label_bound))
 
@@ -221,6 +256,8 @@ class Parity(HashFunction):
     def label_bound(self) -> int:
         return 2
 
+    support = property(lambda self: tuple(sorted(self.coords)))
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return bits[:, list(self.coords)].sum(axis=1, dtype=np.int64) & 1
 
@@ -232,6 +269,8 @@ class Constant(HashFunction):
     @property
     def label_bound(self) -> int:
         return 1
+
+    support = ()
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return np.zeros(len(bits), dtype=np.int64)
@@ -257,6 +296,12 @@ class ExplicitTable(HashFunction):
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
         return np.array(self.table, dtype=_label_dtype(self.label_bound))
+
+    @functools.cached_property
+    def support(self) -> tuple[int, ...]:
+        # Coordinate i is read iff the table's two halves along i differ.
+        halves = (self._lookup.reshape(-1, 2, 1 << i) for i in range(self.dim))
+        return tuple(i for i, h in enumerate(halves) if (h[:, 0] != h[:, 1]).any())
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return self._lookup[_row_values(bits)]
@@ -358,6 +403,10 @@ class Concatenation(HashFunction):
         for p in self.parts:
             bound *= p.label_bound
         return bound
+
+    @functools.cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(set().union(*(p.support for p in self.parts))))
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         dtype = _label_dtype(self.label_bound)
@@ -881,7 +930,8 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
     """
     d = family.dim
     denom, nums = family._integer_weights
-    codes = np.concatenate(list(_code_chunks((h for _, h in family.atoms), d)))
+    fns, step = [h for _, h in family.atoms], max(1, _CODE_CELLS >> d)
+    codes = np.concatenate([collision_code_matrix(fns[i : i + step]) for i in range(0, len(fns), step)])
     members: dict[int, list[int]] = {}
     for i, w in enumerate(nums):
         members.setdefault(w, []).append(i)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction, _code_chunks, collision_codes, finite_family
+from .hashing import HashFamily, HashFunction, _code_chunks, _code_groups, collision_codes, finite_family
 from .points import cube_distance_rows
 
 _TRANSFORM_DIM_LIMIT = 20
@@ -129,57 +129,51 @@ def _class_mass(codes: np.ndarray, cells: np.ndarray, square_type) -> np.ndarray
         _fwht_in_place(batch)
         fns = function_of[lo:hi]
         starts = np.flatnonzero(np.diff(fns, prepend=-1))
-        sums[fns[starts]] += np.add.reduceat(
-            np.square(batch, dtype=square_type), starts, axis=1, dtype=square_type
-        ).T
+        squares = np.square(batch, dtype=square_type)
+        if len(starts) < hi - lo:  # some function owns several columns
+            squares = np.add.reduceat(squares, starts, axis=1, dtype=square_type)
+        sums[fns[starts]] += squares.T
         batch[:] = 0
     return sums
 
 
-def _squared_mass_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[np.ndarray]:
-    """Each function's squared Fourier mass w_S (indexed by subset mask S), in order.
+def _mass_entries(
+    functions: Iterable[HashFunction], weights: np.ndarray, dim: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(S, weights[t] * w_S) of each code chunk, for every subset S of the
+    support J of each function t, in order of t (w_S = 0 at every other S).
 
-    Functions come a code chunk at a time. Coordinate i is relevant to a
-    function iff flipping it changes some label. The flip at x = 0 or at
-    x = 1...1 usually shows it; the chunk's halves along i are compared in
-    full only when some function shows no change at either. A function whose
-    relevant coordinates are J has w_S = 0 unless S is a subset of J, and is
-    transformed on the subcube of J alone: subcube point s is the cube point
-    pdep(s, J), whose value is also the mask of the subset of J that s
-    spells. The points inside J are therefore, in order, both the subcube's
-    codes and the places of its row, so one boolean mask gathers the one and
-    scatters the other. The chunk's functions are taken in groups of equal
-    |J| (|J| = dim for a function that reads every coordinate), with
-    _class_mass. Every partial sum of a transform has magnitude at most
-    2^|J|, which int16 holds up to dim 14 and int32 up to the limit of 20; a
-    subcube row holds 4^|J| w_S as an exact integer of at most 4^|J|, which
-    int32 holds up to dim 14 and int64 up to 2^40, so the float64 row scaled
-    by 4^-|J| is exact and independent of the batching.
+    A function is transformed on its subcube (_code_groups), whose point s,
+    the cube point pdep(s, J), is also the mask of the subset of J that s
+    spells. Every partial sum of a transform has magnitude at most 2^|J|,
+    which int16 holds up to dim 14 and int32 up to the limit of 20; it
+    yields 4^|J| w_S as an exact integer of at most 4^|J|, which int32 holds
+    up to dim 14 and int64 up to 2^40, so w_S, scaled by 4^-|J|, is exact
+    for any J that holds the coordinates the function reads.
     """
-    n = 1 << dim
-    cells = np.zeros(max(n, _BATCH_CELLS), dtype=np.int16 if dim <= 14 else np.int32)
+    cells = np.zeros(max(1 << dim, _BATCH_CELLS), dtype=np.int16 if dim <= 14 else np.int32)
     square_type = np.int32 if dim <= 14 else np.int64
-    points = np.arange(n, dtype=np.int32)
-    flips = 1 << np.arange(dim, dtype=np.int32)
-    for codes in _code_chunks(functions, dim):
-        m = len(codes)
-        # (m, dim): whether flipping coordinate i changes the label at 0 or at 1...1.
-        relevant = (codes[:, flips] != codes[:, :1]) | (codes[:, (n - 1) ^ flips] != codes[:, -1:])
-        for i in np.flatnonzero(~relevant.all(axis=0)):
-            # The 2^i codes on each side of a flip, read as whole words of up to 8 bytes.
-            side = codes.itemsize << i
-            word = min(side, 8)
-            halves = codes.view(f"u{word}").reshape(m, -1, 2, side // word)
-            relevant[:, i] = (halves[:, :, 0] != halves[:, :, 1]).reshape(m, -1).any(axis=1)
-        # Function t's subcube, in order of s, is the points inside its J.
-        inside = (points & ~(relevant @ flips)[:, None]) == 0
-        sizes = relevant.sum(axis=1)
-        rows = np.zeros((m, n))
-        for j in map(int, np.unique(sizes)):
-            cube = inside & (sizes == j)[:, None]  # the subcubes of the functions with |J| = j
-            rows[cube] = _class_mass(codes[cube].reshape(-1, 1 << j), cells, square_type).ravel()
-        rows *= np.ldexp(1.0, -2 * sizes)[:, None]
-        yield from rows
+    first = 0
+    for chunk, supports in _code_chunks(functions):
+        groups = []
+        for rows, J, codes in _code_groups(chunk, supports):
+            mass = np.ldexp(_class_mass(codes, cells, square_type), -2 * J.shape[1])
+            mass *= weights[first + rows, None]
+            pdep = np.zeros(codes.shape, np.int32)  # pdep(s, J), one more bit of s at a time
+            for i, bit in enumerate(1 << J.T):
+                np.bitwise_or(pdep[:, : 1 << i], bit[:, None], out=pdep[:, 1 << i : 2 << i])
+            groups.append((rows, pdep.ravel(), mass.ravel()))
+        first += len(chunk)
+        if len(groups) == 1:  # the whole chunk, in order
+            yield groups[0][1:]
+            continue
+        ends = np.cumsum([1 << len(J) for J in supports])
+        masks, mass = np.empty(ends[-1], np.int32), np.empty(ends[-1])
+        for rows, pdep, group_mass in groups:  # each function's entries in order of s
+            n = len(pdep) // len(rows)
+            at = (ends[rows, None] - n + np.arange(n)).ravel()
+            masks[at], mass[at] = pdep, group_mass
+        yield masks, mass
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
@@ -199,9 +193,14 @@ def family_spectrum(family: HashFamily) -> FourierSpectrum:
     if family.atoms is None:
         raise ValueError("exact family spectrum needs a finite support")
     w = np.zeros(1 << family.dim)
-    rows = _squared_mass_rows((h for _, h in family.atoms), family.dim)
-    for (weight, _), row in zip(family.atoms, rows):
-        w += float(weight) * row
+    denom, nums = family._integer_weights
+    if denom < 1 << 53:  # both round the same rational once: the quotient is float(weight)
+        weights = np.array(nums, dtype=float) / denom
+    else:
+        weights = np.array([float(a) for a, _ in family.atoms])
+    # Unbuffered, in entry order: each w_S takes its atoms' terms in atom order.
+    for masks, mass in _mass_entries((h for _, h in family.atoms), weights, family.dim):
+        np.add.at(w, masks, mass)
     return _spectrum_from_array(family.dim, w)
 
 
@@ -341,17 +340,20 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
         worst_abs = max(worst_abs, abs_slack)
 
     n = len(t)
-    # Pairs with an on-grid midpoint (includes uniformly spaced triples).
-    for i in range(n):
-        for j in range(i + 2, n):
-            mid = (t[i] + t[j]) / 2
-            pos = int(np.searchsorted(t, mid))
-            for cand in (pos - 1, pos, pos + 1):
-                if 0 <= cand < n and math.isclose(t[cand], mid, rel_tol=1e-12, abs_tol=1e-12):
-                    rel = math.expm1(2 * logk[cand] - logk[i] - logk[j])
-                    abs_slack = k[cand] ** 2 - k[i] * k[j]
-                    consider(rel, abs_slack, (float(t[i]), float(t[cand]), float(t[j])))
-                    break
+    # Pairs with an on-grid midpoint (includes uniformly spaced triples), in
+    # (i, j) order: the first of the grid points pos - 1, pos, pos + 1 around
+    # the midpoint that math.isclose(., mid, rel_tol=1e-12, abs_tol=1e-12)
+    # accepts, all pairs at once.
+    i, j = np.triu_indices(n, 2)
+    mid = ((t[i] + t[j]) / 2)[:, None]
+    cand = np.searchsorted(t, mid) + np.arange(-1, 2)
+    near = t[np.clip(cand, 0, n - 1)]
+    within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)
+    close = (cand >= 0) & (cand < n) & ((near == mid) | (np.isfinite(near) & np.isfinite(mid) & within))
+    hit = close.any(axis=1)
+    for a, c, b in zip(i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]):
+        rel = math.expm1(2 * logk[c] - logk[a] - logk[b])
+        consider(rel, k[c] ** 2 - k[a] * k[b], (float(t[a]), float(t[c]), float(t[b])))
     # Consecutive triples in general position.
     for i in range(1, n - 1):
         span = t[i + 1] - t[i - 1]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lshlab import rng as rngmod
+from lshlab import hashing, rng as rngmod
 from lshlab.hashing import (
     Concatenation,
     Constant,
@@ -153,6 +153,36 @@ def test_stacked_cube_labels_equal_per_function_codes(d):
     for h, row in zip(fns, codes, strict=True):
         assert np.array_equal(row, np.unique(h.labels(cube), return_inverse=True)[1])
         assert np.array_equal(row, collision_codes(h))
+
+
+@st.composite
+def ignoring_tables(draw, d):
+    # A table that reads only the coordinates outside a drawn set.
+    ignored = sum(1 << i for i in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d)))
+    base = draw(st.lists(st.integers(0, draw(st.sampled_from([1, 5, 1 << 70]))), min_size=1 << d, max_size=1 << d))
+    return ExplicitTable(d, tuple(base[v & ~ignored] for v in range(1 << d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_labels_ignore_coordinates_outside_support(data):
+    # Every class, nested concatenations and tables that ignore coordinates:
+    # flipping a coordinate outside the support never changes a label, and a
+    # table's support is exactly the coordinates its labels depend on.
+    d = data.draw(st.integers(1, 6))
+    leaf = st.one_of(atoms(d), ignoring_tables(d))
+    nested = st.lists(leaf, min_size=1, max_size=3).map(lambda ps: Concatenation(tuple(ps)))
+    h = data.draw(st.one_of(leaf, st.lists(st.one_of(leaf, nested), min_size=1, max_size=4)
+                            .map(lambda ps: Concatenation(tuple(ps)))))
+    n = 1 << d
+    assert list(h.support) == sorted(set(h.support)) and set(h.support) <= set(range(d))
+    labels = h.labels(_rows(range(n), d))
+    for i in set(range(d)) - set(h.support):
+        assert np.array_equal(labels, labels[np.arange(n) ^ (1 << i)])
+    for t in hashing._leaves(h):
+        if isinstance(t, ExplicitTable):
+            own = t.labels(_rows(range(n), d))
+            assert t.support == tuple(i for i in range(d) if (own != own[np.arange(n) ^ (1 << i)]).any())
 
 
 @settings(max_examples=60, deadline=None)

@@ -330,8 +330,11 @@ def test_full_and_partial_support_rows_at_dimension_14(code_rows):
     expected[3][::2] = 2 * n  # every subset of coordinates 1..13
     expected[4][[0, 1 << 5]] = n * n / 2
     code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << d
+    rows = np.zeros((len(fns), n))
     with mock.patch.object(hashing, "_CODE_CELLS", code_cells):
-        rows = list(spectral._squared_mass_rows(fns, d))
+        for t, row in enumerate(rows):  # function t's row: the entries under weight 1 at t, 0 elsewhere
+            for masks, mass in spectral._mass_entries(fns, np.eye(len(fns))[t], d):
+                np.add.at(row, masks, mass)
     for row, want in zip(rows, expected, strict=True):
         assert np.array_equal(row, want / float(n * n))
 
@@ -347,6 +350,40 @@ def test_object_label_concatenation_spectrum():
     for weight, h in fam.atoms:
         w += float(weight) * _naive_squared_mass(h)
     assert family_spectrum(fam) == _spectrum_from_array(d, w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(fam=_junta_families(), huge=st.booleans(), data=st.data())
+def test_mixed_weight_spectra_equal_per_row_loop(fam, huge, data):
+    # Weights of every size, zero included, and a common denominator past
+    # 2^53 when `huge`: adding each code chunk's entries at once must give,
+    # bit for bit, the loop that adds float(weight) * row one atom at a time.
+    fns = [h for _, h in fam.atoms]
+    top = (1 << 60) if huge else 50
+    raw = data.draw(st.lists(st.integers(0, top), min_size=len(fns), max_size=len(fns)).filter(any))
+    fam = finite_family(fns, [Fraction(r, sum(raw)) for r in raw])
+    w = np.zeros(1 << fam.dim)
+    for weight, h in fam.atoms:
+        w += float(weight) * _naive_squared_mass(h)
+    assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+
+
+def test_code_chunks_count_subcube_cells():
+    # The 196 atoms of the square of bit sampling at d = 14 read one or two
+    # coordinates each: 784 subcube cells, one chunk.
+    fns = [h for _, h in power(bit_sampling_family(14), 2).atoms]
+    assert [len(chunk) for chunk, _ in hashing._code_chunks(fns)] == [196]
+
+
+def test_exact_curve_at_dimension_20_matches_closed_form():
+    # A pair at distance m collides under the square of bit sampling with
+    # probability (1 - m/d)^2, and m is Binomial(d, (1 - e^-t)/2).
+    d, grid = 20, [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+    curve = stability_curve(power(bit_sampling_family(d), 2), grid)
+    for t, value in zip(grid, curve.values):
+        b = (1 - math.exp(-t)) / 2
+        want = sum(math.comb(d, m) * b**m * (1 - b) ** (d - m) * (1 - m / d) ** 2 for m in range(d + 1))
+        assert abs(value - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +522,78 @@ def test_certificate_requires_exact_curve():
         check_log_convexity(curve)
     with pytest.raises(ValueError):
         check_log_convexity(StabilityCurve((0.0, 1.0), (1.0, 0.9), EXACT))
+
+
+def _pairwise_log_convexity(curve, tolerance=1e-9):
+    # The certificate's former loop: one searchsorted and up to three
+    # math.isclose per grid pair.
+    t, k = np.array(curve.grid), np.array(curve.values)
+    logk = np.log(k)
+    worst_rel = worst_abs = -math.inf
+    worst_triple, n_checks = None, 0
+
+    def consider(rel, abs_slack, triple):
+        nonlocal worst_rel, worst_abs, worst_triple, n_checks
+        n_checks += 1
+        if rel > worst_rel:
+            worst_rel, worst_triple = rel, triple
+        worst_abs = max(worst_abs, abs_slack)
+
+    n = len(t)
+    for i in range(n):
+        for j in range(i + 2, n):
+            mid = (t[i] + t[j]) / 2
+            pos = int(np.searchsorted(t, mid))
+            for cand in (pos - 1, pos, pos + 1):
+                if 0 <= cand < n and math.isclose(t[cand], mid, rel_tol=1e-12, abs_tol=1e-12):
+                    rel = math.expm1(2 * logk[cand] - logk[i] - logk[j])
+                    consider(rel, k[cand] ** 2 - k[i] * k[j], (float(t[i]), float(t[cand]), float(t[j])))
+                    break
+    for i in range(1, n - 1):
+        span = t[i + 1] - t[i - 1]
+        if span <= 0:
+            continue
+        theta = (t[i + 1] - t[i]) / span
+        rel = math.expm1(logk[i] - theta * logk[i - 1] - (1 - theta) * logk[i + 1])
+        consider(rel, k[i] - k[i - 1] ** theta * k[i + 1] ** (1 - theta), (float(t[i - 1]), float(t[i]), float(t[i + 1])))
+    return (worst_rel <= tolerance, worst_rel, worst_abs, worst_triple, n_checks)
+
+
+@st.composite
+def _grids(draw):
+    # Uniform grids, random sorted grids, and grids with points moved to
+    # within 1e-12 (relative or absolute) of some pair's midpoint.
+    n = draw(st.integers(3, 31))
+    kind = draw(st.sampled_from(["uniform", "random", "near-midpoints"]))
+    if kind == "uniform":
+        grid = np.linspace(0, draw(st.floats(1e-6, 50)), n)
+    else:
+        grid = np.array(sorted(draw(st.lists(st.floats(0, 50), min_size=n, max_size=n))))
+    if kind == "near-midpoints":
+        for _ in range(draw(st.integers(1, n))):
+            i, j, m = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)))
+            mid = (grid[i] + grid[m]) / 2
+            grid[j] = mid + draw(st.sampled_from([0.0, 1, -1, 0.5, 2, -2])) * 1e-12 * max(1.0, abs(mid))
+        grid = np.sort(grid)
+    values = draw(st.one_of(
+        st.just(None),  # the exact curve of a family
+        st.lists(st.floats(1e-3, 1), min_size=n, max_size=n).map(lambda v: sorted(v, reverse=True)),
+    ))
+    return tuple(float(x) for x in grid), values
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_grids())
+def test_log_convexity_matches_pairwise_loop(case):
+    grid, values = case
+    if values is None:
+        curve = stability_curve(power(bit_sampling_family(5), 2), grid)
+    else:
+        curve = StabilityCurve(grid, tuple(values), EXACT)
+    cert = check_log_convexity(curve)
+    got = (cert.passed, cert.worst_rel_slack, cert.worst_abs_slack, cert.worst_triple, cert.n_checks)
+    want = _pairwise_log_convexity(curve)
+    assert repr(got) == repr(want)
 
 
 @settings(deadline=None, max_examples=40)
