@@ -116,22 +116,20 @@ class HashFunction:
 _CODE_CELLS = 1 << 16
 
 
-def _code_groups(
-    functions: Sequence[HashFunction], supports: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _code_groups(functions: Sequence[HashFunction]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, J, codes) for each group of the functions of one class whose
-    supports (given, in order) have one size j: J[i] is the support of
-    functions[rows[i]] and codes[i] its labels at the 2^j points of its
-    subcube (_cube_labels, all rows at once), which are all its labels,
-    recoded to consecutive ints in label order: int16 up to dim 14, int32
-    beyond. If every label_bound is at most 2^(j+1), a presence table marks
-    each row's labels, and its running count along the row is every present
-    label's code plus one; otherwise one row-wise sort ranks them.
+    supports have one size j: J[i] is the support of functions[rows[i]] and
+    codes[i] its labels at the 2^j points of its subcube (_cube_labels, all
+    rows at once), which are all its labels, recoded to consecutive ints in
+    label order: int16 up to dim 14, int32 beyond. If every label_bound is
+    at most 2^(j+1), a presence table marks each row's labels, and its
+    running count along the row is every present label's code plus one;
+    otherwise one row-wise sort ranks them.
     """
     dtype = np.int16 if functions[0].dim <= 14 else np.int32
     groups: dict[tuple[int, type], list[int]] = {}
-    for i, (h, support) in enumerate(zip(functions, supports)):
-        groups.setdefault((len(support), type(h)), []).append(i)
+    for i, h in enumerate(functions):
+        groups.setdefault((len(h.support), type(h)), []).append(i)
     for (j, kind), rows in groups.items():
         bound = max(functions[i].label_bound for i in rows)
         labels = kind._cube_labels([functions[i] for i in rows]).astype(_label_dtype(bound), copy=False)
@@ -149,25 +147,22 @@ def _code_groups(
             np.cumsum(step, axis=1, out=step)
             codes = np.empty_like(step)
             np.put_along_axis(codes, order, step, axis=1)
-        J = np.array([supports[i] for i in rows], dtype=np.int32).reshape(len(rows), j)
+        J = np.array([functions[i].support for i in rows], dtype=np.int32).reshape(len(rows), j)
         yield np.array(rows), J, codes
 
 
-def _code_chunks(functions: Iterable[HashFunction]) -> Iterator[tuple[list, list]]:
-    """(chunk, supports): consecutive runs of the functions, with their
-    supports, whose subcubes hold at most _CODE_CELLS points together (and
-    at least one function)."""
-    chunk, supports, cells = [], [], 0
+def _code_chunks(functions: Iterable[HashFunction]) -> Iterator[list[HashFunction]]:
+    """Consecutive runs of the functions whose subcubes hold at most
+    _CODE_CELLS points together (and at least one function)."""
+    chunk, cells = [], 0
     for h in functions:
-        support = h.support
-        if chunk and cells + (1 << len(support)) > _CODE_CELLS:
-            yield chunk, supports
-            chunk, supports, cells = [], [], 0
+        if chunk and cells + (1 << len(h.support)) > _CODE_CELLS:
+            yield chunk
+            chunk, cells = [], 0
         chunk.append(h)
-        supports.append(support)
-        cells += 1 << len(support)
+        cells += 1 << len(h.support)
     if chunk:
-        yield chunk, supports
+        yield chunk
 
 
 def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
@@ -177,7 +172,7 @@ def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
     pext(v, support) (_code_groups)."""
     dim = functions[0].dim
     codes = np.empty((len(functions), 1 << dim), dtype=np.int16 if dim <= 14 else np.int32)
-    for rows, J, sub in _code_groups(functions, [h.support for h in functions]):
+    for rows, J, sub in _code_groups(functions):
         if J.shape[1] == dim:
             codes[rows] = sub
             continue

@@ -154,20 +154,18 @@ def _mass_entries(
     cells = np.zeros(max(1 << dim, _BATCH_CELLS), dtype=np.int16 if dim <= 14 else np.int32)
     square_type = np.int32 if dim <= 14 else np.int64
     first = 0
-    for chunk, supports in _code_chunks(functions):
-        groups = []
-        for rows, J, codes in _code_groups(chunk, supports):
+    for chunk in _code_chunks(functions):
+        groups, sizes = [], np.empty(len(chunk), np.int64)
+        for rows, J, codes in _code_groups(chunk):
             mass = np.ldexp(_class_mass(codes, cells, square_type), -2 * J.shape[1])
             mass *= weights[first + rows, None]
             pdep = np.zeros(codes.shape, np.int32)  # pdep(s, J), one more bit of s at a time
             for i, bit in enumerate(1 << J.T):
                 np.bitwise_or(pdep[:, : 1 << i], bit[:, None], out=pdep[:, 1 << i : 2 << i])
             groups.append((rows, pdep.ravel(), mass.ravel()))
+            sizes[rows] = codes.shape[1]
         first += len(chunk)
-        if len(groups) == 1:  # the whole chunk, in order
-            yield groups[0][1:]
-            continue
-        ends = np.cumsum([1 << len(J) for J in supports])
+        ends = np.cumsum(sizes)
         masks, mass = np.empty(ends[-1], np.int32), np.empty(ends[-1])
         for rows, pdep, group_mass in groups:  # each function's entries in order of s
             n = len(pdep) // len(rows)
@@ -194,10 +192,8 @@ def family_spectrum(family: HashFamily) -> FourierSpectrum:
         raise ValueError("exact family spectrum needs a finite support")
     w = np.zeros(1 << family.dim)
     denom, nums = family._integer_weights
-    if denom < 1 << 53:  # both round the same rational once: the quotient is float(weight)
-        weights = np.array(nums, dtype=float) / denom
-    else:
-        weights = np.array([float(a) for a, _ in family.atoms])
+    # int / int rounds the rational once, as float(weight) does.
+    weights = np.array([n / denom for n in nums])
     # Unbuffered, in entry order: each w_S takes its atoms' terms in atom order.
     for masks, mass in _mass_entries((h for _, h in family.atoms), weights, family.dim):
         np.add.at(w, masks, mass)
@@ -343,17 +339,20 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
     # Pairs with an on-grid midpoint (includes uniformly spaced triples), in
     # (i, j) order: the first of the grid points pos - 1, pos, pos + 1 around
     # the midpoint that math.isclose(., mid, rel_tol=1e-12, abs_tol=1e-12)
-    # accepts, all pairs at once.
-    i, j = np.triu_indices(n, 2)
-    mid = ((t[i] + t[j]) / 2)[:, None]
-    cand = np.searchsorted(t, mid) + np.arange(-1, 2)
-    near = t[np.clip(cand, 0, n - 1)]
-    within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)
-    close = (cand >= 0) & (cand < n) & ((near == mid) | (np.isfinite(near) & np.isfinite(mid) & within))
-    hit = close.any(axis=1)
-    for a, c, b in zip(i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]):
-        rel = math.expm1(2 * logk[c] - logk[a] - logk[b])
-        consider(rel, k[c] ** 2 - k[a] * k[b], (float(t[a]), float(t[c]), float(t[b])))
+    # accepts, for the pairs of as many rows i at a time as fill 2^16 pairs.
+    rows = max(1, (1 << 16) // n)
+    for lo in range(0, n - 2, rows):
+        i, j = np.nonzero(np.arange(n) >= np.arange(lo, min(lo + rows, n - 2))[:, None] + 2)
+        i += lo
+        mid = ((t[i] + t[j]) / 2)[:, None]
+        cand = np.searchsorted(t, mid) + np.arange(-1, 2)
+        near = t[np.clip(cand, 0, n - 1)]
+        within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)
+        close = (cand >= 0) & (cand < n) & ((near == mid) | (np.isfinite(near) & np.isfinite(mid) & within))
+        hit = close.any(axis=1)
+        for a, c, b in zip(i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]):
+            rel = math.expm1(2 * logk[c] - logk[a] - logk[b])
+            consider(rel, k[c] ** 2 - k[a] * k[b], (float(t[a]), float(t[c]), float(t[b])))
     # Consecutive triples in general position.
     for i in range(1, n - 1):
         span = t[i + 1] - t[i - 1]

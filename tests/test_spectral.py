@@ -372,7 +372,7 @@ def test_code_chunks_count_subcube_cells():
     # The 196 atoms of the square of bit sampling at d = 14 read one or two
     # coordinates each: 784 subcube cells, one chunk.
     fns = [h for _, h in power(bit_sampling_family(14), 2).atoms]
-    assert [len(chunk) for chunk, _ in hashing._code_chunks(fns)] == [196]
+    assert [len(chunk) for chunk in hashing._code_chunks(fns)] == [196]
 
 
 def test_exact_curve_at_dimension_20_matches_closed_form():
