@@ -165,6 +165,9 @@ def _mass_entries(
             groups.append((rows, pdep.ravel(), mass.ravel()))
             sizes[rows] = codes.shape[1]
         first += len(chunk)
+        if len(groups) == 1:  # in order already: no copy (1.25 MiB off the MinHash d = 7 peak)
+            yield groups[0][1:]
+            continue
         ends = np.cumsum(sizes)
         masks, mass = np.empty(ends[-1], np.int32), np.empty(ends[-1])
         for rows, pdep, group_mass in groups:  # each function's entries in order of s

@@ -368,6 +368,15 @@ def test_mixed_weight_spectra_equal_per_row_loop(fam, huge, data):
     assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
 
 
+def test_weights_past_2_53_round_once():
+    # Both numerators and their sum pass 2^53, and float(a) / float(a + b)
+    # rounds three times to a different float than a / (a + b) does once.
+    a, b = 877329965204690299, 544461693100611747
+    assert float(a) / float(a + b) != a / (a + b)
+    fam = finite_family([CoordinateProjection(3, 0), CoordinateProjection(3, 1)], [Fraction(a, a + b), Fraction(b, a + b)])
+    assert family_spectrum(fam).weights[1] == float(Fraction(a, a + b)) / 2
+
+
 def test_code_chunks_count_subcube_cells():
     # The 196 atoms of the square of bit sampling at d = 14 read one or two
     # coordinates each: 784 subcube cells, one chunk.
@@ -594,6 +603,19 @@ def test_log_convexity_matches_pairwise_loop(case):
     got = (cert.passed, cert.worst_rel_slack, cert.worst_abs_slack, cert.worst_triple, cert.n_checks)
     want = _pairwise_log_convexity(curve)
     assert repr(got) == repr(want)
+
+
+def test_log_convexity_blocks_of_rows_match_pairwise_loop():
+    # 400 points: the pairs come in three blocks of rows. Every third point
+    # is nudged, so some midpoints fall on the grid and others just off it.
+    g = np.random.default_rng(11)
+    grid = np.linspace(1, 5, 400)
+    grid[::3] += g.uniform(-1e-11, 1e-11, len(grid[::3]))
+    values = np.sort(g.uniform(1e-3, 1, 400))[::-1]
+    curve = StabilityCurve(tuple(map(float, grid)), tuple(map(float, values)), EXACT)
+    cert = check_log_convexity(curve)
+    got = (cert.passed, cert.worst_rel_slack, cert.worst_abs_slack, cert.worst_triple, cert.n_checks)
+    assert repr(got) == repr(_pairwise_log_convexity(curve))
 
 
 @settings(deadline=None, max_examples=40)
