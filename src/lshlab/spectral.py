@@ -26,7 +26,8 @@ _TRANSFORM_DIM_LIMIT = 20
 _BRUTE_FORCE_DIM_LIMIT = 12
 # Cells of the integer block in which exact spectra transform their label
 # columns: 512 KiB as int16 with 1 MiB of int32 squares up to d = 14, and
-# 1 MiB as int32 with 2 MiB of int64 squares above.
+# 1 MiB as int32 with 2 MiB of int64 squares above. A subcube of more
+# points (from 2^19) grows the block to one column of it.
 _BATCH_CELLS = 1 << 18
 
 EXACT = "exact-spectral"
@@ -151,12 +152,15 @@ def _mass_entries(
     up to dim 14 and int64 up to 2^40, so w_S, scaled by 4^-|J|, is exact
     for any J that holds the coordinates the function reads.
     """
-    cells = np.zeros(max(1 << dim, _BATCH_CELLS), dtype=np.int16 if dim <= 14 else np.int32)
+    cell_type = np.int16 if dim <= 14 else np.int32
+    cells = np.zeros(_BATCH_CELLS, dtype=cell_type)
     square_type = np.int32 if dim <= 14 else np.int64
     first = 0
     for chunk in _code_chunks(functions):
         groups, sizes = [], np.empty(len(chunk), np.int64)
         for rows, J, codes in _code_groups(chunk):
+            if len(cells) < codes.shape[1]:  # one column of the largest subcube met so far
+                cells = np.zeros(codes.shape[1], dtype=cell_type)
             mass = np.ldexp(_class_mass(codes, cells, square_type), -2 * J.shape[1])
             mass *= weights[first + rows, None]
             pdep = np.zeros(codes.shape, np.int32)  # pdep(s, J), one more bit of s at a time

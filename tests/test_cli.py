@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lshlab
 from lshlab import rng as rngmod
 from lshlab.cli import main
 from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
@@ -445,3 +449,20 @@ def test_verify_full_suite_reruns_byte_identical(tmp_path):
     assert run(["verify", "--seed", "1729", "--out", str(a)]) == 0
     assert run(["verify", "--seed", "1729", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    # numpy is the one runtime dependency; the tests' scipy oracles are
+    # already loaded in this process, so the check runs in a fresh one.
+    out = tmp_path / "rep.txt"
+    child = (
+        "import sys, lshlab, lshlab.cli\n"
+        f"code = lshlab.cli.main(['verify', '--suite', 'all', '--out', {str(out)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lshlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+    assert out.read_text().endswith("overall: PASS\n")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -16,6 +17,7 @@ from lshlab.hashing import (
 )
 from lshlab.points import hamming
 from lshlab.sampling import (
+    _log_factorial,
     binomial_tail_above,
     binomial_tail_below,
     correlated_bits,
@@ -137,6 +139,30 @@ def test_mc_curve_seeds_do_not_share_streams():
 # exact Binomial tails
 
 
+def test_log_factorial_matches_lgamma():
+    # Every n across the table (n < 32) and the series, then seeded large n.
+    g = np.random.default_rng(20)
+    ns = np.concatenate([np.arange(5001), [31, 32, 33], g.integers(5001, 10**7, 200)])
+    got = _log_factorial(ns.astype(np.float64))
+    for n, v in zip(ns.tolist(), got.tolist()):
+        want = math.lgamma(n + 1)
+        assert abs(v - want) <= 4 * math.ulp(want), n
+    assert _log_factorial(np.float64(20)) == math.lgamma(21)
+
+
+def test_tails_match_exact_sums():
+    mpmath.mp.prec = 200
+    for d in (1, 2, 5, 17, 31, 32, 33, 60):
+        for eta in (1e-3, 0.1, 0.5, 0.77, 0.999):
+            e = mpmath.mpf(eta)  # the float's exact value
+            pmf = [mpmath.binomial(d, j) * e**j * (1 - e) ** (d - j) for j in range(d + 1)]
+            for thr in range(d + 1):
+                above = float(mpmath.fsum(pmf[thr + 1 :]))
+                below = float(mpmath.fsum(pmf[:thr]))
+                assert binomial_tail_above(d, eta, thr) == pytest.approx(above, rel=1e-12, abs=0)
+                assert binomial_tail_below(d, eta, thr) == pytest.approx(below, rel=1e-12, abs=0)
+
+
 def test_tails_match_scipy():
     for d, eta in ((100, 0.2), (1000, 0.01), (5000, 0.003)):
         for thr in (0, 1, 5, 15, d // 2):
@@ -146,6 +172,19 @@ def test_tails_match_scipy():
             assert binomial_tail_below(d, eta, thr) == pytest.approx(
                 float(sps.binom.cdf(thr - 1, d, eta)), rel=1e-10, abs=1e-300
             )
+    # The chernoff-domination suite's ledger points.
+    for c in (1.5, 2.0, 5.0):
+        for d in (2000, 20000):
+            for q in (0.05, 0.25):
+                for delta in (0.002, 0.004):
+                    led = chernoff_ledger(c, d, q, delta)
+                    r, cr = (led.epsilon / c) * d, led.epsilon * d
+                    assert binomial_tail_above(d, led.eta1, r) == pytest.approx(
+                        float(sps.binom.sf(math.floor(r), d, led.eta1)), rel=1e-10, abs=1e-300
+                    )
+                    assert binomial_tail_below(d, led.eta2, cr) == pytest.approx(
+                        float(sps.binom.cdf(math.ceil(cr) - 1, d, led.eta2)), rel=1e-10, abs=1e-300
+                    )
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])

@@ -395,6 +395,15 @@ def test_exact_curve_at_dimension_20_matches_closed_form():
         assert abs(value - want) <= 1e-12
 
 
+def test_transform_block_grows_to_largest_subcube():
+    # Two coordinates first, then a parity on a subcube of 2^19 points,
+    # more than the block's 2^18 cells: the block grows to one column.
+    d = 19
+    fam = finite_family([CoordinateSubset(d, (4, 5)), Parity(d, tuple(range(d)))])
+    want = {0: 3 / 8, 1 << 4: 1 / 8, 1 << 5: 1 / 8, 3 << 4: 1 / 8, (1 << d) - 1: 1 / 4}
+    assert family_spectrum(fam).weights == want
+
+
 # ---------------------------------------------------------------------------
 # stability values
 
@@ -582,7 +591,8 @@ def _grids(draw):
         for _ in range(draw(st.integers(1, n))):
             i, j, m = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)))
             mid = (grid[i] + grid[m]) / 2
-            grid[j] = mid + draw(st.sampled_from([0.0, 1, -1, 0.5, 2, -2])) * 1e-12 * max(1.0, abs(mid))
+            # Times are nonnegative: a nudge below a midpoint at 0 stays at 0.
+            grid[j] = max(0.0, mid + draw(st.sampled_from([0.0, 1, -1, 0.5, 2, -2])) * 1e-12 * max(1.0, abs(mid)))
         grid = np.sort(grid)
     values = draw(st.one_of(
         st.just(None),  # the exact curve of a family
