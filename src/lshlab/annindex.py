@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -105,14 +106,38 @@ def plan(
     )
 
 
+def _label_words(labels: np.ndarray, width: int) -> np.ndarray:
+    """Labels, int64 or Python ints past 2^63, as `width` uint64 words
+    each, most significant first: shape labels.shape + (width,)."""
+    if labels.dtype == object:
+        raw = b"".join(int(v).to_bytes(8 * width, "big") for v in labels.flat)
+        return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(labels.shape + (width,))
+    words = np.zeros(labels.shape + (width,), dtype=np.uint64)
+    words[..., -1] = labels
+    return words
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """Rows of uint64 words, most significant first, as big-endian byte
+    strings: byte order is then numeric order. The words are swapped in
+    place, so the caller gives up `words`."""
+    if sys.byteorder == "little":
+        words.byteswap(inplace=True)
+    return words.view(f"S{8 * words.shape[-1]}")[..., 0]
+
+
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
-    Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Table
-    t is sorted: its bucket keys are keys[table_starts[t]:table_starts[t+1]],
-    ascending, and bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
-    ascending. The tables are a pure function of (functions, points), so
-    they are derived here and nowhere else.
+    Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Each
+    bucket has one key: its table t in the bits above its label, in w
+    64-bit words, with w = ceil((bits of label_bound - 1 + bits of L - 1)
+    / 64), stored big-endian as one S{8w} byte string. Byte order is then
+    numeric order, so the L tables, each sorted by label, form one sorted
+    array `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
+    ascending. A query builds its L keys the same way, and one searchsorted
+    finds all L buckets. The tables are a pure function of (functions,
+    points), so they are derived here and nowhere else.
     """
 
     def __init__(
@@ -135,48 +160,60 @@ class NNIndex:
         self.functions = tuple(functions)
         self.family_doc = family_doc
         self.rows = pack_rows(bits)
-        self._product = ProjectionProduct.of(self.functions)
-        keys = self._keys(bits).T
-        order = np.argsort(keys, axis=1)
-        keys = np.take_along_axis(keys, order, axis=1)
-        first = np.ones(keys.shape, dtype=bool)
-        first[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        label_bits = (max(fn.label_bound for fn in self.functions) - 1).bit_length()
+        width = max(1, -(-(label_bits + (params.L - 1).bit_length()) // 64))
+        tags = b"".join((t << label_bits).to_bytes(8 * width, "big") for t in range(params.L))
+        self._tags = np.frombuffer(tags, dtype=">u8").astype(np.uint64).reshape(params.L, 1, width)
+        self._product = ProjectionProduct.of(self.functions, width)
+        words = self._words(bits)
+        # Within a table only the words holding label bits vary; the words
+        # above them hold t alone. Each table sorts by its lowest word, then
+        # stably by each higher one that holds label bits.
+        varying = slice(width - -(-label_bits // 64), width)
+        order = np.argsort(words[..., -1], axis=1)
+        for j in range(width - 2, varying.start - 1, -1):
+            by_word = np.argsort(np.take_along_axis(words[..., j], order, axis=1), axis=1, kind="stable")
+            order = np.take_along_axis(order, by_word, axis=1)
+        words = np.take_along_axis(words, order[..., None], axis=1)
+        first = np.ones(order.shape, dtype=bool)
+        first[:, 1:] = (words[:, 1:, varying] != words[:, :-1, varying]).any(axis=2)
         # Row t of the flattened tables starts at t*n, always with a new bucket.
         starts = np.flatnonzero(first)
-        self.keys = keys.ravel()[starts]
+        self.keys = _as_keys(words.reshape(-1, width)[starts])
+        del words  # 8w bytes per point and table, freed before the id arrays are made
         self.offsets = np.append(starts.astype(np.int32), np.int32(first.size))
-        # Each table's buckets are numbered in order; one sort of
-        # (bucket + 1) * n + id per table puts each bucket's ids in ascending
-        # order, with temporaries of one table at a time.
+        # The unstable sort leaves each bucket's ids in any order. In a table
+        # with a bucket of two or more points, buckets are numbered in order
+        # and one sort of (bucket + 1) * n + id puts each bucket's ids in
+        # ascending order.
         n = len(bits)
-        for ids, heads in zip(order, first):
-            runs = np.cumsum(heads) * n + ids
+        for t in np.flatnonzero(~first.all(axis=1)):
+            runs = np.cumsum(first[t]) * n + order[t]
             runs.sort()
-            ids[:] = runs % n
+            order[t] = runs % n
         self.ids = order.ravel().astype(np.int32)
-        self.table_starts = np.concatenate(([0], np.cumsum(first.sum(axis=1))))
 
     @property
     def candidate_cap(self) -> int:
         return CANDIDATE_CAP_FACTOR * self.params.L
 
-    def _keys(self, bits: np.ndarray) -> np.ndarray:
-        """(n, L) keys of the rows of bits: one product for projections,
-        else the functions' label columns."""
+    def _words(self, bits: np.ndarray) -> np.ndarray:
+        """(L, n, w) key words of the rows of bits, most significant first:
+        one product for projections, else the functions' label columns."""
         if self._product is not None:
-            return self._product.labels(bits)
-        return np.stack([fn.labels(bits) for fn in self.functions], axis=1)
+            words = self._product.words(bits)
+        else:
+            labels = np.stack([fn.labels(bits) for fn in self.functions])
+            words = _label_words(labels, self._tags.shape[-1])
+        words |= self._tags
+        return words
 
-    def _buckets(self, q: np.ndarray) -> np.ndarray:
-        """The bucket of table t whose key is q[t], or -1: one bisection
-        over all L tables at once."""
-        base, size = self.table_starts[:-1].copy(), np.diff(self.table_starts)
-        # Invariant: table t's last key <= q[t], if any, lies in [base, base + size).
-        while size.max() > 1:
-            half = size >> 1
-            base += half * (self.keys[base + half] <= q)
-            size -= half
-        return np.where(self.keys[base] == q, base, -1)
+    def _buckets(self, words: np.ndarray) -> np.ndarray:
+        """For each table t, the bucket whose key is row t of the (L, w)
+        words, or -1: one search over all L tables at once."""
+        keys = _as_keys(words)
+        u = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[u] == keys, u, -1)
 
 
 def build(
@@ -213,7 +250,7 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
         raise ValueError(f"query dimension {x.dim} differs from index ({index.dim})")
     k, L, cap = index.params.k, index.params.L, index.candidate_cap
     raw = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint8)
-    bucket = index._buckets(index._keys(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[0])
+    bucket = index._buckets(index._words(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[:, 0])
     hit = bucket >= 0
     lo = index.offsets[bucket]
     lens = np.where(hit, index.offsets[bucket + 1] - lo, 0)
@@ -257,7 +294,7 @@ def stats(index: NNIndex) -> IndexStats:
     total = len(index.ids)
     n_buckets = len(index.keys)
     rho = index.params.planned_rho
-    arrays = (index.rows, index.keys, index.offsets, index.ids, index.table_starts)
+    arrays = (index.rows, index.keys, index.offsets, index.ids)
     return IndexStats(
         n_points=n,
         n_tables=index.params.L,

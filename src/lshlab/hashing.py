@@ -413,58 +413,71 @@ class Concatenation(HashFunction):
         return packed
 
 
+# Cells of one block of ProjectionProduct's float64 product: 512 KiB.
+_PRODUCT_CELLS = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionProduct:
     """The labels of concatenated coordinate projections, all functions at
-    once, as one float64 matrix product.
+    once, as one float64 matrix product, in 64-bit words.
 
     Function t's packed label is the sum of 2^j over its parts j whose
-    coordinate is set: the row's product with the column holding, at each
-    coordinate, the sum of 2^j over the parts j that project it
+    coordinate is set: the point's product with a weight row holding, at
+    each coordinate, the sum of 2^j over the parts j that project it
     (coordinates may repeat). A float64 sum of distinct powers of two is
-    exact below 2^53 whatever the summation order, so a label below 2^53
-    is one column; a wider one is split into 32-bit limbs, one column each,
-    and reassembled: in int64 up to 2^63, in Python ints beyond.
+    exact below 2^53 whatever the summation order, so labels below 2^53
+    take one weight row; wider ones take two per word they reach, one per
+    32-bit limb.
     """
 
     coords: np.ndarray  # the projected coordinates, once each
-    weights: np.ndarray  # (len(coords), limbs * n_functions), limb-major
+    weights: np.ndarray  # (rows per function * n_functions, len(coords)), top limb first
     n_functions: int
-    bound: int  # the largest label_bound
+    width: int  # words per label
 
     @classmethod
-    def of(cls, functions: Sequence[HashFunction]) -> Optional["ProjectionProduct"]:
-        """None unless every function concatenates coordinate projections."""
+    def of(cls, functions: Sequence[HashFunction], width: int) -> Optional["ProjectionProduct"]:
+        """None unless every function concatenates coordinate projections.
+        Labels come as `width` words, at least as many as the widest needs."""
         if not functions or not all(
             isinstance(fn, Concatenation) and all(isinstance(p, CoordinateProjection) for p in fn.parts)
             for fn in functions
         ):
             return None
         bound = max(fn.label_bound for fn in functions)
-        width = 53 if bound <= 1 << 53 else 32
-        limbs = -(-(bound.bit_length() - 1) // width)
-        w = np.zeros((functions[0].dim, limbs, len(functions)), dtype=np.int64)
-        for t, fn in enumerate(functions):
-            for j, part in enumerate(fn.parts):
-                w[part.coord, j // width, t] += 1 << (j % width)
-        w = w.reshape(len(w), -1)
-        coords = np.flatnonzero(w.any(axis=1))
-        return cls(coords, w[coords].astype(np.float64), len(functions), bound)
+        used = -(-(bound - 1).bit_length() // 64)  # words the labels reach
+        if used > width:
+            raise ValueError(f"labels below {bound} do not fit in {width} words")
+        limb = 53 if bound <= 1 << 53 else 32
+        rows = 1 if limb == 53 else 2 * used
+        lens = [len(fn.parts) for fn in functions]
+        coord = np.fromiter((p.coord for fn in functions for p in fn.parts), dtype=np.intp, count=sum(lens))
+        t = np.repeat(np.arange(len(functions)), lens)
+        j = np.concatenate([np.arange(m) for m in lens])
+        # Part j of function t adds 2^(j % limb) at its coordinate in its
+        # limb's row; parts that meet in one cell hold distinct powers, so
+        # the float64 sums are exact.
+        row = (rows - 1 - j // limb) * len(functions) + t
+        dim = functions[0].dim
+        w = np.bincount(row * dim + coord, np.ldexp(1.0, j % limb), len(functions) * rows * dim)
+        w = w.reshape(-1, dim)
+        coords = np.flatnonzero(w.any(axis=0))
+        return cls(coords, w[:, coords], len(functions), width)
 
-    def labels(self, bits: np.ndarray) -> np.ndarray:
-        """(n, n_functions) labels of the rows of an (n, dim) 0/1 matrix:
-        int64 while every label_bound <= 2^63, exact Python ints beyond."""
-        n_limbs = self.weights.shape[1] // self.n_functions
-        limbs = (bits[:, self.coords].astype(np.float64) @ self.weights).astype(np.int64)
-        limbs = limbs.reshape(len(bits), n_limbs, self.n_functions)
-        if n_limbs == 1:
-            return limbs[:, 0]
-        if self.bound <= _INT64_BOUND:
-            return limbs[:, 0] | (limbs[:, 1] << 32)
-        labels = limbs[:, -1].astype(object)
-        for i in range(n_limbs - 2, -1, -1):
-            labels = (labels << 32) | limbs[:, i]
-        return labels
+    def words(self, bits: np.ndarray) -> np.ndarray:
+        """(n_functions, n, width) uint64 words of the labels of the rows of
+        an (n, dim) 0/1 matrix, most significant first; words above the
+        widest label are zero."""
+        out = np.zeros((self.n_functions, len(bits), self.width), dtype=np.uint64)
+        block = max(1, _PRODUCT_CELLS // len(self.weights))
+        for lo in range(0, len(bits), block):
+            points = bits[lo : lo + block, self.coords].T.astype(np.float64)
+            limbs = (self.weights @ points).astype(np.uint64).reshape(-1, self.n_functions, points.shape[1])
+            if len(limbs) > 1:  # two 32-bit limbs per word
+                limbs = (limbs[0::2] << np.uint64(32)) | limbs[1::2]
+            out[:, lo : lo + block, self.width - len(limbs) :] = limbs.transpose(1, 2, 0)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -133,24 +133,39 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
     chernoff-domination tails ten times less accurate."""
     n = np.array(n, dtype=np.float64, ndmin=1, copy=None)
     top = len(_LOG_FACTORIALS) - 1
-    x = np.maximum(n, top + 1) + 1  # the series below its range is overwritten
+    x = np.maximum(n, top + 1)  # the series below its range is overwritten
+    x += 1
     r = 1 / x
     r2 = r * r
-    tail = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
-    out = (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + tail
+    # tail = r * (1/12 - r2 * (1/360 - r2 * (1/1260 - r2/1680))), and out =
+    # (x - 0.5) * ln x - x + ln(2 pi)/2 + tail, each updated in place.
+    tail = r2 / 1680
+    np.subtract(1 / 1260, tail, out=tail)
+    tail *= r2
+    np.subtract(1 / 360, tail, out=tail)
+    tail *= r2
+    np.subtract(1 / 12, tail, out=tail)
+    tail *= r
+    out = x - 0.5
+    out *= np.log(x, out=r2)
+    out -= x
+    out += _HALF_LOG_2PI
+    out += tail
     small = n <= top
     out[small] = _LOG_FACTORIALS[n[small].astype(np.intp)]
     return out
 
 
 def _binom_logpmf(d: int, eta: float, js: np.ndarray) -> np.ndarray:
-    return (
-        _log_factorial(d)
-        - _log_factorial(js)
-        - _log_factorial(d - js)
-        + js * math.log(eta)
-        + (d - js) * math.log1p(-eta)
-    )
+    """ln Pr[Binomial(d, eta) = j] at each j of js, which it overwrites."""
+    rest = d - js
+    logs = np.subtract(_log_factorial(d), _log_factorial(js))
+    logs -= _log_factorial(rest)
+    js *= math.log(eta)
+    logs += js
+    rest *= math.log1p(-eta)
+    logs += rest
+    return logs
 
 
 def _binomial_range(d: int, eta: float, lo: int, hi: int) -> float:
@@ -172,7 +187,8 @@ def _binomial_range(d: int, eta: float, lo: int, hi: int) -> float:
     top = int(np.argmax(logs))
     peak = logs[top]
     logs[top] = -np.inf
-    return math.exp(math.log1p(float(np.exp(logs - peak).sum())) + peak)
+    logs -= peak
+    return math.exp(math.log1p(float(np.exp(logs, out=logs).sum())) + peak)
 
 
 def binomial_tail_above(d: int, eta: float, r: float) -> float:

@@ -200,23 +200,27 @@ def test_wide_projection_concatenation_is_exact(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_projection_product_is_exact(data):
-    # One product labels several functions at once, exactly: a label past
-    # 2^53 is reassembled from 32-bit limbs, in int64 up to 2^63 and in
-    # Python ints beyond.
+    # One product labels several functions at once, exactly, as 64-bit
+    # words: labels below 2^53 take one float64 weight row, wider ones two
+    # 32-bit limb rows per word they reach. Spare words above stay zero.
     d = data.draw(st.integers(1, 80))
-    widths = st.one_of(st.integers(1, 80), st.sampled_from([52, 53, 54, 63, 64, 65]))
+    widths = st.one_of(st.integers(1, 130), st.sampled_from([52, 53, 54, 63, 64, 65, 127, 128, 129]))
     fns = [
         Concatenation(tuple(CoordinateProjection(d, c) for c in data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))))
         for k in data.draw(st.lists(widths, min_size=1, max_size=4))
     ]
+    width = -(-max(len(h.parts) for h in fns) // 64) + data.draw(st.integers(0, 1), label="extra")
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
-    labels = ProjectionProduct.of(fns).labels(_rows(values, d))
-    assert labels.dtype == (np.int64 if max(len(h.parts) for h in fns) <= 63 else object)
-    assert labels.tolist() == [[ref_label(h, v) for h in fns] for v in values]
+    words = ProjectionProduct.of(fns, width).words(_rows(values, d))
+    assert words.dtype == np.uint64 and words.shape == (len(fns), len(values), width)
+    labels = [[sum(int(w) << (64 * j) for j, w in enumerate(reversed(row))) for row in fn_words] for fn_words in words]
+    assert labels == [[ref_label(h, v) for v in values] for h in fns]
     for h in fns:
         _check(h, values)
+    with pytest.raises(ValueError, match="do not fit"):
+        ProjectionProduct.of(fns + [Concatenation((CoordinateProjection(d, 0),) * (64 * width + 1))], width)
     # Any other part takes the per-function path.
-    assert ProjectionProduct.of(fns + [Concatenation((Parity(d, (0,)),))]) is None
+    assert ProjectionProduct.of(fns + [Concatenation((Parity(d, (0,)),))], width) is None
 
 
 def test_wide_labels_reach_past_int64():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lshlab import rng as rngmod
 from lshlab.annindex import (
     IndexParams,
+    NNIndex,
     QueryTrace,
     build,
     load_index,
@@ -19,6 +20,9 @@ from lshlab.annindex import (
     stats,
 )
 from lshlab.hashing import (
+    Concatenation,
+    CoordinateProjection,
+    Parity,
     SensitivityProfile,
     bit_sampling_family,
     bit_sampling_profile,
@@ -42,34 +46,42 @@ def _random_points(n, d, seed):
 # Reference: one dict-of-lists table per function, probed table by table.
 
 
-def _ref_labels(fn, bits):
-    """fn's labels, packed from its parts one part at a time in Python ints."""
-    labels, scale = [0] * len(bits), 1
-    for part in fn.parts:
-        labels = [lab + int(v) * scale for lab, v in zip(labels, part.labels(bits))]
-        scale *= part.label_bound
-    return labels
+def _ref_labels(functions, bits):
+    """Each function's labels of the rows of bits, packed from its parts one
+    part at a time in Python ints; each distinct part is evaluated once."""
+    parts, out = {}, []
+    for fn in functions:
+        labels, scale = [0] * len(bits), 1
+        for part in fn.parts:
+            if part not in parts:
+                parts[part] = part.labels(bits).tolist()
+            labels = [lab + v * scale for lab, v in zip(labels, parts[part])]
+            scale *= part.label_bound
+        out.append(labels)
+    return out
 
 
 def _ref_tables(functions, points):
     """Table t maps each label of g_t to the ids of the points carrying it, in id order."""
-    bits = points_to_bit_matrix(points)
     tables = []
-    for fn in functions:
+    for labels in _ref_labels(functions, points_to_bit_matrix(points)):
         table = {}
-        for i, lab in enumerate(_ref_labels(fn, bits)):
+        for i, lab in enumerate(labels):
             table.setdefault(lab, []).append(i)
         tables.append(table)
     return tables
 
 
-def _ref_query(idx, tables, points, x):
+def _ref_query(idx, tables, points, x, labels=None):
     """Probe x's bucket in each table in order and stop at the first point
-    within cr, or when the next candidate would pass the cap."""
+    within cr, or when the next candidate would pass the cap. `labels`, if
+    given, holds x's label under each function."""
     k, cr, cap = idx.params.k, idx.params.cr, idx.candidate_cap
+    if labels is None:
+        labels = [lab for (lab,) in _ref_labels(idx.functions, points_to_bit_matrix([x]))]
     inspected = 0
-    for ti, (fn, table) in enumerate(zip(idx.functions, tables)):
-        for i in table.get(_ref_labels(fn, points_to_bit_matrix([x]))[0], []):
+    for ti, (label, table) in enumerate(zip(labels, tables)):
+        for i in table.get(label, []):
             if inspected >= cap:
                 return QueryTrace(None, inspected, ti + 1, k * (ti + 1))
             inspected += 1
@@ -80,15 +92,19 @@ def _ref_query(idx, tables, points, x):
 
 
 def _buckets(idx):
-    """The index's sorted tables read back as dicts: key -> ids."""
-    tables = []
-    for t in range(idx.params.L):
-        lo, hi = idx.table_starts[t], idx.table_starts[t + 1]
-        assert all(idx.keys[u] < idx.keys[u + 1] for u in range(lo, hi - 1))
-        tables.append({
-            int(idx.keys[u]): idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
-            for u in range(lo, hi)
-        })
+    """The index's sorted tables read back as dicts: label -> ids. Each key
+    is table t above the label, in big-endian words."""
+    label_bits = (max(fn.label_bound for fn in idx.functions) - 1).bit_length()
+    size = idx.keys.dtype.itemsize
+    assert size == 8 * max(1, -(-(label_bits + (idx.params.L - 1).bit_length()) // 64))
+    raw = idx.keys.tobytes()
+    values = [int.from_bytes(raw[u * size : (u + 1) * size], "big") for u in range(len(idx.keys))]
+    assert all(idx.keys[u] < idx.keys[u + 1] for u in range(len(values) - 1))
+    assert values == sorted(set(values))
+    tables = [{} for _ in range(idx.params.L)]
+    for u, value in enumerate(values):
+        label = value & ((1 << label_bits) - 1)
+        tables[value >> label_bits][label] = idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
     return tables
 
 
@@ -287,12 +303,15 @@ def test_query_dimension_check():
 @given(data=st.data())
 def test_array_index_matches_dict_reference(data):
     # Duplicate and all-identical points (buckets past the cap), a MinHash
-    # base (label columns, not the projection product) and k > 63 (keys
-    # past int64, held as Python ints).
+    # base (label columns, not the projection product), and keys of one to
+    # ten words: k near 64 and 128, with L past 128 for projections, so
+    # that the table number and the label straddle a word boundary.
     d = data.draw(st.integers(2, 20), label="d")
     family = data.draw(st.sampled_from([bit_sampling_family(d), minhash_family(d)]), label="family")
-    k = data.draw(st.one_of(st.integers(1, 6), st.integers(64, 70)), label="k")
-    L = data.draw(st.integers(1, 6), label="L")
+    k = data.draw(st.one_of(st.integers(1, 6), st.integers(56, 70), st.integers(120, 130)), label="k")
+    # A MinHash query labels all L*k parts, so only projections get L > 128.
+    wide = st.one_of(st.integers(1, 6), st.integers(129, 136)) if family.law is None else st.integers(1, 6)
+    L = data.draw(wide, label="L")
     value = st.integers(0, (1 << d) - 1)
     n = data.draw(st.integers(1, 40), label="n")
     if data.draw(st.booleans(), label="identical"):
@@ -320,8 +339,10 @@ def test_array_index_matches_dict_reference(data):
     # there, yet possibly far from it, which is how a probe reaches the cap.
     used = [{part.coord for part in fn.parts} for fn in idx.functions] if family.law is None else []
     decoys = [p.flip(set(range(d)) - coords) for p, coords in zip(stored, used + [set().union(*used)])]
-    for x in stored + planted + random_ + decoys:
-        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
+    queries = stored + planted + random_ + decoys
+    labels = _ref_labels(idx.functions, points_to_bit_matrix(queries))
+    for i, x in enumerate(queries):
+        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -333,6 +354,47 @@ def test_buckets_hold_ascending_ids_when_keys_repeat(k):
     idx = build(pts, bit_sampling_family(9), params)
     assert _buckets(idx) == _ref_tables(idx.functions, pts)
     assert all(np.all(np.diff(idx.ids[lo:hi]) > 0) for lo, hi in zip(idx.offsets[:-1], idx.offsets[1:]))
+
+
+@pytest.mark.parametrize("family, k, L", [
+    (bit_sampling_family(12), 70, 5), (minhash_family(12), 70, 5), (minhash_family(12), 16, 130),
+], ids=["bit-sampling", "minhash", "minhash-L130"])
+def test_duplicate_points_in_two_word_keys(family, k, L):
+    # Keys of two words or more: 70 parts, or 16 MinHash parts (60 bits)
+    # under 8 bits of table number. Every point is stored three times, so
+    # each bucket is a run of equal keys whose ids the sort over several
+    # words must still leave ascending.
+    pts = _random_points(50, 12, seed=14) * 3
+    idx = build(pts, family, IndexParams(r=1, cr=3, k=k, L=L, delta=0.1, seed=3))
+    assert idx.keys.dtype.itemsize >= 16
+    tables = _ref_tables(idx.functions, pts)
+    assert _buckets(idx) == tables
+    assert stats(idx).max_bucket >= 3
+    queries = pts[:5] + _random_points(5, 12, seed=15)
+    labels = _ref_labels(idx.functions, points_to_bit_matrix(queries))
+    for i, x in enumerate(queries):
+        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
+
+
+@pytest.mark.parametrize("k", [40, 70])
+@pytest.mark.parametrize("low", [CoordinateProjection(8, 0), Parity(8, (0,))], ids=["projection", "parity"])
+def test_keys_whose_low_bytes_are_zero(k, low):
+    # The first 16 parts read coordinate 0, which no stored point sets, so
+    # every label's low two bytes are zero, and the zero point's key in
+    # table 0 is zero throughout. numpy drops trailing zero bytes from an S
+    # value; keys must still sort, compare and match at their full width.
+    # A Parity part sends the labels through the per-function path.
+    functions = [
+        Concatenation((low,) * 16 + tuple(CoordinateProjection(8, 1 + (t + j) % 7) for j in range(k - 16)))
+        for t in range(3)
+    ]
+    pts = [Point(v, 8) for v in (0, 2, 4, 6, 254, 128, 2, 0)]
+    idx = NNIndex(IndexParams(r=1, cr=2, k=k, L=3, delta=0.1, seed=0), functions, points_to_bit_matrix(pts))
+    assert idx.keys.dtype.itemsize == (8 if k == 40 else 16)
+    tables = _ref_tables(functions, pts)
+    assert _buckets(idx) == tables
+    for x in pts + [Point(1, 8), Point(255, 8), Point(3, 8)]:
+        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
 
 
 # ---------------------------------------------------------------------------
