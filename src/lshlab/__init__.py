@@ -32,8 +32,6 @@ from .spectral import (
     stability_ratio,
 )
 from .sampling import (
-    correlated_pair,
-    jaccard_of_correlated_sets,
     mc_stability,
     tail_probabilities,
     verify_sandwich,
@@ -77,8 +75,6 @@ __all__ = [
     "stability",
     "stability_curve",
     "stability_ratio",
-    "correlated_pair",
-    "jaccard_of_correlated_sets",
     "mc_stability",
     "tail_probabilities",
     "verify_sandwich",

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 def im_upper(c: float) -> float:
     """Limit rho of bit sampling: 1/c, approached as r/d -> 0."""
-    if c < 1:
-        raise ValueError("approximation factor c must be at least 1")
+    if not 1 <= c < math.inf:
+        raise ValueError("approximation factor c must be finite and at least 1")
     return 1.0 / c
 
 
@@ -30,10 +30,10 @@ def im_rho(d: int, r: float, c: float) -> float:
     """Exact rho of bit sampling at finite r/d (always below 1/c)."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if c <= 1:
-        raise ValueError("approximation factor c must exceed 1")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    if not 1 < c < math.inf:
+        raise ValueError("approximation factor c must be finite and exceed 1")
     if c * r >= d:
         raise ValueError(f"degenerate q: cr = {c * r} >= d = {d}")
     return math.log1p(-r / d) / math.log1p(-c * r / d)
@@ -41,24 +41,24 @@ def im_rho(d: int, r: float, c: float) -> float:
 
 def ai_upper(c: float) -> float:
     """Euclidean reference curve 1/c^2 (construction itself out of scope)."""
-    if c < 1:
-        raise ValueError("approximation factor c must be at least 1")
+    if not 1 <= c < math.inf:
+        raise ValueError("approximation factor c must be finite and at least 1")
     return 1.0 / c**2
 
 
 def diim_upper(c: float, s: float = 1.0) -> float:
     """l_s reference curve max(1/c^s, 1/c) (construction itself out of scope)."""
-    if c < 1:
-        raise ValueError("approximation factor c must be at least 1")
-    if s <= 0:
-        raise ValueError("exponent s must be positive")
+    if not 1 <= c < math.inf:
+        raise ValueError("approximation factor c must be finite and at least 1")
+    if not 0 < s < math.inf:
+        raise ValueError("exponent s must be positive and finite")
     return max(1.0 / c**s, 1.0 / c)
 
 
 def mnp_lower(c: float) -> float:
     """(e^{1/c} - 1)/(e^{1/c} + 1): at least .46/c, approaching 1/(2c)."""
-    if c < 1:
-        raise ValueError("approximation factor c must be at least 1")
+    if not 1 <= c < math.inf:
+        raise ValueError("approximation factor c must be finite and at least 1")
     return math.expm1(1 / c) / (math.exp(1 / c) + 1)
 
 
@@ -75,10 +75,10 @@ def correction_scale(d: int, q: float) -> float:
 def rho_lower_bound(c: float, d: int, q: float, big_k: float = 1.0) -> float:
     """max(0, 1/c - K lambda(d, q)^{1/3}): the sharp lower bound with the
     universal constant K left as a caller-supplied knob."""
-    if c < 1:
-        raise ValueError("approximation factor c must be at least 1")
-    if big_k <= 0:
-        raise ValueError("K must be positive")
+    if not 1 <= c < math.inf:
+        raise ValueError("approximation factor c must be finite and at least 1")
+    if not 0 < big_k < math.inf:
+        raise ValueError("K must be positive and finite")
     return max(0.0, 1 / c - big_k * correction_scale(d, q) ** (1 / 3))
 
 
@@ -121,8 +121,8 @@ class ChernoffLedger:
 
 
 def chernoff_ledger(c: float, d: int, q: float, delta: float) -> ChernoffLedger:
-    if c <= 1:
-        raise ValueError("approximation factor c must exceed 1")
+    if not 1 < c < math.inf:
+        raise ValueError("approximation factor c must be finite and exceed 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if not 0 < delta < 0.005:
@@ -193,10 +193,10 @@ class DeltaChoice:
 def delta_choice(c: float, d: int, q: float, k1: float = 1.0) -> DeltaChoice:
     """Delta = K1 c^{1/3} lambda(d, q)^{1/3}; flagged trivialized when it
     reaches .005, in which case the lower bound carries no information."""
-    if c <= 1:
-        raise ValueError("approximation factor c must exceed 1")
-    if k1 <= 0:
-        raise ValueError("K1 must be positive")
+    if not 1 < c < math.inf:
+        raise ValueError("approximation factor c must be finite and exceed 1")
+    if not 0 < k1 < math.inf:
+        raise ValueError("K1 must be positive and finite")
     value = k1 * c ** (1 / 3) * correction_scale(d, q) ** (1 / 3)
     return DeltaChoice(value=value, trivialized=value >= 0.005)
 

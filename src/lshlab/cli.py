@@ -82,19 +82,24 @@ def write_rows(path: Optional[str], header: Sequence[str], rows, fmt: str, float
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either 'start:stop:count' or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"grid must be start:stop:count or a comma list, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    """Either 'start:stop:count' or a comma-separated list, of finite,
+    nonnegative times."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        values = [float(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise CliError("empty grid")
+    elif len(parts) == 3:
+        values, count = [float(parts[0]), float(parts[1])], int(parts[2])
         if count < 1:
             raise CliError("grid count must be at least 1")
-        return [float(t) for t in np.linspace(start, stop, count)]
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if not values:
-        raise CliError("empty grid")
-    return values
+    else:
+        raise CliError(f"grid must be start:stop:count or a comma list, got {text!r}")
+    if not all(0 <= t < math.inf for t in values):
+        raise CliError(f"grid times must be finite and nonnegative, got {text!r}")
+    if len(parts) == 1:
+        return values
+    return [float(t) for t in np.linspace(*values, count)]
 
 
 def _resolve_family(args) -> object:
@@ -129,6 +134,9 @@ def _resolve_family(args) -> object:
 
 
 def cmd_bounds(args) -> int:
+    for flag, c in (("--c-min", args.c_min), ("--c-max", args.c_max)):
+        if not 1 <= c < math.inf:
+            raise CliError(f"{flag} must be finite and at least 1, got {c}")
     if args.c_min >= args.c_max:
         raise CliError("--c-min must be below --c-max")
     if args.steps < 1:
@@ -371,10 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1044,26 +1044,6 @@ def exact_sensitivity(family: HashFamily, r: float, cr: float) -> SensitivityPro
 # with exact round-trip (weights serialize as "numerator/denominator").
 
 
-def function_descriptor(h: HashFunction) -> dict:
-    if isinstance(h, CoordinateProjection):
-        return {"kind": "proj", "d": h.dim, "i": h.coord}
-    if isinstance(h, CoordinateSubset):
-        return {"kind": "subset", "d": h.dim, "coords": list(h.coords)}
-    if isinstance(h, Parity):
-        return {"kind": "parity", "d": h.dim, "coords": list(h.coords)}
-    if isinstance(h, Constant):
-        return {"kind": "const", "d": h.dim}
-    if isinstance(h, ExplicitTable):
-        return {"kind": "table", "d": h.dim, "labels": list(h.table)}
-    if isinstance(h, MinHashPermutation):
-        return {"kind": "minperm", "d": h.dim, "perm": list(h.perm)}
-    if isinstance(h, PairCollapse):
-        return {"kind": "pair", "d": h.dim, "x": h.x0, "y": h.y0}
-    if isinstance(h, Concatenation):
-        return {"kind": "concat", "parts": [function_descriptor(p) for p in h.parts]}
-    raise TypeError(f"no descriptor for {type(h).__name__}")
-
-
 def _int(doc: dict, key: str) -> int:
     """doc[key], which must be an integer (JSON true and 1.0 are not)."""
     v = doc[key]
@@ -1087,24 +1067,42 @@ def _ints(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(v)
 
 
+# kind -> (class, fields): one (descriptor key, attribute, reader) per
+# constructor argument, in order.
+_FUNCTION_KINDS = {
+    "proj": (CoordinateProjection, (("d", "dim", _int), ("i", "coord", _int))),
+    "subset": (CoordinateSubset, (("d", "dim", _int), ("coords", "coords", _ints))),
+    "parity": (Parity, (("d", "dim", _int), ("coords", "coords", _ints))),
+    "const": (Constant, (("d", "dim", _int),)),
+    "table": (ExplicitTable, (("d", "dim", _int), ("labels", "table", _ints))),
+    "minperm": (MinHashPermutation, (("d", "dim", _int), ("perm", "perm", _ints))),
+    "pair": (PairCollapse, (("d", "dim", _int), ("x", "x0", _int), ("y", "y0", _int))),
+}
+
+
+_KIND_OF = {cls: kind for kind, (cls, _) in _FUNCTION_KINDS.items()}
+
+
+def function_descriptor(h: HashFunction) -> dict:
+    if isinstance(h, Concatenation):
+        return {"kind": "concat", "parts": [function_descriptor(p) for p in h.parts]}
+    if type(h) not in _KIND_OF:
+        raise TypeError(f"no descriptor for {type(h).__name__}")
+    kind = _KIND_OF[type(h)]
+    doc = {"kind": kind}
+    for key, attr, read in _FUNCTION_KINDS[kind][1]:
+        v = getattr(h, attr)
+        doc[key] = list(v) if read is _ints else v
+    return doc
+
+
 def _function_args(doc: dict) -> tuple[type, tuple]:
     """The class and checked constructor arguments a non-concat descriptor names."""
     kind = doc["kind"]
-    if kind == "proj":
-        return CoordinateProjection, (_int(doc, "d"), _int(doc, "i"))
-    if kind == "subset":
-        return CoordinateSubset, (_int(doc, "d"), _ints(doc, "coords"))
-    if kind == "parity":
-        return Parity, (_int(doc, "d"), _ints(doc, "coords"))
-    if kind == "const":
-        return Constant, (_int(doc, "d"),)
-    if kind == "table":
-        return ExplicitTable, (_int(doc, "d"), _ints(doc, "labels"))
-    if kind == "minperm":
-        return MinHashPermutation, (_int(doc, "d"), _ints(doc, "perm"))
-    if kind == "pair":
-        return PairCollapse, (_int(doc, "d"), _int(doc, "x"), _int(doc, "y"))
-    raise ValueError(f"unknown function kind {kind!r}")
+    if type(kind) is not str or kind not in _FUNCTION_KINDS:
+        raise ValueError(f"unknown function kind {kind!r}")
+    cls, fields = _FUNCTION_KINDS[kind]
+    return cls, tuple([read(doc, key) for key, _, read in fields])
 
 
 def function_from_descriptor(doc: dict, built: Optional[dict] = None) -> HashFunction:

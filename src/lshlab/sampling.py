@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .hashing import HashFamily
-from .points import Point, bit_rows_to_points
-from .spectral import MONTE_CARLO, FourierSpectrum, StabilityCurve, _as_spectrum, stability
+from .spectral import MONTE_CARLO, FourierSpectrum, StabilityCurve, _as_spectrum, _check_times, stability
 from . import rng as rngmod
 
 _MC_CHUNK = 4096
@@ -40,13 +39,6 @@ def _flipped_pairs(
     return x, x ^ flips
 
 
-@dataclass(frozen=True)
-class CorrelatedPair:
-    x: Point
-    y: Point
-    rho: float
-
-
 def correlated_bits(
     d: int, rho: float, n: int, seed: int, substream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -54,13 +46,6 @@ def correlated_bits(
     if not 0 <= rho <= 1:
         raise ValueError(f"correlation must lie in [0, 1], got {rho}")
     return _flipped_pairs(rngmod.stream(seed, substream), n, d, (1 - rho) / 2)
-
-
-def correlated_pair(d: int, rho: float, seed: int) -> CorrelatedPair:
-    x, y = correlated_bits(d, rho, 1, seed)
-    (px,) = bit_rows_to_points(x)
-    (py,) = bit_rows_to_points(y)
-    return CorrelatedPair(px, py, rho)
 
 
 class StabilityEstimate(NamedTuple):
@@ -103,7 +88,7 @@ def mc_stability_curve(
 ) -> StabilityCurve:
     """mc_stability at each grid point, point i on substream i of the seed,
     so no two seeds or points share a stream."""
-    grid = tuple(float(t) for t in t_grid)
+    grid = _check_times(tuple(float(t) for t in t_grid))
     estimates = [
         mc_stability(family, math.exp(-t), n_samples, seed, substream=i)
         for i, t in enumerate(grid)
@@ -262,42 +247,3 @@ def verify_sandwich(
         tolerance=tol,
     )
 
-
-# ---------------------------------------------------------------------------
-# Jaccard view: flip each coordinate with probability t/2 and read the pair
-# as two subsets of [d]; the Jaccard distance concentrates near t/(1 + t/2).
-
-
-@dataclass(frozen=True)
-class JaccardSummary:
-    d: int
-    t: float
-    n_samples: int
-    mean: float
-    stderr: float
-    minimum: float
-    maximum: float
-    predicted: float
-
-
-def jaccard_of_correlated_sets(
-    d: int, t: float, n_samples: int, seed: int = rngmod.DEFAULT_SEED
-) -> JaccardSummary:
-    if not 0 <= t <= 2:
-        raise ValueError("flip model needs 0 <= t <= 2")
-    x, y = _flipped_pairs(rngmod.stream(seed, 0), n_samples, d, t / 2)
-    inter = np.logical_and(x, y).sum(axis=1).astype(np.float64)
-    union = np.logical_or(x, y).sum(axis=1).astype(np.float64)
-    dist = np.where(union > 0, 1.0 - inter / np.maximum(union, 1.0), 0.0)
-    mean = float(dist.mean())
-    stderr = float(dist.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return JaccardSummary(
-        d=d,
-        t=t,
-        n_samples=n_samples,
-        mean=mean,
-        stderr=stderr,
-        minimum=float(dist.min()),
-        maximum=float(dist.max()),
-        predicted=t / (1 + t / 2),
-    )

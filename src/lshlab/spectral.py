@@ -12,7 +12,6 @@ stability_ratio exhibits the resulting ln(1/K(t)) / ln(1/K(ct)) >= 1/c bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -52,48 +51,27 @@ def _fwht_in_place(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """Squared Fourier mass per subset of coordinates (subsets are bitmasks).
+    """Squared Fourier mass per subset size: levels[k] is the sum of w_S
+    over the subsets S of k coordinates, for k = 0..dim.
 
-    Weights are nonnegative and sum to 1 (Parseval for the unit-vector
-    embedding); exact spectra leave out only the subsets of zero mass.
+    Levels are nonnegative and sum to 1 (Parseval for the unit-vector
+    embedding).
     """
 
     dim: int
-    weights: dict[int, float]
+    levels: tuple[float, ...]
 
     def __post_init__(self):
-        n = 1 << self.dim
-        for mask, w in self.weights.items():
-            if not 0 <= mask < n:
-                raise ValueError(f"subset mask {mask} out of range for dimension {self.dim}")
-            if w < 0:
-                raise ValueError(f"negative weight at mask {mask}")
+        if len(self.levels) != self.dim + 1:
+            raise ValueError(f"need {self.dim + 1} level weights, got {len(self.levels)}")
+        if not all(w >= 0 for w in self.levels):
+            raise ValueError("level weights must be nonnegative")
         total = self.total_mass()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1")
 
     def total_mass(self) -> float:
-        return math.fsum(self.weights.values())
-
-    def level_weights(self) -> np.ndarray:
-        """Mass per subset size, length dim + 1 (read-only)."""
-        return self._levels
-
-    @functools.cached_property
-    def _levels(self) -> np.ndarray:
-        levels = np.zeros(self.dim + 1)
-        for mask, w in self.weights.items():
-            levels[mask.bit_count()] += w
-        levels.flags.writeable = False
-        return levels
-
-    def weight_zero(self) -> float:
-        return self.weights.get(0, 0.0)
-
-
-def _spectrum_from_array(dim: int, w: np.ndarray) -> FourierSpectrum:
-    weights = {int(mask): float(w[mask]) for mask in np.flatnonzero(w)}
-    return FourierSpectrum(dim=dim, weights=weights)
+        return math.fsum(self.levels)
 
 
 def _class_mass(codes: np.ndarray, cells: np.ndarray, square_type) -> np.ndarray:
@@ -187,9 +165,9 @@ def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
     return family_spectrum(finite_family([h]))
 
 
-def family_spectrum(family: HashFamily) -> FourierSpectrum:
-    """Expected spectrum over a finite family: the probability-weighted
-    average of its atoms' spectra."""
+def _mask_weights(family: HashFamily) -> np.ndarray:
+    """w_S of the family at every subset S of its coordinates, indexed by
+    the mask of S: the probability-weighted average of its atoms' w_S."""
     if family.dim > _TRANSFORM_DIM_LIMIT:
         raise ValueError(
             f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
@@ -204,7 +182,17 @@ def family_spectrum(family: HashFamily) -> FourierSpectrum:
     # Unbuffered, in entry order: each w_S takes its atoms' terms in atom order.
     for masks, mass in _mass_entries((h for _, h in family.atoms), weights, family.dim):
         np.add.at(w, masks, mass)
-    return _spectrum_from_array(family.dim, w)
+    return w
+
+
+def family_spectrum(family: HashFamily) -> FourierSpectrum:
+    """Expected spectrum over a finite family: the probability-weighted
+    average of its atoms' spectra."""
+    w = _mask_weights(family)
+    # bincount adds in mask order, so each level is the ascending-mask sum.
+    sizes = np.bitwise_count(np.arange(len(w)))
+    levels = np.bincount(sizes, weights=w, minlength=family.dim + 1)
+    return FourierSpectrum(family.dim, tuple(levels.tolist()))
 
 
 SpectrumSource = Union[FourierSpectrum, HashFamily, HashFunction]
@@ -224,8 +212,14 @@ def stability(spectrum: FourierSpectrum, rho: float) -> float:
     """sum_S w_S rho^|S|: the collision probability on a rho-correlated pair."""
     if not 0 <= rho <= 1:
         raise ValueError(f"correlation must lie in [0, 1], got {rho}")
-    levels = spectrum.level_weights()
-    return float(np.dot(levels, rho ** np.arange(len(levels))))
+    return float(np.dot(spectrum.levels, rho ** np.arange(spectrum.dim + 1)))
+
+
+def _check_times(grid: tuple[float, ...]) -> tuple[float, ...]:
+    """The grid, each of whose times must be finite and nonnegative."""
+    if not all(0 <= t < math.inf for t in grid):
+        raise ValueError("time grid must be finite and nonnegative")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -241,20 +235,20 @@ class StabilityCurve:
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must align")
+        _check_times(self.grid)
         if list(self.grid) != sorted(self.grid):
             raise ValueError("grid must be sorted")
-        if any(t < 0 for t in self.grid):
-            raise ValueError("time grid must be nonnegative")
         if self.provenance not in (EXACT, MONTE_CARLO):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> StabilityCurve:
-    spectrum = _as_spectrum(source)
-    grid = tuple(float(t) for t in t_grid)
-    levels = spectrum.level_weights()
+    grid = _check_times(tuple(float(t) for t in t_grid))
+    levels = np.array(_as_spectrum(source).levels)
     sizes = np.arange(len(levels))
-    values = tuple(float(np.dot(levels, np.exp(-t * sizes))) for t in grid)
+    # Past t = 1e307, -t |S| overflows to -inf, whose e^{-inf} = 0 is the limit.
+    with np.errstate(over="ignore"):
+        values = tuple(float(np.dot(levels, np.exp(-t * sizes))) for t in grid)
     return StabilityCurve(grid=grid, values=values, provenance=EXACT)
 
 
@@ -382,10 +376,10 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
 
 def stability_ratio(source: SpectrumSource, t: float, c: float) -> float:
     """ln(1/K(t)) / ln(1/K(ct)), which log-convexity keeps at or above 1/c."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if c < 1:
-        raise ValueError("c must be at least 1")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    if not 1 <= c < math.inf:
+        raise ValueError("c must be finite and at least 1")
     spectrum = _as_spectrum(source)
     k_t = stability(spectrum, math.exp(-t))
     if k_t >= 1:

@@ -253,3 +253,30 @@ def test_diim_reference():
     assert diim_upper(2.0, 0.5) == pytest.approx(2**-0.5, abs=1e-12)
     assert diim_upper(3.0, 2.0) == pytest.approx(1 / 3, abs=1e-12)
     assert ai_upper(3.0) == pytest.approx(1 / 9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_are_rejected(bad):
+    # Every comparison is NaN-safe: a NaN or infinite argument raises
+    # instead of flowing into a table of NaN rows.
+    calls = [
+        lambda: im_upper(bad),
+        lambda: ai_upper(bad),
+        lambda: diim_upper(bad),
+        lambda: diim_upper(2.0, bad),
+        lambda: mnp_lower(bad),
+        lambda: im_rho(100, bad, 2.0),
+        lambda: im_rho(100, 2.0, bad),
+        lambda: rho_lower_bound(bad, 10**6, 0.5),
+        lambda: rho_lower_bound(2.0, 10**6, 0.5, big_k=bad),
+        lambda: rho_lower_bound(2.0, 10**6, bad),
+        lambda: chernoff_ledger(bad, 10**6, 0.5, 0.001),
+        lambda: chernoff_ledger(2.0, 10**6, 0.5, bad),
+        lambda: delta_choice(bad, 10**6, 0.5),
+        lambda: delta_choice(2.0, 10**6, 0.5, k1=bad),
+        lambda: bound_table([2.0], 10**6, 0.5, big_k=bad),
+        lambda: bound_table([2.0], 10**6, 0.5, s=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

@@ -352,6 +352,23 @@ def bad_files(tmp_path, point_file):
     return tmp_path
 
 
+# Non-finite floats are refused before any arithmetic, with no warning.
+NON_FINITE = {
+    "stability-grid-nan": (["stability", "--d", "4", "--t-grid", "nan,1"], "finite"),
+    "stability-grid-inf": (["stability", "--d", "4", "--t-grid", "0,inf"], "finite"),
+    "stability-grid-overflow": (["stability", "--d", "4", "--t-grid", "0,1e400"], "finite"),
+    "stability-range-inf": (["stability", "--d", "4", "--t-grid", "0:inf:3"], "finite"),
+    "stability-range-nan": (["stability", "--d", "4", "--t-grid", "nan:1:3"], "finite"),
+    "stability-mc-grid-inf": (["stability", "--d", "4", "--mode", "mc", "--t-grid", "0,inf"], "finite"),
+    "bounds-c-min-nan": (["bounds", "--c-min", "nan"], "--c-min"),
+    "bounds-c-max-inf": (["bounds", "--c-max", "inf"], "--c-max"),
+    "bounds-c-max-overflow": (["bounds", "--c-max", "1e400"], "--c-max"),
+    "bounds-K-nan": (["bounds", "--K", "nan"], "K must be positive and finite"),
+    "bounds-K-inf": (["bounds", "--K", "inf"], "K must be positive and finite"),
+    "bounds-s-nan": (["bounds", "--s", "nan"], "exponent s"),
+    "bounds-s-inf": (["bounds", "--s", "inf"], "exponent s"),
+    "bounds-q-nan": (["bounds", "--q", "nan"], "q must lie in (0, 1)"),
+}
 QUERY = ["--point", "0" * 24]
 BUILD = ["index-build", "--r", "2", "--cr", "6", "--out", "{dir}/never.json"]
 USAGE_ERRORS = {
@@ -407,6 +424,8 @@ USAGE_ERRORS = {
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "bounds-K-0": (["bounds", "--K", "0"], "K must be positive"),
     "bounds-K-negative": (["bounds", "--K", "-1"], "K must be positive"),
+    "stability-grid-negative": (["stability", "--d", "4", "--t-grid", "0:-1:3"], "nonnegative"),
+    **NON_FINITE,
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),
     "verify-unknown-suite": (["verify", "--suite", "no-such-suite"], "no-such-suite"),
@@ -422,6 +441,29 @@ def test_usage_errors_exit_2_with_one_line(bad_files, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert fragment in err[0]
+
+
+def test_non_finite_floats_exit_2_under_warnings_as_errors():
+    # A fresh interpreter that turns every RuntimeWarning into an error, as
+    # CI runs the CLI: each case still exits 2 with one stderr line.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lshlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = (
+        "import contextlib, io, sys\n"
+        "from lshlab.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main(argv.split())\n"
+        "    print(code, len(err.getvalue().splitlines()))\n"
+    )
+    cases = [" ".join(argv) for argv, _ in NON_FINITE.values()]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", child, *cases],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["2 1"] * len(cases)
 
 
 # ---------------------------------------------------------------------------

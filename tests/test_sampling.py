@@ -21,8 +21,6 @@ from lshlab.sampling import (
     binomial_tail_above,
     binomial_tail_below,
     correlated_bits,
-    correlated_pair,
-    jaccard_of_correlated_sets,
     mc_stability,
     mc_stability_curve,
     tail_probabilities,
@@ -36,8 +34,8 @@ from lshlab.spectral import brute_force_stability, family_spectrum, stability
 
 
 def test_rho_one_copies_x():
-    pair = correlated_pair(64, 1.0, seed=0)
-    assert pair.x == pair.y
+    x, y = correlated_bits(64, 1.0, 5, seed=0)
+    assert np.array_equal(x, y)
 
 
 def test_rho_zero_independent_mean_distance():
@@ -71,7 +69,9 @@ def test_correlated_bits_validate():
 
 
 def test_pair_reproducible():
-    assert correlated_pair(50, 0.3, seed=7) == correlated_pair(50, 0.3, seed=7)
+    x, y = correlated_bits(50, 0.3, 4, seed=7)
+    x2, y2 = correlated_bits(50, 0.3, 4, seed=7)
+    assert np.array_equal(x, x2) and np.array_equal(y, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +290,3 @@ def test_sandwich_detects_false_profile():
     rep = verify_sandwich(fam, 2, 4, 0.02, 0.9999, 0.6667)
     assert not rep.passed
 
-
-# ---------------------------------------------------------------------------
-# Jaccard view of correlated sets
-
-
-def test_jaccard_zero_time():
-    js = jaccard_of_correlated_sets(500, 0.0, 200, seed=14)
-    assert js.mean == 0.0 and js.maximum == 0.0
-
-
-def test_jaccard_small_time_prediction():
-    js = jaccard_of_correlated_sets(10**5, 0.1, 300, seed=15)
-    assert js.predicted == pytest.approx(0.1 / 1.05, abs=1e-12)
-    assert abs(js.mean - js.predicted) <= 3 * js.stderr
-
-
-def test_jaccard_moderate_time_prediction():
-    js = jaccard_of_correlated_sets(10**5, 0.5, 300, seed=16)
-    assert js.predicted == pytest.approx(0.4, abs=1e-12)
-    assert abs(js.mean - js.predicted) <= 3 * js.stderr
-
-
-def test_jaccard_validates():
-    with pytest.raises(ValueError):
-        jaccard_of_correlated_sets(100, 2.5, 10, seed=0)

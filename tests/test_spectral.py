@@ -29,7 +29,7 @@ from lshlab.spectral import (
     FourierSpectrum,
     StabilityCurve,
     _fwht_in_place,
-    _spectrum_from_array,
+    _mask_weights,
     brute_force_stability,
     check_log_convexity,
     collision_counts_by_distance,
@@ -45,6 +45,12 @@ RHOS = (0.0, 0.25, 0.5, 0.9, 1.0)
 
 def _random_table(g, d, n_labels=8):
     return ExplicitTable(d, tuple(int(v) for v in g.integers(0, n_labels, 1 << d)))
+
+
+def _mask_dict(source):
+    """{mask: w_S} at every subset of nonzero mass, of a function or family."""
+    w = _mask_weights(source if isinstance(source, hashing.HashFamily) else finite_family([source]))
+    return {int(mask): float(w[mask]) for mask in np.flatnonzero(w)}
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +71,28 @@ def test_fwht_matches_naive():
 
 
 def test_dictator_spectrum():
-    spec = fourier_spectrum(CoordinateProjection(6, 2))
-    assert spec.weights == pytest.approx({0: 0.5, 1 << 2: 0.5})
-    # Level weights are summed once per spectrum and shared read-only.
-    levels = spec.level_weights()
-    assert levels.tolist() == [0.5, 0.5, 0, 0, 0, 0, 0]
-    assert levels is spec.level_weights() and not levels.flags.writeable
+    h = CoordinateProjection(6, 2)
+    assert _mask_dict(h) == pytest.approx({0: 0.5, 1 << 2: 0.5})
+    assert fourier_spectrum(h).levels == (0.5, 0.5, 0, 0, 0, 0, 0)
 
 
 def test_constant_spectrum():
-    spec = fourier_spectrum(Constant(5))
-    assert spec.weights == pytest.approx({0: 1.0})
+    assert _mask_dict(Constant(5)) == pytest.approx({0: 1.0})
+    assert fourier_spectrum(Constant(5)).levels == (1.0, 0, 0, 0, 0, 0)
 
 
 def test_full_parity_spectrum():
     d = 5
-    spec = fourier_spectrum(Parity(d, tuple(range(d))))
     full = (1 << d) - 1
-    assert spec.weights == pytest.approx({0: 0.5, full: 0.5})
+    assert _mask_dict(Parity(d, tuple(range(d)))) == pytest.approx({0: 0.5, full: 0.5})
 
 
 @pytest.mark.parametrize("d", [14, 16])
 def test_constant_spectrum_at_transform_word_sizes(d):
     # The zero coefficient of a constant is 2^d: at d = 16 it needs 32-bit
     # transform words, and 16-bit ones would wrap it to 0.
-    assert fourier_spectrum(Constant(d)).weights == {0: 1.0}
-    spec = fourier_spectrum(Parity(d, tuple(range(d))))
-    assert spec.weights == {0: 0.5, (1 << d) - 1: 0.5}
+    assert _mask_dict(Constant(d)) == {0: 1.0}
+    assert _mask_dict(Parity(d, tuple(range(d)))) == {0: 0.5, (1 << d) - 1: 0.5}
 
 
 def test_transform_dimension_guard():
@@ -114,16 +115,54 @@ def test_weight_zero_at_least_inverse_image(d, seed):
     h = _random_table(g, d, n_labels=6)
     spec = fourier_spectrum(h)
     image = len({h(Point(v, d)) for v in range(1 << d)})
-    assert spec.weight_zero() >= 1 / image - 1e-12
+    assert spec.levels[0] >= 1 / image - 1e-12  # the mass at the empty set
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        FourierSpectrum(2, {0: 0.5, 1: 0.2})  # mass under 1
-    with pytest.raises(ValueError):
-        FourierSpectrum(2, {0: 1.0, 9: 0.0})  # mask out of range
-    with pytest.raises(ValueError):
-        FourierSpectrum(2, {0: 1.5, 1: -0.5})
+    assert FourierSpectrum(2, (0.25, 0.5, 0.25)).total_mass() == 1.0
+    with pytest.raises(ValueError, match="3 level weights"):
+        FourierSpectrum(2, (0.5, 0.5))  # one level short
+    with pytest.raises(ValueError, match="3 level weights"):
+        FourierSpectrum(2, (0.5, 0.5, 0.0, 0.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FourierSpectrum(2, (1.5, -0.5, 0.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FourierSpectrum(2, (math.nan, 0.5, 0.5))
+    with pytest.raises(ValueError, match="sum to"):
+        FourierSpectrum(2, (0.5, 0.2, 0.0))  # mass under 1
+    with pytest.raises(ValueError, match="sum to"):
+        FourierSpectrum(2, (0.5, 0.5, 1e-8))  # mass over 1
+    with pytest.raises(ValueError, match="sum to"):
+        FourierSpectrum(2, (0.5, 0.5, math.inf))
+
+
+def _ascending_mask_levels(w):
+    # Each level as the sequential sum of its masks' weights in mask order
+    # (cumsum adds left to right; np.sum would add pairwise).
+    sizes = np.array([mask.bit_count() for mask in range(len(w))])
+    return np.array([np.cumsum(w[sizes == k])[-1] for k in range(sizes.max() + 1)])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(lambda: finite_family([_random_table(np.random.default_rng(i), 7) for i in range(5)]), id="uniform"),
+        pytest.param(
+            lambda: finite_family(
+                [_random_table(np.random.default_rng(i), 6, 3) for i in range(4)], [0.1, 0.2, 0.3, 0.4]
+            ),
+            id="float-weighted",
+        ),
+        pytest.param(lambda: hashing.minhash_family(8, exact=True), id="minhash-exact-8"),
+        pytest.param(lambda: power(bit_sampling_family(20), 2), id="bit-sampling-power-20"),
+    ],
+)
+def test_levels_are_ascending_mask_sums(family):
+    # The levels are the masks' weights summed by popcount in mask order,
+    # byte for byte, which is how every earlier spectrum summed them.
+    fam = family()
+    want = _ascending_mask_levels(_mask_weights(fam))
+    assert np.array(family_spectrum(fam).levels).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +171,26 @@ def test_spectrum_validation():
 
 def test_bit_sampling_family_spectrum():
     d = 7
-    spec = family_spectrum(bit_sampling_family(d))
-    assert spec.weights[0] == pytest.approx(0.5, abs=1e-12)
+    w = _mask_dict(bit_sampling_family(d))
+    assert w[0] == pytest.approx(0.5, abs=1e-12)
     for i in range(d):
-        assert spec.weights[1 << i] == pytest.approx(1 / (2 * d), abs=1e-12)
+        assert w[1 << i] == pytest.approx(1 / (2 * d), abs=1e-12)
 
 
 def test_point_mass_family_spectrum():
-    spec = family_spectrum(constant_family(4))
-    assert spec.weights == pytest.approx({0: 1.0})
+    assert _mask_dict(constant_family(4)) == pytest.approx({0: 1.0})
 
 
 def test_powered_family_spectrum_matches_enumeration():
     base = bit_sampling_family(2)
     fam = power(base, 2)
-    spec = family_spectrum(fam)
+    spec = _mask_dict(fam)
     accum = {}
     for w, h in fam.atoms:
-        for mask, wt in fourier_spectrum(h).weights.items():
+        for mask, wt in _mask_dict(h).items():
             accum[mask] = accum.get(mask, 0.0) + float(w) * wt
-    for mask in set(accum) | set(spec.weights):
-        assert spec.weights.get(mask, 0.0) == pytest.approx(accum.get(mask, 0.0), abs=1e-12)
+    for mask in set(accum) | set(spec):
+        assert spec.get(mask, 0.0) == pytest.approx(accum.get(mask, 0.0), abs=1e-12)
 
 
 def test_injective_table_spans_many_batches():
@@ -161,8 +199,8 @@ def test_injective_table_spans_many_batches():
     d = 12
     g = np.random.default_rng(12)
     h = ExplicitTable(d, tuple(int(v) for v in g.permutation(1 << d)))
+    assert _mask_dict(h) == {mask: 1 / 4096 for mask in range(1 << d)}
     spec = fourier_spectrum(h)
-    assert spec.weights == {mask: 1 / 4096 for mask in range(1 << d)}
     for rho in (0.0, 0.5, 0.9):
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
 
@@ -173,8 +211,8 @@ def test_two_point_classes_span_many_batches():
     # S without coordinate 0, where each class's transform is +-2.
     d = 12
     h = ExplicitTable(d, tuple(x >> 1 for x in range(1 << d)))
+    assert _mask_dict(h) == {mask: 1 / 2048 for mask in range(0, 1 << d, 2)}
     spec = fourier_spectrum(h)
-    assert spec.weights == {mask: 1 / 2048 for mask in range(0, 1 << d, 2)}
     for rho in (0.0, 0.5, 0.9):
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
 
@@ -216,7 +254,7 @@ def test_family_spectrum_equals_per_atom_reference(fam, width):
         w += float(weight) * _naive_squared_mass(h)
     cells = spectral._BATCH_CELLS if width is None else width << fam.dim
     with mock.patch.object(spectral, "_BATCH_CELLS", cells):
-        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        assert np.array_equal(_mask_weights(fam), w)
 
 
 @st.composite
@@ -260,7 +298,7 @@ def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, width, code_r
         mock.patch.object(spectral, "_BATCH_CELLS", cells),
         mock.patch.object(hashing, "_CODE_CELLS", code_cells),
     ):
-        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        assert np.array_equal(_mask_weights(fam), w)
 
 
 @st.composite
@@ -311,7 +349,7 @@ def test_junta_spectra_equal_per_atom_reference(fam, cells, code_rows):
         mock.patch.object(spectral, "_BATCH_CELLS", cells or spectral._BATCH_CELLS),
         mock.patch.object(hashing, "_CODE_CELLS", code_cells),
     ):
-        assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+        assert np.array_equal(_mask_weights(fam), w)
 
 
 @pytest.mark.parametrize("code_rows", [1, 3, None])
@@ -349,7 +387,7 @@ def test_object_label_concatenation_spectrum():
     w = np.zeros(1 << d)
     for weight, h in fam.atoms:
         w += float(weight) * _naive_squared_mass(h)
-    assert family_spectrum(fam) == _spectrum_from_array(d, w)
+    assert np.array_equal(_mask_weights(fam), w)
 
 
 @settings(deadline=None, max_examples=40)
@@ -365,7 +403,7 @@ def test_mixed_weight_spectra_equal_per_row_loop(fam, huge, data):
     w = np.zeros(1 << fam.dim)
     for weight, h in fam.atoms:
         w += float(weight) * _naive_squared_mass(h)
-    assert family_spectrum(fam) == _spectrum_from_array(fam.dim, w)
+    assert np.array_equal(_mask_weights(fam), w)
 
 
 def test_weights_past_2_53_round_once():
@@ -374,7 +412,7 @@ def test_weights_past_2_53_round_once():
     a, b = 877329965204690299, 544461693100611747
     assert float(a) / float(a + b) != a / (a + b)
     fam = finite_family([CoordinateProjection(3, 0), CoordinateProjection(3, 1)], [Fraction(a, a + b), Fraction(b, a + b)])
-    assert family_spectrum(fam).weights[1] == float(Fraction(a, a + b)) / 2
+    assert _mask_weights(fam)[1] == float(Fraction(a, a + b)) / 2
 
 
 def test_code_chunks_count_subcube_cells():
@@ -401,7 +439,7 @@ def test_transform_block_grows_to_largest_subcube():
     d = 19
     fam = finite_family([CoordinateSubset(d, (4, 5)), Parity(d, tuple(range(d)))])
     want = {0: 3 / 8, 1 << 4: 1 / 8, 1 << 5: 1 / 8, 3 << 4: 1 / 8, (1 << d) - 1: 1 / 4}
-    assert family_spectrum(fam).weights == want
+    assert _mask_dict(fam) == want
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +545,23 @@ def test_curve_rejects_unsorted_grid():
         stability_curve(bit_sampling_family(4), [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e400, -0.5])
+def test_curve_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        stability_curve(bit_sampling_family(4), [0.0, bad])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        StabilityCurve((0.0, bad), (1.0, 0.5), EXACT)
+    with pytest.raises(ValueError):
+        stability_ratio(bit_sampling_family(4), bad, 2.0)
+    with pytest.raises(ValueError):
+        stability_ratio(bit_sampling_family(4), 0.5, bad)
+
+
+def test_curve_at_a_time_past_overflow():
+    # -t * |S| overflows to -inf above level 0, where e^{-inf} = 0 is the limit.
+    assert stability_curve(bit_sampling_family(4), [0.0, 1e308]).values == (1.0, 0.5)
+
+
 def test_dictator_certificate_passes():
     curve = stability_curve(fourier_spectrum(CoordinateProjection(4, 0)), [0.0, 0.5, 1.0])
     cert = check_log_convexity(curve)
@@ -517,7 +572,7 @@ def test_dictator_certificate_passes():
 
 
 def test_single_level_spectrum_is_log_linear():
-    spec = FourierSpectrum(4, {0b0111: 1.0})
+    spec = FourierSpectrum(4, (0, 0, 0, 1.0, 0))  # all mass at size 3
     curve = stability_curve(spec, np.linspace(0.0, 2.0, 9))
     assert curve.values[1] == pytest.approx(math.exp(-3 * 0.25), abs=1e-12)
     cert = check_log_convexity(curve)
@@ -652,7 +707,7 @@ def test_ratio_is_one_at_c_equal_one():
 
 def test_ratio_tightness_witness():
     # mass on a single level makes K(t) = e^{-kt}, the exact equality case
-    spec = FourierSpectrum(5, {0b11100: 1.0})
+    spec = FourierSpectrum(5, (0, 0, 0, 1.0, 0, 0))
     for c in (1.5, 2.0, 7.0):
         assert stability_ratio(spec, 0.3, c) == pytest.approx(1 / c, abs=1e-12)
 
@@ -692,7 +747,6 @@ def test_spectrum_csv_export(tmp_path):
 
     spec = fourier_spectrum(CoordinateProjection(3, 1))
     path = tmp_path / "spec.csv"
-    write_rows(path, ("mask", "weight"), [(m, spec.weights[m]) for m in sorted(spec.weights)], "csv")
+    write_rows(path, ("level", "weight"), list(enumerate(spec.levels)), "csv")
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "mask,weight"
-    assert len(lines) == 3
+    assert lines == ["level,weight", "0,0.5", "1,0.5", "2,0.0", "3,0.0"]
