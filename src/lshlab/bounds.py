@@ -43,7 +43,7 @@ def ai_upper(c: float) -> float:
     """Euclidean reference curve 1/c^2 (construction itself out of scope)."""
     if not 1 <= c < math.inf:
         raise ValueError("approximation factor c must be finite and at least 1")
-    return 1.0 / c**2
+    return (1 / c) ** 2  # underflows to 0.0 where c**2 would overflow
 
 
 def diim_upper(c: float, s: float = 1.0) -> float:
@@ -52,7 +52,7 @@ def diim_upper(c: float, s: float = 1.0) -> float:
         raise ValueError("approximation factor c must be finite and at least 1")
     if not 0 < s < math.inf:
         raise ValueError("exponent s must be positive and finite")
-    return max(1.0 / c**s, 1.0 / c)
+    return max((1 / c) ** s, 1 / c)
 
 
 def mnp_lower(c: float) -> float:

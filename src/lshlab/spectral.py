@@ -116,47 +116,35 @@ def _class_mass(codes: np.ndarray, cells: np.ndarray, square_type) -> np.ndarray
     return sums
 
 
-def _mass_entries(
-    functions: Iterable[HashFunction], weights: np.ndarray, dim: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(S, weights[t] * w_S) of each code chunk, for every subset S of the
-    support J of each function t, in order of t (w_S = 0 at every other S).
+def _level_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(atoms, rows) of each code group: rows[i] holds 4^dim W_k, k = 0..dim,
+    of the function at index atoms[i] of `functions`, as exact int64s.
 
     A function is transformed on its subcube (_code_groups), whose point s,
-    the cube point pdep(s, J), is also the mask of the subset of J that s
-    spells. Every partial sum of a transform has magnitude at most 2^|J|,
-    which int16 holds up to dim 14 and int32 up to the limit of 20; it
-    yields 4^|J| w_S as an exact integer of at most 4^|J|, which int32 holds
-    up to dim 14 and int64 up to 2^40, so w_S, scaled by 4^-|J|, is exact
-    for any J that holds the coordinates the function reads.
+    the cube point pdep(s, J), spells a subset of J of popcount(s)
+    coordinates, so its _class_mass row summed by popcount(s) is its levels
+    at the scale 4^|J|, shifted by 2(dim - |J|) onto 4^dim. Every partial
+    sum of a transform has magnitude at most 2^|J|, which int16 holds up to
+    dim 14 and int32 up to the limit of 20; its squares, at most 4^|J|, fit
+    int32 up to dim 14 and int64 beyond, and a row sums to 4^dim <= 2^40.
     """
     cell_type = np.int16 if dim <= 14 else np.int32
     cells = np.zeros(_BATCH_CELLS, dtype=cell_type)
     square_type = np.int32 if dim <= 14 else np.int64
     first = 0
     for chunk in _code_chunks(functions):
-        groups, sizes = [], np.empty(len(chunk), np.int64)
-        for rows, J, codes in _code_groups(chunk):
+        for atoms, J, codes in _code_groups(chunk):
             if len(cells) < codes.shape[1]:  # one column of the largest subcube met so far
                 cells = np.zeros(codes.shape[1], dtype=cell_type)
-            mass = np.ldexp(_class_mass(codes, cells, square_type), -2 * J.shape[1])
-            mass *= weights[first + rows, None]
-            pdep = np.zeros(codes.shape, np.int32)  # pdep(s, J), one more bit of s at a time
-            for i, bit in enumerate(1 << J.T):
-                np.bitwise_or(pdep[:, : 1 << i], bit[:, None], out=pdep[:, 1 << i : 2 << i])
-            groups.append((rows, pdep.ravel(), mass.ravel()))
-            sizes[rows] = codes.shape[1]
+            j = J.shape[1]
+            sizes = np.bitwise_count(np.arange(1 << j, dtype=np.int32))
+            order = np.argsort(sizes, kind="stable")  # subcube points by popcount
+            mass = _class_mass(codes, cells, square_type)[:, order]
+            rows = np.zeros((len(atoms), dim + 1), np.int64)
+            starts = np.searchsorted(sizes[order], np.arange(j + 1))
+            rows[:, : j + 1] = np.add.reduceat(mass, starts, axis=1, dtype=np.int64) << 2 * (dim - j)
+            yield first + atoms, rows
         first += len(chunk)
-        if len(groups) == 1:  # in order already: no copy (1.25 MiB off the MinHash d = 7 peak)
-            yield groups[0][1:]
-            continue
-        ends = np.cumsum(sizes)
-        masks, mass = np.empty(ends[-1], np.int32), np.empty(ends[-1])
-        for rows, pdep, group_mass in groups:  # each function's entries in order of s
-            n = len(pdep) // len(rows)
-            at = (ends[rows, None] - n + np.arange(n)).ravel()
-            masks[at], mass[at] = pdep, group_mass
-        yield masks, mass
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
@@ -165,9 +153,9 @@ def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
     return family_spectrum(finite_family([h]))
 
 
-def _mask_weights(family: HashFamily) -> np.ndarray:
-    """w_S of the family at every subset S of its coordinates, indexed by
-    the mask of S: the probability-weighted average of its atoms' w_S."""
+def family_spectrum(family: HashFamily) -> FourierSpectrum:
+    """Expected spectrum over a finite family: the probability-weighted
+    average of its atoms' spectra, each level summed exactly and rounded once."""
     if family.dim > _TRANSFORM_DIM_LIMIT:
         raise ValueError(
             f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
@@ -175,24 +163,17 @@ def _mask_weights(family: HashFamily) -> np.ndarray:
         )
     if family.atoms is None:
         raise ValueError("exact family spectrum needs a finite support")
-    w = np.zeros(1 << family.dim)
     denom, nums = family._integer_weights
-    # int / int rounds the rational once, as float(weight) does.
-    weights = np.array([n / denom for n in nums])
-    # Unbuffered, in entry order: each w_S takes its atoms' terms in atom order.
-    for masks, mass in _mass_entries((h for _, h in family.atoms), weights, family.dim):
-        np.add.at(w, masks, mass)
-    return w
-
-
-def family_spectrum(family: HashFamily) -> FourierSpectrum:
-    """Expected spectrum over a finite family: the probability-weighted
-    average of its atoms' spectra."""
-    w = _mask_weights(family)
-    # bincount adds in mask order, so each level is the ascending-mask sum.
-    sizes = np.bitwise_count(np.arange(len(w)))
-    levels = np.bincount(sizes, weights=w, minlength=family.dim + 1)
-    return FourierSpectrum(family.dim, tuple(levels.tolist()))
+    # The atoms of one weight numerator add into one row of sums.
+    numerators, key = np.unique(np.array(nums, dtype=object), return_inverse=True)
+    total = np.zeros(family.dim + 1, dtype=object)
+    for atoms, rows in _level_rows((h for _, h in family.atoms), family.dim):
+        used, at = np.unique(key[atoms], return_inverse=True)
+        sums = np.zeros((len(used), family.dim + 1), np.int64)
+        np.add.at(sums, at, rows)  # a chunk's at most 2^16 rows of 4^dim <= 2^40 stay below 2^56
+        total += numerators[used] @ sums.astype(object)
+    # Python's int / int rounds each exact level once.
+    return FourierSpectrum(family.dim, tuple(s / (denom << 2 * family.dim) for s in total))
 
 
 SpectrumSource = Union[FourierSpectrum, HashFamily, HashFunction]
@@ -345,7 +326,10 @@ def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogCo
     for lo in range(0, n - 2, rows):
         i, j = np.nonzero(np.arange(n) >= np.arange(lo, min(lo + rows, n - 2))[:, None] + 2)
         i += lo
-        mid = ((t[i] + t[j]) / 2)[:, None]
+        with np.errstate(over="ignore"):
+            mid = (t[i] + t[j]) / 2
+        # Past about 9e307 the sum overflows; halving first keeps those midpoints finite.
+        mid = np.where(np.isinf(mid), t[i] / 2 + t[j] / 2, mid)[:, None]
         cand = np.searchsorted(t, mid) + np.arange(-1, 2)
         near = t[np.clip(cand, 0, n - 1)]
         within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)

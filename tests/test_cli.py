@@ -443,9 +443,10 @@ def test_usage_errors_exit_2_with_one_line(bad_files, capsys, case):
     assert fragment in err[0]
 
 
-def test_non_finite_floats_exit_2_under_warnings_as_errors():
-    # A fresh interpreter that turns every RuntimeWarning into an error, as
-    # CI runs the CLI: each case still exits 2 with one stderr line.
+def _exits_under_warnings_as_errors(cases):
+    """'<exit code> <stderr lines>' of each command line in `cases`, run
+    with its output captured in a fresh interpreter that turns every
+    RuntimeWarning into an error, as CI runs the CLI."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lshlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     child = (
@@ -453,17 +454,34 @@ def test_non_finite_floats_exit_2_under_warnings_as_errors():
         "from lshlab.cli import main\n"
         "for argv in sys.argv[1:]:\n"
         "    err = io.StringIO()\n"
-        "    with contextlib.redirect_stderr(err):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "        code = main(argv.split())\n"
         "    print(code, len(err.getvalue().splitlines()))\n"
     )
-    cases = [" ".join(argv) for argv, _ in NON_FINITE.values()]
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", child, *cases],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["2 1"] * len(cases)
+    return done.stdout.splitlines()
+
+
+def test_non_finite_floats_exit_2_under_warnings_as_errors():
+    # Each case still exits 2 with one stderr line.
+    cases = [" ".join(argv) for argv, _ in NON_FINITE.values()]
+    assert _exits_under_warnings_as_errors(cases) == ["2 1"] * len(cases)
+
+
+def test_huge_finite_inputs_exit_0_under_warnings_as_errors():
+    # Finite inputs near the float limit: 1/c^2 and 1/c^s underflow to 0
+    # where c^2 and c^s would overflow, and log-convexity midpoints of times
+    # past 9e307 are summed from halves.
+    cases = [
+        "bounds --c-max 1e308",
+        "bounds --s 1e308",
+        "stability --d 4 --t-grid 1e308,1.5e308,1.7e308",
+    ]
+    assert _exits_under_warnings_as_errors(cases) == ["0 0"] * len(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -71,19 +71,19 @@ GOLDEN_RUNS = {
         ["index-build", "--data", "{dir}/p128.txt", "--r", "1", "--cr", "2", "--seed", "4"],
         "e9f8cb00e1168d01080d5f01fa09665d085c7228fb1a2d1a994a15d5ad22437f",
     ),
-    # Exact curves: every spectrum row is an exact integer over 4^d, and the
-    # weighted family pins the float accumulation order over its atoms.
+    # Exact curves: every level weight is an exact rational rounded once, so
+    # the bit-sampling and trivial curves read K(0) = 1.
     "exact-bit-sampling-k2": (
         ["stability", "--family", "bit-sampling", "--d", "10", "--k", "2", "--t-grid", "0:3:7"],
-        "d9fd39afa07c4914d7453881ce8fa7e9d74ece750453bf121f42ad8bd17d8416",
+        "612ec63d3b31decaa704a4e2bfbbc95f4c494b4a4e714bef818cbedf27407e08",
     ),
     "exact-minhash": (
         ["stability", "--family", "minhash", "--d", "6", "--t-grid", "0:3:7"],
-        "2207c786e083484797992051e50c212cacc99a74ffc6dae0cb97f10f12220a5c",
+        "72076a013b81cb20bd8bdca5222eec4ae5e807fc629502e8dd19e8cbc0645df7",
     ),
     "exact-trivial": (
         ["stability", "--family", "trivial", "--d", "6", "--r", "1", "--t-grid", "0:3:7"],
-        "5e589e2c60d0fc01d775d812b7ff38a3d45ca51eaa7a37f17753187eb116f249",
+        "2afc325bfd904e61134abf4dbe6633eeebf79a765168460241eace4d737f3141",
     ),
     "exact-weighted-family-file": (
         ["stability", "--family-file", "{dir}/weighted.json", "--t-grid", "0:3:7"],

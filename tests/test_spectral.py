@@ -23,13 +23,12 @@ from lshlab.hashing import (
     power,
 )
 from lshlab import spectral
-from lshlab.points import Point, points_to_bit_matrix
+from lshlab.points import Point
 from lshlab.spectral import (
     EXACT,
     FourierSpectrum,
     StabilityCurve,
     _fwht_in_place,
-    _mask_weights,
     brute_force_stability,
     check_log_convexity,
     collision_counts_by_distance,
@@ -47,10 +46,70 @@ def _random_table(g, d, n_labels=8):
     return ExplicitTable(d, tuple(int(v) for v in g.integers(0, n_labels, 1 << d)))
 
 
-def _mask_dict(source):
-    """{mask: w_S} at every subset of nonzero mass, of a function or family."""
-    w = _mask_weights(source if isinstance(source, hashing.HashFamily) else finite_family([source]))
-    return {int(mask): float(w[mask]) for mask in np.flatnonzero(w)}
+@functools.lru_cache(maxsize=None)
+def _subcube_bits(d, coords):
+    """(2^j, d) 0/1 rows of the subcube of the j coordinates `coords`: row s
+    sets coordinate coords[i] to bit i of s and every other one to 0."""
+    s = np.arange(1 << len(coords))
+    bits = np.zeros((len(s), d), np.uint8)
+    for i, c in enumerate(coords):
+        bits[:, c] = s >> i & 1
+    return bits
+
+
+@functools.lru_cache(maxsize=4)
+def _exact_levels(fam):
+    """Each level weight of a finite family as a Fraction, from scratch.
+
+    Every atom's label indicators, one integer column per label, are
+    transformed by butterflies on the whole cube at d <= 8 and otherwise on
+    the subcube of h.support. Their squares, summed by popcount, are the
+    atom's levels times 4^j, which add into the sums of its weight. Columns
+    of one subcube size are transformed together, about 2^20 cells at a time.
+    """
+    d = fam.dim
+    sums = {}  # weight -> the level sums of its atoms, times 4^d
+    pending, filled = {}, {}  # j -> [(weight, columns)] not yet transformed, and their count
+
+    def flush(j):
+        weights, blocks = zip(*pending.pop(j))
+        a = np.concatenate(blocks, axis=1)
+        step = 1
+        while step < len(a):
+            pairs = a.reshape(-1, 2, step, a.shape[1])
+            pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+            step *= 2
+        squares = np.square(a, dtype=np.int64)
+        per_block = np.add.reduceat(squares, np.cumsum([0] + [b.shape[1] for b in blocks[:-1]]), axis=1)
+        sizes = np.bitwise_count(np.arange(1 << j))
+        levels = np.stack([per_block[sizes == k].sum(axis=0) for k in range(j + 1)], axis=1)
+        for w, row in zip(weights, levels.tolist()):
+            acc = sums.setdefault(w, [0] * (d + 1))
+            for k, v in enumerate(row):
+                acc[k] += v << 2 * (d - j)
+
+    for weight, h in fam.atoms:
+        coords = tuple(range(d)) if d <= 8 else h.support
+        j = len(coords)
+        labels = h.labels(_subcube_bits(d, coords))
+        distinct = np.unique(labels)
+        width = max(1, (1 << 20) >> j)
+        for lo in range(0, len(distinct), width):
+            columns = (labels[:, None] == distinct[lo : lo + width]).astype(np.int32)
+            pending.setdefault(j, []).append((weight, columns))
+            filled[j] = filled.get(j, 0) + columns.shape[1]
+            if filled[j] >= width:
+                flush(j)
+                filled[j] = 0
+    for j in list(pending):
+        flush(j)
+    return tuple(sum(w * acc[k] for w, acc in sums.items()) / 4**d for k in range(d + 1))
+
+
+def _rounded(source):
+    """The correctly rounded exact levels of a function or family."""
+    fam = source if isinstance(source, hashing.HashFamily) else finite_family([source])
+    return tuple(float(w) for w in _exact_levels(fam))
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +131,25 @@ def test_fwht_matches_naive():
 
 def test_dictator_spectrum():
     h = CoordinateProjection(6, 2)
-    assert _mask_dict(h) == pytest.approx({0: 0.5, 1 << 2: 0.5})
-    assert fourier_spectrum(h).levels == (0.5, 0.5, 0, 0, 0, 0, 0)
+    assert fourier_spectrum(h).levels == _rounded(h) == (0.5, 0.5, 0, 0, 0, 0, 0)
 
 
 def test_constant_spectrum():
-    assert _mask_dict(Constant(5)) == pytest.approx({0: 1.0})
-    assert fourier_spectrum(Constant(5)).levels == (1.0, 0, 0, 0, 0, 0)
+    assert fourier_spectrum(Constant(5)).levels == _rounded(Constant(5)) == (1.0, 0, 0, 0, 0, 0)
 
 
 def test_full_parity_spectrum():
-    d = 5
-    full = (1 << d) - 1
-    assert _mask_dict(Parity(d, tuple(range(d)))) == pytest.approx({0: 0.5, full: 0.5})
+    h = Parity(5, tuple(range(5)))
+    assert fourier_spectrum(h).levels == _rounded(h) == (0.5, 0, 0, 0, 0, 0.5)
 
 
 @pytest.mark.parametrize("d", [14, 16])
 def test_constant_spectrum_at_transform_word_sizes(d):
     # The zero coefficient of a constant is 2^d: at d = 16 it needs 32-bit
     # transform words, and 16-bit ones would wrap it to 0.
-    assert _mask_dict(Constant(d)) == {0: 1.0}
-    assert _mask_dict(Parity(d, tuple(range(d)))) == {0: 0.5, (1 << d) - 1: 0.5}
+    assert fourier_spectrum(Constant(d)).levels == _rounded(Constant(d)) == (1.0,) + (0.0,) * d
+    parity = Parity(d, tuple(range(d)))
+    assert fourier_spectrum(parity).levels == _rounded(parity) == (0.5,) + (0.0,) * (d - 1) + (0.5,)
 
 
 def test_transform_dimension_guard():
@@ -136,33 +193,39 @@ def test_spectrum_validation():
         FourierSpectrum(2, (0.5, 0.5, math.inf))
 
 
-def _ascending_mask_levels(w):
-    # Each level as the sequential sum of its masks' weights in mask order
-    # (cumsum adds left to right; np.sum would add pairwise).
-    sizes = np.array([mask.bit_count() for mask in range(len(w))])
-    return np.array([np.cumsum(w[sizes == k])[-1] for k in range(sizes.max() + 1)])
-
-
 @pytest.mark.parametrize(
-    "family",
+    "family, fact",
     [
-        pytest.param(lambda: finite_family([_random_table(np.random.default_rng(i), 7) for i in range(5)]), id="uniform"),
+        pytest.param(
+            lambda: finite_family([_random_table(np.random.default_rng(i), 7) for i in range(5)]), None, id="uniform"
+        ),
         pytest.param(
             lambda: finite_family(
                 [_random_table(np.random.default_rng(i), 6, 3) for i in range(4)], [0.1, 0.2, 0.3, 0.4]
             ),
+            None,
             id="float-weighted",
         ),
-        pytest.param(lambda: hashing.minhash_family(8, exact=True), id="minhash-exact-8"),
-        pytest.param(lambda: power(bit_sampling_family(20), 2), id="bit-sampling-power-20"),
+        pytest.param(
+            lambda: hashing.minhash_family(8, exact=True),
+            lambda levels: levels[1] == 7283 / 16384,
+            id="minhash-exact-8",
+        ),
+        pytest.param(lambda: power(bit_sampling_family(20), 2), None, id="bit-sampling-power-20"),
+        pytest.param(
+            lambda: power(bit_sampling_family(10), 2),
+            lambda levels: stability_curve(FourierSpectrum(10, levels), [0.0]).values == (1.0,),
+            id="bit-sampling-power-10",
+        ),
     ],
 )
-def test_levels_are_ascending_mask_sums(family):
-    # The levels are the masks' weights summed by popcount in mask order,
-    # byte for byte, which is how every earlier spectrum summed them.
+def test_levels_are_correctly_rounded_exact_sums(family, fact):
+    # Each level is its exact rational sum rounded once: W_1 of MinHash at
+    # d = 8 is 7283/16384, and the square of bit sampling at d = 10 has K(0) = 1.
     fam = family()
-    want = _ascending_mask_levels(_mask_weights(fam))
-    assert np.array(family_spectrum(fam).levels).tobytes() == want.tobytes()
+    levels = family_spectrum(fam).levels
+    assert levels == _rounded(fam)
+    assert fact is None or fact(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +233,22 @@ def test_levels_are_ascending_mask_sums(family):
 
 
 def test_bit_sampling_family_spectrum():
-    d = 7
-    w = _mask_dict(bit_sampling_family(d))
-    assert w[0] == pytest.approx(0.5, abs=1e-12)
-    for i in range(d):
-        assert w[1 << i] == pytest.approx(1 / (2 * d), abs=1e-12)
+    fam = bit_sampling_family(7)
+    assert family_spectrum(fam).levels == _rounded(fam) == (0.5, 0.5, 0, 0, 0, 0, 0, 0)
 
 
 def test_point_mass_family_spectrum():
-    assert _mask_dict(constant_family(4)) == pytest.approx({0: 1.0})
+    fam = constant_family(4)
+    assert family_spectrum(fam).levels == _rounded(fam) == (1.0, 0, 0, 0, 0)
 
 
 def test_powered_family_spectrum_matches_enumeration():
     base = bit_sampling_family(2)
     fam = power(base, 2)
-    spec = _mask_dict(fam)
-    accum = {}
-    for w, h in fam.atoms:
-        for mask, wt in _mask_dict(h).items():
-            accum[mask] = accum.get(mask, 0.0) + float(w) * wt
-    for mask in set(accum) | set(spec):
-        assert spec.get(mask, 0.0) == pytest.approx(accum.get(mask, 0.0), abs=1e-12)
+    atom_levels = [(w, _exact_levels(finite_family([h]))) for w, h in fam.atoms]
+    accum = tuple(sum(w * levels[k] for w, levels in atom_levels) for k in range(fam.dim + 1))
+    assert _exact_levels(fam) == accum
+    assert family_spectrum(fam).levels == tuple(float(w) for w in accum)
 
 
 def test_injective_table_spans_many_batches():
@@ -199,8 +257,8 @@ def test_injective_table_spans_many_batches():
     d = 12
     g = np.random.default_rng(12)
     h = ExplicitTable(d, tuple(int(v) for v in g.permutation(1 << d)))
-    assert _mask_dict(h) == {mask: 1 / 4096 for mask in range(1 << d)}
     spec = fourier_spectrum(h)
+    assert spec.levels == _rounded(h) == tuple(math.comb(d, k) / 4096 for k in range(d + 1))
     for rho in (0.0, 0.5, 0.9):
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
 
@@ -208,26 +266,14 @@ def test_injective_table_spans_many_batches():
 def test_two_point_classes_span_many_batches():
     # Labels x >> 1 at d = 12: 2048 classes of two points, so 2048 label
     # columns, which a 64-column batch splits 32 ways. w_S = 1/2048 on every
-    # S without coordinate 0, where each class's transform is +-2.
+    # S without coordinate 0, where each class's transform is +-2, so
+    # W_k = C(11, k)/2048.
     d = 12
     h = ExplicitTable(d, tuple(x >> 1 for x in range(1 << d)))
-    assert _mask_dict(h) == {mask: 1 / 2048 for mask in range(0, 1 << d, 2)}
     spec = fourier_spectrum(h)
+    assert spec.levels == _rounded(h) == tuple(math.comb(d - 1, k) / 2048 for k in range(d + 1))
     for rho in (0.0, 0.5, 0.9):
         assert stability(spec, rho) == pytest.approx(brute_force_stability(h, rho), rel=1e-12)
-
-
-@functools.lru_cache(maxsize=None)
-def _characters(d):
-    n = 1 << d
-    return np.array([[(-1) ** (x & s).bit_count() for x in range(n)] for s in range(n)], dtype=np.float64)
-
-
-def _naive_squared_mass(h):
-    # Direct sum over points of every label indicator, one column per label.
-    labels = h.labels(points_to_bit_matrix([Point(v, h.dim) for v in range(1 << h.dim)]))
-    onehot = (labels[:, None] == np.unique(labels)[None, :]).astype(np.float64)
-    return ((_characters(h.dim) @ onehot / (1 << h.dim)) ** 2).sum(axis=1)
 
 
 @st.composite
@@ -246,15 +292,13 @@ def _table_families(draw):
 @settings(deadline=None, max_examples=40)
 @given(fam=_table_families(), width=st.sampled_from([3, 64, None]))
 def test_family_spectrum_equals_per_atom_reference(fam, width):
-    # The batched integer transform must reproduce, bit for bit, the float64
-    # accumulation of one naively transformed atom at a time, however the
-    # label columns fall into batches (narrow batches split most functions).
-    w = np.zeros(1 << fam.dim)
-    for weight, h in fam.atoms:
-        w += float(weight) * _naive_squared_mass(h)
+    # The batched integer transform must give the correctly rounded exact
+    # levels, however the label columns fall into batches (narrow batches
+    # split most functions).
+    want = _rounded(fam)
     cells = spectral._BATCH_CELLS if width is None else width << fam.dim
     with mock.patch.object(spectral, "_BATCH_CELLS", cells):
-        assert np.array_equal(_mask_weights(fam), w)
+        assert family_spectrum(fam).levels == want
 
 
 @st.composite
@@ -288,17 +332,15 @@ def _mixed_families(draw):
 @given(fam=_mixed_families(), width=st.sampled_from([1, 3, 64, None]), code_rows=st.sampled_from([1, 3, None]))
 def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, width, code_rows):
     # Column-free atoms, atoms split across batches and code chunks of one
-    # or a few rows must still give the per-atom float64 accumulation bit for bit.
-    w = np.zeros(1 << fam.dim)
-    for weight, h in fam.atoms:
-        w += float(weight) * _naive_squared_mass(h)
+    # or a few rows must still give the correctly rounded exact levels.
+    want = _rounded(fam)
     cells = spectral._BATCH_CELLS if width is None else width << fam.dim
     code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << fam.dim
     with (
         mock.patch.object(spectral, "_BATCH_CELLS", cells),
         mock.patch.object(hashing, "_CODE_CELLS", code_cells),
     ):
-        assert np.array_equal(_mask_weights(fam), w)
+        assert family_spectrum(fam).levels == want
 
 
 @st.composite
@@ -341,15 +383,13 @@ def test_junta_spectra_equal_per_atom_reference(fam, cells, code_rows):
     # Each function is transformed on the subcube of its relevant
     # coordinates; groups of every |J| share a chunk, and batches of one or
     # a few cells split every subcube's columns.
-    w = np.zeros(1 << fam.dim)
-    for weight, h in fam.atoms:
-        w += float(weight) * _naive_squared_mass(h)
+    want = _rounded(fam)
     code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << fam.dim
     with (
         mock.patch.object(spectral, "_BATCH_CELLS", cells or spectral._BATCH_CELLS),
         mock.patch.object(hashing, "_CODE_CELLS", code_cells),
     ):
-        assert np.array_equal(_mask_weights(fam), w)
+        assert family_spectrum(fam).levels == want
 
 
 @pytest.mark.parametrize("code_rows", [1, 3, None])
@@ -361,20 +401,22 @@ def test_full_and_partial_support_rows_at_dimension_14(code_rows):
     table = ExplicitTable(d, (1,) + (0,) * (n - 1))
     subset = CoordinateSubset(d, tuple(range(1, d)))
     fns = [table, Parity(d, tuple(range(d))), Constant(d), subset, CoordinateProjection(d, 5)]
-    expected = [np.full(n, 2.0), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)]
+    # Each function's level sums times 4^14 = n^2.
+    expected = np.zeros((len(fns), d + 1), np.int64)
+    expected[0] = [2 * math.comb(d, k) for k in range(d + 1)]
     expected[0][0] = (n - 1) ** 2 + 1
-    expected[1][[0, n - 1]] = n * n / 2
+    expected[1][[0, d]] = n * n // 2
     expected[2][0] = n * n
-    expected[3][::2] = 2 * n  # every subset of coordinates 1..13
-    expected[4][[0, 1 << 5]] = n * n / 2
+    expected[3][:d] = [2 * n * math.comb(d - 1, k) for k in range(d)]  # every subset of coordinates 1..13
+    expected[4][[0, 1]] = n * n // 2
     code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << d
-    rows = np.zeros((len(fns), n))
+    rows = np.zeros_like(expected)
     with mock.patch.object(hashing, "_CODE_CELLS", code_cells):
-        for t, row in enumerate(rows):  # function t's row: the entries under weight 1 at t, 0 elsewhere
-            for masks, mass in spectral._mass_entries(fns, np.eye(len(fns))[t], d):
-                np.add.at(row, masks, mass)
-    for row, want in zip(rows, expected, strict=True):
-        assert np.array_equal(row, want / float(n * n))
+        for atoms, level_rows in spectral._level_rows(fns, d):
+            rows[atoms] = level_rows
+        levels = family_spectrum(finite_family(fns)).levels
+    assert np.array_equal(rows, expected)
+    assert levels == _rounded(finite_family(fns))
 
 
 def test_object_label_concatenation_spectrum():
@@ -384,35 +426,31 @@ def test_object_label_concatenation_spectrum():
     wide = Concatenation(tuple(PairCollapse(d, x, (x * 5 + 3) % 16) for x in range(16)))
     assert wide.label_bound > 1 << 63
     fam = finite_family([wide, CoordinateProjection(d, 2), ExplicitTable(d, tuple(range(16)))], [0.5, 0.25, 0.25])
-    w = np.zeros(1 << d)
-    for weight, h in fam.atoms:
-        w += float(weight) * _naive_squared_mass(h)
-    assert np.array_equal(_mask_weights(fam), w)
+    assert family_spectrum(fam).levels == _rounded(fam)
 
 
 @settings(deadline=None, max_examples=40)
 @given(fam=_junta_families(), huge=st.booleans(), data=st.data())
 def test_mixed_weight_spectra_equal_per_row_loop(fam, huge, data):
     # Weights of every size, zero included, and a common denominator past
-    # 2^53 when `huge`: adding each code chunk's entries at once must give,
-    # bit for bit, the loop that adds float(weight) * row one atom at a time.
+    # 2^53 when `huge`: summing the rows of each weight numerator at once
+    # must give the correctly rounded exact levels.
     fns = [h for _, h in fam.atoms]
     top = (1 << 60) if huge else 50
     raw = data.draw(st.lists(st.integers(0, top), min_size=len(fns), max_size=len(fns)).filter(any))
     fam = finite_family(fns, [Fraction(r, sum(raw)) for r in raw])
-    w = np.zeros(1 << fam.dim)
-    for weight, h in fam.atoms:
-        w += float(weight) * _naive_squared_mass(h)
-    assert np.array_equal(_mask_weights(fam), w)
+    assert family_spectrum(fam).levels == _rounded(fam)
 
 
 def test_weights_past_2_53_round_once():
     # Both numerators and their sum pass 2^53, and float(a) / float(a + b)
     # rounds three times to a different float than a / (a + b) does once.
+    # The projection puts half its weight on level 1, the parity on level 2.
     a, b = 877329965204690299, 544461693100611747
     assert float(a) / float(a + b) != a / (a + b)
-    fam = finite_family([CoordinateProjection(3, 0), CoordinateProjection(3, 1)], [Fraction(a, a + b), Fraction(b, a + b)])
-    assert _mask_weights(fam)[1] == float(Fraction(a, a + b)) / 2
+    fam = finite_family([CoordinateProjection(3, 0), Parity(3, (1, 2))], [Fraction(a, a + b), Fraction(b, a + b)])
+    want = (0.5, float(Fraction(a, a + b)) / 2, float(Fraction(b, a + b)) / 2, 0.0)
+    assert family_spectrum(fam).levels == _rounded(fam) == want
 
 
 def test_code_chunks_count_subcube_cells():
@@ -438,8 +476,8 @@ def test_transform_block_grows_to_largest_subcube():
     # more than the block's 2^18 cells: the block grows to one column.
     d = 19
     fam = finite_family([CoordinateSubset(d, (4, 5)), Parity(d, tuple(range(d)))])
-    want = {0: 3 / 8, 1 << 4: 1 / 8, 1 << 5: 1 / 8, 3 << 4: 1 / 8, (1 << d) - 1: 1 / 4}
-    assert _mask_dict(fam) == want
+    want = (3 / 8, 1 / 4, 1 / 8) + (0.0,) * (d - 3) + (1 / 4,)
+    assert family_spectrum(fam).levels == _rounded(fam) == want
 
 
 # ---------------------------------------------------------------------------
