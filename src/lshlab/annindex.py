@@ -37,7 +37,7 @@ from .points import Point, bits_from01, bits_to01, pack_rows, points_to_bit_matr
 from . import rng as rngmod
 
 INDEX_FORMAT = "lshlab-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 CANDIDATE_CAP_FACTOR = 3  # tunable probe budget: at most 3L candidate inspections
 
@@ -154,6 +154,8 @@ class NNIndex:
             raise ValueError("need the points as (n, d) 0/1 uint8 rows, n >= 1")
         self.dim = bits.shape[1]
         for i, fn in enumerate(functions):
+            if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
+                raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")
             if fn.dim != self.dim:
                 raise DimensionMismatch(f"function {i} has dimension {fn.dim}, the points {self.dim}")
         self.params = params
@@ -311,18 +313,22 @@ def stats(index: NNIndex) -> IndexStats:
 
 # ---------------------------------------------------------------------------
 # Serialization: a versioned JSON container carrying the parameters, the
-# family descriptor, the drawn functions and the dataset. The tables are not
-# stored: loading rebuilds them from the functions and points, so a file
-# cannot hold tables that disagree with its functions.
+# family descriptor, each distinct part once, the functions as rows of part
+# numbers, and the dataset. Tables are not stored: loading rebuilds them, so
+# a file cannot hold tables that disagree with its functions.
 
 
 def save_index(index: NNIndex, path) -> None:
+    # Distinct parts by identity, in first-use order: functions share part objects.
+    parts = {id(p): p for fn in index.functions for p in fn.parts}
+    number = {key: j for j, key in enumerate(parts)}
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "params": asdict(index.params),
         "family": index.family_doc,
-        "functions": [function_descriptor(fn) for fn in index.functions],
+        "parts": [function_descriptor(p) for p in parts.values()],
+        "functions": [[number[id(p)] for p in fn.parts] for fn in index.functions],
         "points": bits_to01(unpack_rows(index.rows, index.dim)),
     }
     # json.dumps runs the C encoder; json.dump would stream through the Python one.
@@ -345,11 +351,13 @@ def load_index(path) -> NNIndex:
                 f"version {INDEX_VERSION}); rebuild the index with index-build"
             )
         params = IndexParams(**doc["params"])
-        built: dict = {}  # one part object per distinct part descriptor
-        functions = [function_from_descriptor(d, built) for d in doc["functions"]]
-        for i, fn in enumerate(functions):
-            if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
-                raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")
+        parts = [function_from_descriptor(p) for p in doc["parts"]]
+        rows = doc["functions"]
+        if type(rows) is not list or not all(type(row) is list for row in rows) or not all(
+            type(j) is int and 0 <= j < len(parts) for row in rows for j in row
+        ):
+            raise ValueError(f"functions must be lists of part numbers in [0, {len(parts)})")
+        functions = [Concatenation(tuple(parts[j] for j in row)) for row in rows]
         if not isinstance(doc["points"], list):
             raise ValueError("points must be a list of 0/1 strings")
         return NNIndex(params, functions, bits_from01(doc["points"]), doc.get("family"))

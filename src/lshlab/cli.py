@@ -31,6 +31,7 @@ from .annindex import (
 )
 from .bounds import BOUND_TABLE_HEADER, bound_table
 from .hashing import (
+    _ENUM_DIM_LIMIT,
     bit_sampling_family,
     bit_sampling_profile,
     exact_sensitivity,
@@ -41,7 +42,7 @@ from .hashing import (
 )
 from .points import Point, load_points_binary, load_points_text
 from .sampling import mc_stability_curve
-from .spectral import EXACT, check_log_convexity, stability_curve
+from .spectral import EXACT, _TRANSFORM_DIM_LIMIT, check_log_convexity, stability_curve
 from .verify import SUITES, format_report, run_suites
 
 
@@ -102,7 +103,8 @@ def _parse_grid(text: str) -> list[float]:
     return [float(t) for t in np.linspace(*values, count)]
 
 
-def _resolve_family(args) -> object:
+def _resolve_family(args, dim_limit: Optional[int] = None) -> object:
+    """The family the flags name; a named family past `dim_limit` is refused unbuilt."""
     if args.family_file:
         with open(args.family_file) as f:
             text = f.read()
@@ -115,6 +117,8 @@ def _resolve_family(args) -> object:
         d = args.d
         if d is None:
             raise CliError("--d is required with a named family")
+        if dim_limit is not None and d > dim_limit:
+            raise CliError(f"--d {d} is past this command's limit of d <= {dim_limit}")
         if name == "bit-sampling":
             fam = bit_sampling_family(d)
         elif name == "minhash":
@@ -154,7 +158,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    fam = _resolve_family(args)
+    fam = _resolve_family(args, _TRANSFORM_DIM_LIMIT if args.mode == "exact" else None)
     grid = _parse_grid(args.t_grid)
     if args.mode == "exact":
         curve = stability_curve(fam, grid)
@@ -182,7 +186,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    fam = _resolve_family(args)
+    fam = _resolve_family(args, _ENUM_DIM_LIMIT)
     if args.r is None or args.cr is None:
         raise CliError("sensitivity needs --r and --cr")
     prof = exact_sensitivity(fam, args.r, args.cr)

@@ -1096,28 +1096,15 @@ def function_descriptor(h: HashFunction) -> dict:
     return doc
 
 
-def _function_args(doc: dict) -> tuple[type, tuple]:
-    """The class and checked constructor arguments a non-concat descriptor names."""
+def function_from_descriptor(doc: dict) -> HashFunction:
+    """The function a descriptor names, with its fields checked."""
     kind = doc["kind"]
+    if kind == "concat":
+        return Concatenation(tuple(function_from_descriptor(p) for p in doc["parts"]))
     if type(kind) is not str or kind not in _FUNCTION_KINDS:
         raise ValueError(f"unknown function kind {kind!r}")
     cls, fields = _FUNCTION_KINDS[kind]
-    return cls, tuple([read(doc, key) for key, _, read in fields])
-
-
-def function_from_descriptor(doc: dict, built: Optional[dict] = None) -> HashFunction:
-    """The function a descriptor names. With a `built` dict, a descriptor
-    whose checked arguments were seen before (a part shared by many
-    concatenations) returns the function made then."""
-    if doc["kind"] == "concat":
-        return Concatenation(tuple(function_from_descriptor(p, built) for p in doc["parts"]))
-    cls, args = _function_args(doc)
-    if built is None:
-        return cls(*args)
-    key = (cls, args)
-    if key not in built:
-        built[key] = cls(*args)
-    return built[key]
+    return cls(*[read(doc, key) for key, _, read in fields])
 
 
 def family_descriptor(family: HashFamily) -> dict:

@@ -311,14 +311,10 @@ def bad_files(tmp_path, point_file):
         "index-float-cr": {**doc, "params": {**doc["params"], "cr": doc["params"]["cr"] + 0.5}},
         "index-bool-r": {**doc, "params": {**doc["params"], "r": True}},
         "index-short-point": {**doc, "points": [p[:-1] if i == 3 else p for i, p in enumerate(doc["points"])]},
-        "index-function-dim": {**doc, "functions": [
-            {**fn, "parts": [{**part, "d": 25} for part in fn["parts"]]} if i == 0 else fn
-            for i, fn in enumerate(doc["functions"])
-        ]},
-        "index-bool-coordinate": {**doc, "functions": [
-            {**fn, "parts": [{**fn["parts"][0], "i": True}] + fn["parts"][1:]} if i == 0 else fn
-            for i, fn in enumerate(doc["functions"])
-        ]},
+        "index-function-dim": {**doc, "parts": [{**part, "d": 25} for part in doc["parts"]]},
+        "index-bool-coordinate": {**doc, "parts": [{**doc["parts"][0], "i": True}] + doc["parts"][1:]},
+        # Taken as a list index, -1 would silently name the last part.
+        "index-negative-part": {**doc, "functions": [[-1] + doc["functions"][0][1:]] + doc["functions"][1:]},
         "family-missing-key": {"kind": "bit-sampling"},
         "family-not-object": [1, 2],
         # 1/2 + (1/2 + 10^-13): within 1e-12 of 1, but not exactly 1.
@@ -395,6 +391,8 @@ USAGE_ERRORS = {
                            "index-function-dim.json"),
     "index-bool-coordinate": (["index-query", "--index", "{dir}/index-bool-coordinate.json"] + QUERY,
                               "index-bool-coordinate.json"),
+    "index-negative-part": (["index-query", "--index", "{dir}/index-negative-part.json"] + QUERY,
+                            "index-negative-part.json"),
     "query-point-length": (["index-query", "--index", "{dir}/idx.json", "--point", "0" * 23],
                            "dimension 23"),
     "build-bad-char": (BUILD + ["--data", "{dir}/bad-char.txt"], "bad-char.txt"),
@@ -464,6 +462,19 @@ def _exits_under_warnings_as_errors(cases):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def test_huge_dimension_exits_2_before_building_the_family(monkeypatch, capsys):
+    # Exact spectra stop at d = 20 and enumeration at d = 14; a million-atom
+    # family is refused by its --d before it is built.
+    def refuse(d):
+        raise AssertionError(f"bit_sampling_family({d}) was built")
+
+    monkeypatch.setattr("lshlab.cli.bit_sampling_family", refuse)
+    assert run(["stability", "--d", "1000000", "--t-grid", "0,1,2"]) == 2
+    assert "d <= 20" in capsys.readouterr().err
+    assert run(["sensitivity", "--d", "1000000", "--r", "1", "--cr", "2"]) == 2
+    assert "d <= 14" in capsys.readouterr().err
 
 
 def test_non_finite_floats_exit_2_under_warnings_as_errors():

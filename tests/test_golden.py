@@ -3,7 +3,8 @@
 The Monte Carlo values were recorded with one function draw and one pair
 evaluation per sample; the batch paths must reproduce them exactly. The
 index-query digests were recorded against version-1 index files, which
-stored the tables; version 2 rebuilds them on load and must answer the same.
+stored the tables; format version 3 stores each distinct part once, rebuilds
+the tables on load and must answer the same.
 """
 
 import hashlib
@@ -61,15 +62,16 @@ def data_dir(tmp_path):
 
 
 GOLDEN_RUNS = {
-    # Index files in format version 2.
+    # Index files in format version 3: each distinct part once, and each
+    # function as a row of part numbers.
     "index-24": (
         ["index-build", "--data", "{dir}/p24.txt", "--r", "2", "--cr", "6", "--seed", "9"],
-        "70f85db2be57d8d3c08fa4d6f1762200597deb5c5b17225fafbda65061343fbf",
+        "8f55f6797adc062b408d1d6f941d466e0e598e831b3350cc9ee75c4750865af5",
     ),
     # k = 260: every label is a 260-bit integer.
     "index-128-wide-labels": (
         ["index-build", "--data", "{dir}/p128.txt", "--r", "1", "--cr", "2", "--seed", "4"],
-        "e9f8cb00e1168d01080d5f01fa09665d085c7228fb1a2d1a994a15d5ad22437f",
+        "40f42ace7d72a511aa6b9d7c8b58a479d9a5e7d4a295befec56e6a60f018f057",
     ),
     # Exact curves: every level weight is an exact rational rounded once, so
     # the bit-sampling and trivial curves read K(0) = 1.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lshlab.hashing import (
     SensitivityProfile,
     bit_sampling_family,
     bit_sampling_profile,
+    function_descriptor,
     minhash_family,
     power,
 )
@@ -442,7 +444,7 @@ def test_load_rejects_out_of_range_ids(tmp_path, bad_id):
     path = tmp_path / "index.json"
     save_index(idx, path)
     doc = json.loads(path.read_text())
-    doc["functions"][1]["parts"][0]["i"] = bad_id
+    doc["parts"][0]["i"] = bad_id
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="out of range"):
         load_index(path)
@@ -450,35 +452,80 @@ def test_load_rejects_out_of_range_ids(tmp_path, bad_id):
 
 def test_load_shares_equal_parts_and_checks_every_one(tmp_path):
     # 12 functions of 5 projections each on d = 6 name at most 6 distinct
-    # parts; loading makes one object per distinct part. A part equal in
-    # value but not an integer ("i": 1.0) is still refused.
+    # parts; the file stores each once, and the loaded functions share one
+    # object per stored part. A part equal in value but not an integer
+    # ("i": 1.0) is still refused.
     pts = _random_points(30, 6, seed=13)
     idx = build(pts, bit_sampling_family(6), IndexParams(r=1, cr=3, k=5, L=12, delta=0.1, seed=8))
     path = tmp_path / "index.json"
     save_index(idx, path)
-    clone = load_index(path)
-    parts = [p for fn in clone.functions for p in fn.parts]
-    assert len({id(p) for p in parts}) == len(set(parts)) <= 6
-    assert [fn.parts for fn in clone.functions] == [fn.parts for fn in idx.functions]
     doc = json.loads(path.read_text())
-    doc["functions"][-1]["parts"][-1]["i"] = float(doc["functions"][-1]["parts"][-1]["i"])
+    assert len(doc["parts"]) <= 6
+    clone = load_index(path)
+    assert [fn.parts for fn in clone.functions] == [fn.parts for fn in idx.functions]
+    by_number = {}
+    for fn, row in zip(clone.functions, doc["functions"]):
+        for p, j in zip(fn.parts, row):
+            assert by_number.setdefault(j, p) is p
+    assert [function_descriptor(by_number[j]) for j in range(len(by_number))] == doc["parts"]
+    assert len({id(p) for p in by_number.values()}) == len(doc["parts"])
+    doc["parts"][-1]["i"] = float(doc["parts"][-1]["i"])
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="must be an integer"):
         load_index(path)
 
 
 def test_load_rejects_version_1(tmp_path):
-    # Version 1 stored the tables; version 2 rebuilds them on load and has
-    # the only reader.
+    # Version 1 stored the tables and version 2 one descriptor per part of
+    # every function; version 3 has the only reader.
     pts = _random_points(20, 8, seed=12)
     idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=2, L=3, delta=0.1, seed=6))
     path = tmp_path / "index.json"
     save_index(idx, path)
     doc = json.loads(path.read_text())
-    doc.update(version=1, dim=8, tables=[{str(lab): ids for lab, ids in t.items()} for t in _buckets(idx)])
+    parts = doc.pop("parts")
+    v2 = {**doc, "version": 2, "functions": [
+        {"kind": "concat", "parts": [parts[j] for j in row]} for row in doc["functions"]
+    ]}
+    v1 = {**v2, "version": 1, "dim": 8, "tables": [{str(lab): ids for lab, ids in t.items()} for t in _buckets(idx)]}
+    for old in (v1, v2):
+        path.write_text(json.dumps(old))
+        with pytest.raises(ValueError, match="rebuild the index with index-build"):
+            load_index(path)
+
+
+@pytest.mark.parametrize("case", ["negative", "past-the-end", "bool", "float", "short-row", "short-functions"])
+def test_load_rejects_bad_part_numbers(tmp_path, case):
+    # A part number is a JSON integer in [0, len(parts)): -1 must not read
+    # the last part, and each row names exactly k parts, L rows in all.
+    pts = _random_points(20, 8, seed=12)
+    idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=3, L=4, delta=0.1, seed=6))
+    path = tmp_path / "index.json"
+    save_index(idx, path)
+    doc = json.loads(path.read_text())
+    rows = doc["functions"]
+    bad = {"negative": -1, "past-the-end": len(doc["parts"]), "bool": True, "float": 1.0}
+    if case in bad:
+        rows[0][0] = bad[case]
+    elif case == "short-row":
+        rows[0].pop()
+    else:
+        rows.pop()
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="rebuild the index with index-build"):
+    with pytest.raises(ValueError, match="index.json"):
         load_index(path)
+
+
+def test_index_refuses_functions_it_could_not_reload():
+    # Bare projections (k = 1, not wrapped in a concatenation) would save a
+    # file that the loader refuses; the index refuses them when it is made.
+    pts = _random_points(10, 8, seed=12)
+    params = IndexParams(r=1, cr=3, k=1, L=2, delta=0.1, seed=6)
+    functions = [CoordinateProjection(8, 0), CoordinateProjection(8, 5)]
+    with pytest.raises(ValueError, match="not a concatenation of k = 1 parts"):
+        NNIndex(params, functions, points_to_bit_matrix(pts))
+    with pytest.raises(ValueError, match="not a concatenation of k = 2 parts"):
+        NNIndex(replace(params, k=2), [Concatenation((fn,)) for fn in functions], points_to_bit_matrix(pts))
 
 
 def test_index_works_with_minhash_family(tmp_path):
