@@ -104,65 +104,57 @@ class HashFunction:
         cube have a closed form compute all rows at once."""
         rows = []
         for h in functions:
-            bits = np.zeros((1 << len(h.support), h.dim), dtype=np.uint8)
-            bits[:, h.support] = _cube_bits(len(h.support))
+            J = h.support
+            bits = np.zeros((1 << len(J), h.dim), dtype=np.uint8)
+            bits[:, J] = _cube_bits(len(J))
             rows.append(h.labels(bits))
         return np.stack(rows)
 
 
-# Cells of one chunk of codes (subcube points in _code_chunks, cube points
-# in _class_extremes): 128 KiB as int16, 512 KiB of int64 labels. Its
-# presence tables have at most twice as many.
+# Subcube points of one slice of a code group: 128 KiB as int16, 512 KiB
+# of int64 labels. Its presence tables have at most twice as many.
 _CODE_CELLS = 1 << 16
 
 
 def _code_groups(functions: Sequence[HashFunction]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, J, codes) for each group of the functions of one class whose
-    supports have one size j: J[i] is the support of functions[rows[i]] and
-    codes[i] its labels at the 2^j points of its subcube (_cube_labels, all
-    rows at once), which are all its labels, recoded to consecutive ints in
-    label order: int16 up to dim 14, int32 beyond. If every label_bound is
-    at most 2^(j+1), a presence table marks each row's labels, and its
+    """(rows, J, codes) for each slice of a group of the functions of one
+    class whose supports have one size j, at most _CODE_CELLS >> j functions
+    (and at least one) per slice: J[i] is the support of functions[rows[i]]
+    and codes[i] its labels at the 2^j points of its subcube (_cube_labels,
+    all rows at once), which are all its labels, recoded to consecutive ints
+    in label order: int16 up to dim 14, int32 beyond. If every label_bound
+    is at most 2^(j+1), a presence table marks each row's labels, and its
     running count along the row is every present label's code plus one;
     otherwise one row-wise sort ranks them.
     """
     dtype = np.int16 if functions[0].dim <= 14 else np.int32
+    supports = [h.support for h in functions]
     groups: dict[tuple[int, type], list[int]] = {}
     for i, h in enumerate(functions):
-        groups.setdefault((len(h.support), type(h)), []).append(i)
-    for (j, kind), rows in groups.items():
-        bound = max(functions[i].label_bound for i in rows)
-        labels = kind._cube_labels([functions[i] for i in rows]).astype(_label_dtype(bound), copy=False)
-        if bound <= 2 << j:
-            seen = np.zeros((len(rows), bound), dtype=dtype)
-            labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
-            seen.reshape(-1)[labels] = 1
-            np.cumsum(seen, axis=1, out=seen)
-            codes = seen.reshape(-1)[labels] - 1
-        else:
-            order = np.argsort(labels, axis=1)
-            ranked = np.take_along_axis(labels, order, axis=1)
-            step = np.zeros(labels.shape, dtype=dtype)
-            step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-            np.cumsum(step, axis=1, out=step)
-            codes = np.empty_like(step)
-            np.put_along_axis(codes, order, step, axis=1)
-        J = np.array([functions[i].support for i in rows], dtype=np.int32).reshape(len(rows), j)
-        yield np.array(rows), J, codes
-
-
-def _code_chunks(functions: Iterable[HashFunction]) -> Iterator[list[HashFunction]]:
-    """Consecutive runs of the functions whose subcubes hold at most
-    _CODE_CELLS points together (and at least one function)."""
-    chunk, cells = [], 0
-    for h in functions:
-        if chunk and cells + (1 << len(h.support)) > _CODE_CELLS:
-            yield chunk
-            chunk, cells = [], 0
-        chunk.append(h)
-        cells += 1 << len(h.support)
-    if chunk:
-        yield chunk
+        groups.setdefault((len(supports[i]), type(h)), []).append(i)
+    for (j, kind), group in groups.items():
+        width = max(1, _CODE_CELLS >> j)
+        for lo in range(0, len(group), width):
+            rows = group[lo : lo + width]
+            fns = [functions[i] for i in rows]
+            bound = max(h.label_bound for h in fns)
+            labels = kind._cube_labels(fns).astype(_label_dtype(bound), copy=False)
+            if bound <= 2 << j:
+                seen = np.zeros((len(rows), bound), dtype=dtype)
+                labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
+                seen.reshape(-1)[labels] = 1
+                np.cumsum(seen, axis=1, out=seen)
+                codes = seen.reshape(-1)[labels] - 1
+            else:
+                order = np.argsort(labels, axis=1)
+                ranked = np.take_along_axis(labels, order, axis=1)
+                step = np.zeros(labels.shape, dtype=dtype)
+                step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+                np.cumsum(step, axis=1, out=step)
+                codes = np.empty_like(step)
+                np.put_along_axis(codes, order, step, axis=1)
+            J = np.array([supports[i] for i in rows], dtype=np.int32).reshape(len(rows), j)
+            yield np.array(rows), J, codes
 
 
 def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
@@ -177,7 +169,7 @@ def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
             codes[rows] = sub
             continue
         # pext(v, J) packs the bits of v at the coordinates J.
-        place = np.zeros((dim, len(rows)), dtype=np.int64)
+        place = np.zeros((dim, len(rows)), dtype=np.int32)
         place[J.T, np.arange(len(rows))] = 1 << np.arange(J.shape[1])[:, None]
         codes[rows] = np.take_along_axis(sub, (_cube_bits(dim) @ place).T, axis=1)
     return codes
@@ -918,7 +910,6 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
     return _collision_masses(family, np.tri(d + 1, d, -1, dtype=np.uint8))
 
 
-_BLOCK_VECTORS = 1 << 16
 # Cells of one broadcast collision comparison in _class_extremes: 1 MiB of bool.
 _COMPARE_CELLS = 1 << 20
 
@@ -930,66 +921,38 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
     times a pair's collision probability is a sum over groups of equal-weight
     atoms: weight times how many of the group's atoms collide on the pair.
     A group's counts come from its rows of the family's code matrix, one
-    broadcast comparison per run of atoms. Groups are packed into blocks of
-    at most _BLOCK_VECTORS count vectors, each indexing an exact table of
-    its block's part of the sum; a lone block's table holds the sums' ranks
-    instead. Sums past 2^63 are held as base-2^b digits and compared from
-    the top digit down.
+    broadcast comparison per run of atoms, and add straight into the sums'
+    limbs: one, int32 or int64, while D < 2^63, and otherwise base-2^b
+    digits, carried and then compared from the top digit down.
     """
     d = family.dim
     denom, nums = family._integer_weights
-    fns, step = [h for _, h in family.atoms], max(1, _CODE_CELLS >> d)
-    codes = np.concatenate([collision_code_matrix(fns[i : i + step]) for i in range(0, len(fns), step)])
+    codes = collision_code_matrix([h for _, h in family.atoms])
     members: dict[int, list[int]] = {}
     for i, w in enumerate(nums):
         members.setdefault(w, []).append(i)
-    groups = {w: np.array(atoms) for w, atoms in members.items()}
-    blocks: list[list[np.ndarray]] = []
-    sums: list[list[int]] = []
-    vectors = _BLOCK_VECTORS + 1
-    for w, group in groups.items():
-        if vectors * (len(group) + 1) > _BLOCK_VECTORS:
-            blocks.append([])
-            sums.append([0])
-            vectors = 1
-        blocks[-1].append(group)
-        # Entry sum(c_g * radix_g) of a block's table is its sum for count vector c.
-        sums[-1] = [v + w * c for c in range(len(group) + 1) for v in sums[-1]]
-        vectors *= len(group) + 1
-    levels = sorted(set(sums[0])) if len(blocks) == 1 else None
-    if levels:
-        rank = {v: i for i, v in enumerate(levels)}
-        sums = [[rank[v] for v in sums[0]]]
-    top = len(levels) - 1 if levels else denom
-    if top < 1 << 63:
-        bits, dtype = 63, np.int32 if top < 1 << 31 else np.int64
+    if denom < 1 << 63:
+        bits, dtype = 63, np.int32 if denom < 1 << 31 else np.int64
     else:
-        # Each digit's sum over the blocks, carry included, stays below 2^63.
-        bits, dtype = 63 - (len(blocks) + 1).bit_length(), np.int64
-    n_limbs = -(-top.bit_length() // bits)
+        # A digit's sum over all atoms, carry included, stays below 2^63.
+        bits, dtype = 62 - len(nums).bit_length(), np.int64
+    n_limbs = -(-denom.bit_length() // bits)
     digit = (1 << bits) - 1
-    tables = [
-        np.array([[(v >> (bits * j)) & digit for v in s] for j in range(n_limbs)], dtype)
-        for s in sums
-    ]
-    mins, maxs = [top] * (d + 1), [0] * (d + 1)
+    groups = [(np.array(atoms), [dtype((w >> bits * j) & digit) for j in range(n_limbs)])
+              for w, atoms in members.items()]
+    mins, maxs = [denom] * (d + 1), [0] * (d + 1)
     extremes = ((np.minimum, min, np.iinfo(dtype).max, mins), (np.maximum, max, -1, maxs))
     for xs, dist in cube_distance_rows(d):
         step = max(1, _COMPARE_CELLS // dist.size)  # atoms per broadcast comparison
         limbs = np.zeros((n_limbs,) + dist.shape, dtype=dtype)
-        for block, table in zip(blocks, tables):
-            key = np.zeros(dist.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
-            radix = 1
-            for group in block:
-                count = np.zeros(dist.shape, dtype=np.min_scalar_type(len(group)))
-                for start in range(0, len(group), step):
-                    t = codes[group[start : start + step]]
-                    same = t[:, xs][:, :, None] == t[:, None, :]
-                    count += same[0] if len(same) == 1 else same.sum(0, dtype=count.dtype)
-                key += count * key.dtype.type(radix)
-                radix *= len(group) + 1
-            for j in range(n_limbs):
-                limbs[j] += table[j][key]
+        for group, weight in groups:
+            count = np.zeros(dist.shape, dtype=np.min_scalar_type(len(group)))
+            for start in range(0, len(group), step):
+                t = codes[group[start : start + step]]
+                same = t[:, xs][:, :, None] == t[:, None, :]
+                count += same[0] if len(same) == 1 else same.sum(0, dtype=count.dtype)
+            for limb, w in zip(limbs, weight):
+                limb += count * w
         for j in range(n_limbs - 1):
             limbs[j + 1] += limbs[j] >> bits
             limbs[j] &= digit
@@ -1005,8 +968,6 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
                 if j:
                     digits = np.where(digits == best[dist], limbs[j - 1], start)
             found[:] = map(keep, found, value)
-    if levels:
-        mins, maxs = [levels[v] for v in mins], [levels[v] for v in maxs]
     return [Fraction(v, denom) for v in mins], [Fraction(v, denom) for v in maxs]
 
 
@@ -1148,10 +1109,6 @@ def family_from_descriptor(doc: dict) -> HashFamily:
             )
         return family
     raise ValueError(f"unknown family kind {kind!r}")
-
-
-def family_to_json(family: HashFamily) -> str:
-    return json.dumps(family_descriptor(family), sort_keys=True)
 
 
 def family_from_json(text: str) -> HashFamily:

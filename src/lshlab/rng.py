@@ -11,11 +11,11 @@ import numpy as np
 
 DEFAULT_SEED = 1729
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(seed: int, substream: int = 0) -> np.random.Generator:
-    """The generator for (seed, substream); same pair, same bits, always."""
-    key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
+    """The generator for (seed, substream); same pair, same bits, always.
+    Both must lie in [0, 2^64), so no two pairs share a key."""
+    for name, v in (("seed", seed), ("substream", substream)):
+        if not 0 <= v < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, substream], dtype=np.uint64)))

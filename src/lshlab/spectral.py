@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction, _code_chunks, _code_groups, collision_codes, finite_family
+from .hashing import HashFamily, HashFunction, _code_groups, collision_codes, finite_family
 from .points import cube_distance_rows
 
 _TRANSFORM_DIM_LIMIT = 20
@@ -116,8 +116,8 @@ def _class_mass(codes: np.ndarray, cells: np.ndarray, square_type) -> np.ndarray
     return sums
 
 
-def _level_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(atoms, rows) of each code group: rows[i] holds 4^dim W_k, k = 0..dim,
+def _level_rows(functions: Sequence[HashFunction], dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(atoms, rows) of each code group slice: rows[i] holds 4^dim W_k, k = 0..dim,
     of the function at index atoms[i] of `functions`, as exact int64s.
 
     A function is transformed on its subcube (_code_groups), whose point s,
@@ -131,20 +131,17 @@ def _level_rows(functions: Iterable[HashFunction], dim: int) -> Iterator[tuple[n
     cell_type = np.int16 if dim <= 14 else np.int32
     cells = np.zeros(_BATCH_CELLS, dtype=cell_type)
     square_type = np.int32 if dim <= 14 else np.int64
-    first = 0
-    for chunk in _code_chunks(functions):
-        for atoms, J, codes in _code_groups(chunk):
-            if len(cells) < codes.shape[1]:  # one column of the largest subcube met so far
-                cells = np.zeros(codes.shape[1], dtype=cell_type)
-            j = J.shape[1]
-            sizes = np.bitwise_count(np.arange(1 << j, dtype=np.int32))
-            order = np.argsort(sizes, kind="stable")  # subcube points by popcount
-            mass = _class_mass(codes, cells, square_type)[:, order]
-            rows = np.zeros((len(atoms), dim + 1), np.int64)
-            starts = np.searchsorted(sizes[order], np.arange(j + 1))
-            rows[:, : j + 1] = np.add.reduceat(mass, starts, axis=1, dtype=np.int64) << 2 * (dim - j)
-            yield first + atoms, rows
-        first += len(chunk)
+    for atoms, J, codes in _code_groups(functions):
+        if len(cells) < codes.shape[1]:  # one column of the largest subcube met so far
+            cells = np.zeros(codes.shape[1], dtype=cell_type)
+        j = J.shape[1]
+        sizes = np.bitwise_count(np.arange(1 << j, dtype=np.int32))
+        order = np.argsort(sizes, kind="stable")  # subcube points by popcount
+        mass = _class_mass(codes, cells, square_type)[:, order]
+        rows = np.zeros((len(atoms), dim + 1), np.int64)
+        starts = np.searchsorted(sizes[order], np.arange(j + 1))
+        rows[:, : j + 1] = np.add.reduceat(mass, starts, axis=1, dtype=np.int64) << 2 * (dim - j)
+        yield atoms, rows
 
 
 def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
@@ -167,10 +164,10 @@ def family_spectrum(family: HashFamily) -> FourierSpectrum:
     # The atoms of one weight numerator add into one row of sums.
     numerators, key = np.unique(np.array(nums, dtype=object), return_inverse=True)
     total = np.zeros(family.dim + 1, dtype=object)
-    for atoms, rows in _level_rows((h for _, h in family.atoms), family.dim):
+    for atoms, rows in _level_rows([h for _, h in family.atoms], family.dim):
         used, at = np.unique(key[atoms], return_inverse=True)
         sums = np.zeros((len(used), family.dim + 1), np.int64)
-        np.add.at(sums, at, rows)  # a chunk's at most 2^16 rows of 4^dim <= 2^40 stay below 2^56
+        np.add.at(sums, at, rows)  # a slice's at most 2^16 rows of 4^dim <= 2^40 stay below 2^56
         total += numerators[used] @ sums.astype(object)
     # Python's int / int rounds each exact level once.
     return FourierSpectrum(family.dim, tuple(s / (denom << 2 * family.dim) for s in total))

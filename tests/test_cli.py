@@ -367,6 +367,9 @@ NON_FINITE = {
 }
 QUERY = ["--point", "0" * 24]
 BUILD = ["index-build", "--r", "2", "--cr", "6", "--out", "{dir}/never.json"]
+# Seeds -5 and 2^64 once gave the streams of 2^64 - 5 and 0.
+MC_SEED = ["stability", "--mode", "mc", "--d", "8", "--t-grid", "0,1", "--samples", "200", "--seed"]
+
 USAGE_ERRORS = {
     # case: (argv, a fragment the one-line message must contain)
     "index-missing-key": (["index-query", "--index", "{dir}/index-missing-key.json"] + QUERY,
@@ -427,6 +430,8 @@ USAGE_ERRORS = {
     "experiment-no-queries": (["index-experiment", "--n", "50", "--d", "16", "--r", "1",
                                "--queries", "0"], "query"),
     "verify-unknown-suite": (["verify", "--suite", "no-such-suite"], "no-such-suite"),
+    "seed-negative": (MC_SEED + ["-5"], "seed must lie in [0, 2^64)"),
+    "seed-2-64": (MC_SEED + [str(1 << 64)], "seed must lie in [0, 2^64)"),
 }
 
 

@@ -8,6 +8,7 @@ the tables on load and must answer the same.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from lshlab.hashing import (
     MinHashPermutation,
     Parity,
     bit_sampling_family,
-    family_to_json,
+    family_descriptor,
     finite_family,
     minhash_family,
     power,
@@ -57,7 +58,7 @@ def data_dir(tmp_path):
     save_points_text(points_to_bit_matrix([Point.random(24, g) for _ in range(80)]), tmp_path / "p24.txt")
     g = rngmod.stream(56, 0)
     save_points_text(points_to_bit_matrix([Point.random(128, g) for _ in range(60)]), tmp_path / "p128.txt")
-    (tmp_path / "weighted.json").write_text(family_to_json(_weighted_family()))
+    (tmp_path / "weighted.json").write_text(json.dumps(family_descriptor(_weighted_family()), sort_keys=True))
     return tmp_path
 
 

@@ -5,6 +5,7 @@ truncates it; loading the result either succeeds or raises ValueError, which
 the CLI turns into exit code 2 with a one-line message.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from lshlab.hashing import (
     MinHashPermutation,
     PairCollapse,
     bit_sampling_family,
+    family_descriptor,
     family_from_json,
-    family_to_json,
     finite_family,
 )
 from lshlab.points import (
@@ -46,7 +47,7 @@ def _write_family(bits, path):
     fns = [CoordinateProjection(4, 1), CoordinateSubset(4, (1, 3)), MinHashPermutation(4, (2, 0, 3, 1)),
            PairCollapse(4, 3, 5)]
     weights = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 8), Fraction(1, 4)]
-    path.write_text(family_to_json(finite_family(fns, weights)))
+    path.write_text(json.dumps(family_descriptor(finite_family(fns, weights)), sort_keys=True))
 
 
 LOADERS = {

@@ -135,6 +135,17 @@ def test_mc_curve_seeds_do_not_share_streams():
     assert a.values[0] == mc_stability(fam, math.exp(-0.5), 1000, seed=0).estimate
 
 
+def test_stream_refuses_keys_outside_64_bits():
+    # Keys were once masked to 64 bits, so seed -5 replayed seed 2^64 - 5,
+    # and seed 2^64 replayed seed 0. Both ends of [0, 2^64) are keys.
+    for seed, substream in ((-5, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            rngmod.stream(seed, substream)
+    top = (1 << 64) - 1
+    draws = {tuple(rngmod.stream(s, t).integers(0, 1 << 62, 4)) for s, t in ((0, 0), (top, 0), (0, top), (top, top))}
+    assert len(draws) == 4
+
+
 # ---------------------------------------------------------------------------
 # exact Binomial tails
 

@@ -18,6 +18,7 @@ from lshlab.hashing import (
     PairCollapse,
     Parity,
     bit_sampling_family,
+    collision_codes,
     constant_family,
     finite_family,
     power,
@@ -61,49 +62,62 @@ def _subcube_bits(d, coords):
 def _exact_levels(fam):
     """Each level weight of a finite family as a Fraction, from scratch.
 
-    Every atom's label indicators, one integer column per label, are
-    transformed by butterflies on the whole cube at d <= 8 and otherwise on
-    the subcube of h.support. Their squares, summed by popcount, are the
-    atom's levels times 4^j, which add into the sums of its weight. Columns
-    of one subcube size are transformed together, about 2^20 cells at a time.
+    Every atom is labelled on the whole cube at d <= 8 and otherwise on the
+    subcube of h.support, one column of points per atom: MinHash atoms all
+    at once from the definition (a point's label is the least rank among its
+    set coordinates, d for the empty set), the others by h.labels. One sort
+    down the columns finds every atom's distinct labels, and each (atom,
+    label) pair gives an integer indicator column. Columns of one subcube
+    size are transformed by butterflies, about 2^20 cells at a time. Their
+    squares, summed by popcount, are the atom's levels times 4^j, which add
+    up weighted by the atoms' weight numerators over a common denominator.
     """
     d = fam.dim
-    sums = {}  # weight -> the level sums of its atoms, times 4^d
-    pending, filled = {}, {}  # j -> [(weight, columns)] not yet transformed, and their count
-
-    def flush(j):
-        weights, blocks = zip(*pending.pop(j))
-        a = np.concatenate(blocks, axis=1)
-        step = 1
-        while step < len(a):
-            pairs = a.reshape(-1, 2, step, a.shape[1])
-            pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-            step *= 2
-        squares = np.square(a, dtype=np.int64)
-        per_block = np.add.reduceat(squares, np.cumsum([0] + [b.shape[1] for b in blocks[:-1]]), axis=1)
-        sizes = np.bitwise_count(np.arange(1 << j))
-        levels = np.stack([per_block[sizes == k].sum(axis=0) for k in range(j + 1)], axis=1)
-        for w, row in zip(weights, levels.tolist()):
-            acc = sums.setdefault(w, [0] * (d + 1))
-            for k, v in enumerate(row):
-                acc[k] += v << 2 * (d - j)
-
+    cubes = {}  # j -> (weights, label columns) of the atoms labelled on 2^j points
+    perms = [(w, h.perm) for w, h in fam.atoms if type(h) is MinHashPermutation]
+    if perms:
+        weights, perm = zip(*perms)
+        ranks = np.array(perm, np.uint8).T
+        labels = np.empty((1 << d, len(perm)), np.uint8)
+        labels[0] = d
+        for v in range(1, 1 << d):  # the lowest set coordinate's rank against the rest's least
+            labels[v] = np.minimum(ranks[(v & -v).bit_length() - 1], labels[v & (v - 1)])
+        cubes[d] = (list(weights), [labels])
     for weight, h in fam.atoms:
-        coords = tuple(range(d)) if d <= 8 else h.support
-        j = len(coords)
-        labels = h.labels(_subcube_bits(d, coords))
-        distinct = np.unique(labels)
+        if type(h) is not MinHashPermutation:
+            coords = tuple(range(d)) if d <= 8 else h.support
+            weights, labels = cubes.setdefault(len(coords), ([], []))
+            weights.append(weight)
+            labels.append(h.labels(_subcube_bits(d, coords))[:, None])
+    denom = math.lcm(*(w.denominator for w, _ in fam.atoms))
+    total = np.zeros(d + 1, dtype=object)  # each level times D 4^d, D the common denominator
+    for j, (weights, blocks) in cubes.items():
+        labels = np.concatenate(blocks, axis=1)
+        ranked = np.sort(labels, axis=0)
+        new = np.ones(labels.shape, dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        atom, at = np.nonzero(new.T)  # indicator c: label ranked[at[c], atom[c]] of atom[c]
+        label = ranked[at, atom]
+        sizes = np.bitwise_count(np.arange(1 << j))
+        levels = np.zeros((len(weights), j + 1), np.int64)
         width = max(1, (1 << 20) >> j)
-        for lo in range(0, len(distinct), width):
-            columns = (labels[:, None] == distinct[lo : lo + width]).astype(np.int32)
-            pending.setdefault(j, []).append((weight, columns))
-            filled[j] = filled.get(j, 0) + columns.shape[1]
-            if filled[j] >= width:
-                flush(j)
-                filled[j] = 0
-    for j in list(pending):
-        flush(j)
-    return tuple(sum(w * acc[k] for w, acc in sums.items()) / 4**d for k in range(d + 1))
+        for lo in range(0, len(atom), width):
+            cols = slice(lo, lo + width)
+            a = (labels.take(atom[cols], axis=1) == label[cols]).astype(np.int16 if j <= 14 else np.int32, order="C")
+            step = 1
+            while step < len(a):
+                pairs = a.reshape(-1, 2, step, a.shape[1])
+                x, y = pairs[:, 0], pairs[:, 1]
+                x += y
+                y *= -2
+                y += x  # (x + y) - 2y = x - y
+                step *= 2
+            squares = np.square(a, dtype=np.int32 if j <= 14 else np.int64)
+            level_sums = [squares[sizes == k].sum(axis=0, dtype=np.int64) for k in range(j + 1)]
+            np.add.at(levels, atom[cols], np.stack(level_sums, axis=1))
+        nums = np.array([w.numerator * (denom // w.denominator) for w in weights], dtype=object)
+        total[: j + 1] += nums @ (levels.astype(object) << 2 * (d - j))
+    return tuple(Fraction(v, denom << 2 * d) for v in total)
 
 
 def _rounded(source):
@@ -331,7 +345,7 @@ def _mixed_families(draw):
 @settings(deadline=None, max_examples=60)
 @given(fam=_mixed_families(), width=st.sampled_from([1, 3, 64, None]), code_rows=st.sampled_from([1, 3, None]))
 def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, width, code_rows):
-    # Column-free atoms, atoms split across batches and code chunks of one
+    # Column-free atoms, atoms split across batches and code slices of one
     # or a few rows must still give the correctly rounded exact levels.
     want = _rounded(fam)
     cells = spectral._BATCH_CELLS if width is None else width << fam.dim
@@ -345,7 +359,7 @@ def test_family_spectrum_mixed_atoms_equal_per_atom_reference(fam, width, code_r
 
 @st.composite
 def _junta_families(draw):
-    # Functions of every support size J in one code chunk: constants
+    # Functions of every support size J in one family: constants
     # (|J| = 0), projections, subsets, parities, concatenations that read a
     # coordinate twice, tables that ignore chosen coordinates, and MinHash
     # (|J| = d).
@@ -381,8 +395,8 @@ def _junta_families(draw):
 @given(fam=_junta_families(), cells=st.sampled_from([1, 3, 64, None]), code_rows=st.sampled_from([1, 3, None]))
 def test_junta_spectra_equal_per_atom_reference(fam, cells, code_rows):
     # Each function is transformed on the subcube of its relevant
-    # coordinates; groups of every |J| share a chunk, and batches of one or
-    # a few cells split every subcube's columns.
+    # coordinates; code groups of every |J| are sliced, and batches of one
+    # or a few cells split every subcube's columns.
     want = _rounded(fam)
     code_cells = hashing._CODE_CELLS if code_rows is None else code_rows << fam.dim
     with (
@@ -421,7 +435,7 @@ def test_full_and_partial_support_rows_at_dimension_14(code_rows):
 
 def test_object_label_concatenation_spectrum():
     # 17^16 > 2^63: the concatenation's labels are Python ints, ranked by the
-    # code matrix's sorting path, next to int64 atoms in the same chunk.
+    # code matrix's sorting path, next to int64 atoms in the same family.
     d = 4
     wide = Concatenation(tuple(PairCollapse(d, x, (x * 5 + 3) % 16) for x in range(16)))
     assert wide.label_bound > 1 << 63
@@ -453,11 +467,30 @@ def test_weights_past_2_53_round_once():
     assert family_spectrum(fam).levels == _rounded(fam) == want
 
 
-def test_code_chunks_count_subcube_cells():
-    # The 196 atoms of the square of bit sampling at d = 14 read one or two
-    # coordinates each: 784 subcube cells, one chunk.
-    fns = [h for _, h in power(bit_sampling_family(14), 2).atoms]
-    assert [len(chunk) for chunk in hashing._code_chunks(fns)] == [196]
+def test_code_groups_slice_each_group_by_subcube_cells():
+    # Support sizes 0, 1, 2 (both table paths) and 5, interleaved, sliced
+    # at 8 subcube points: every function comes out once, in a slice of at
+    # most 8 points or of one function, with the codes of its subcube points.
+    d = 5
+    g = np.random.default_rng(14)
+    fns = []
+    for i in range(12):
+        wide = tuple(100 * (v >> i % d & 1) + (v >> (i + 2) % d & 1) for v in range(1 << d))  # labels to 101
+        perm = tuple(int(c) for c in g.permutation(d))
+        fns += [Constant(d), CoordinateProjection(d, i % d), ExplicitTable(d, wide),
+                CoordinateSubset(d, (i % d, (i + 3) % d)), MinHashPermutation(d, perm)]
+    want = [collision_codes(h) for h in fns]
+    seen = []
+    with mock.patch.object(hashing, "_CODE_CELLS", 8):
+        for rows, J, codes in hashing._code_groups(fns):
+            assert len(rows) == 1 or len(rows) << J.shape[1] <= 8
+            assert len({(len(fns[i].support), type(fns[i])) for i in rows}) == 1
+            seen += rows.tolist()
+            for i, support, row in zip(rows, J, codes):
+                assert tuple(support) == fns[i].support
+                cube_point = (np.arange(1 << len(support))[:, None] >> np.arange(len(support)) & 1) << support
+                assert np.array_equal(row, want[i][cube_point.sum(axis=1)])
+    assert sorted(seen) == list(range(len(fns)))
 
 
 def test_exact_curve_at_dimension_20_matches_closed_form():
