@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -23,8 +22,11 @@ from .hashing import (
     DimensionMismatch,
     HashFamily,
     HashFunction,
+    LabelStack,
     ProjectionProduct,
     SensitivityProfile,
+    _as_keys,
+    _pack,
     _snap,
     bit_sampling_family,
     bit_sampling_profile,
@@ -106,33 +108,13 @@ def plan(
     )
 
 
-def _label_words(labels: np.ndarray, width: int) -> np.ndarray:
-    """Labels, int64 or Python ints past 2^63, as `width` uint64 words
-    each, most significant first: shape labels.shape + (width,)."""
-    if labels.dtype == object:
-        raw = b"".join(int(v).to_bytes(8 * width, "big") for v in labels.flat)
-        return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(labels.shape + (width,))
-    words = np.zeros(labels.shape + (width,), dtype=np.uint64)
-    words[..., -1] = labels
-    return words
-
-
-def _as_keys(words: np.ndarray) -> np.ndarray:
-    """Rows of uint64 words, most significant first, as big-endian byte
-    strings: byte order is then numeric order. The words are swapped in
-    place, so the caller gives up `words`."""
-    if sys.byteorder == "little":
-        words.byteswap(inplace=True)
-    return words.view(f"S{8 * words.shape[-1]}")[..., 0]
-
-
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
     Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Each
-    bucket has one key: its table t in the bits above its label, in w
-    64-bit words, with w = ceil((bits of label_bound - 1 + bits of L - 1)
-    / 64), stored big-endian as one S{8w} byte string. Byte order is then
+    bucket has one key: its function's label words with the table number t
+    as one more most significant digit, of radix L, packed as labels are
+    (_pack), stored big-endian as one S{8w} byte string. Byte order is then
     numeric order, so the L tables, each sorted by label, form one sorted
     array `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
     ascending. A query builds its L keys the same way, and one searchsorted
@@ -162,23 +144,23 @@ class NNIndex:
         self.functions = tuple(functions)
         self.family_doc = family_doc
         self.rows = pack_rows(bits)
-        label_bits = (max(fn.label_bound for fn in self.functions) - 1).bit_length()
-        width = max(1, -(-(label_bits + (params.L - 1).bit_length()) // 64))
-        tags = b"".join((t << label_bits).to_bytes(8 * width, "big") for t in range(params.L))
-        self._tags = np.frombuffer(tags, dtype=">u8").astype(np.uint64).reshape(params.L, 1, width)
-        self._product = ProjectionProduct.of(self.functions, width)
+        # Labels of narrower functions sit right-aligned, below the top word's bound.
+        label_width = max(fn.width for fn in self.functions)
+        top = -(-max(fn.label_bound for fn in self.functions) >> 64 * (label_width - 1))
+        (_, above), (_, scale), _ = _pack((top, params.L))
+        width = label_width + above
+        self._tags = np.zeros((params.L, 1, width), dtype=np.uint64)
+        self._tags[:, 0, 0] = [t * scale for t in range(params.L)]
+        self._labeler = ProjectionProduct.of(self.functions, width) or LabelStack.of(self.functions, width)
         words = self._words(bits)
-        # Within a table only the words holding label bits vary; the words
-        # above them hold t alone. Each table sorts by its lowest word, then
-        # stably by each higher one that holds label bits.
-        varying = slice(width - -(-label_bits // 64), width)
+        # Each table sorts by its lowest word, then stably by each higher label word.
         order = np.argsort(words[..., -1], axis=1)
-        for j in range(width - 2, varying.start - 1, -1):
+        for j in range(width - 2, width - label_width - 1, -1):
             by_word = np.argsort(np.take_along_axis(words[..., j], order, axis=1), axis=1, kind="stable")
             order = np.take_along_axis(order, by_word, axis=1)
         words = np.take_along_axis(words, order[..., None], axis=1)
         first = np.ones(order.shape, dtype=bool)
-        first[:, 1:] = (words[:, 1:, varying] != words[:, :-1, varying]).any(axis=2)
+        first[:, 1:] = (words[:, 1:] != words[:, :-1]).any(axis=2)
         # Row t of the flattened tables starts at t*n, always with a new bucket.
         starts = np.flatnonzero(first)
         self.keys = _as_keys(words.reshape(-1, width)[starts])
@@ -201,13 +183,9 @@ class NNIndex:
 
     def _words(self, bits: np.ndarray) -> np.ndarray:
         """(L, n, w) key words of the rows of bits, most significant first:
-        one product for projections, else the functions' label columns."""
-        if self._product is not None:
-            words = self._product.words(bits)
-        else:
-            labels = np.stack([fn.labels(bits) for fn in self.functions])
-            words = _label_words(labels, self._tags.shape[-1])
-        words |= self._tags
+        one product for projections, else one LabelStack."""
+        words = self._labeler.words(bits)
+        words += self._tags
         return words
 
     def _buckets(self, words: np.ndarray) -> np.ndarray:

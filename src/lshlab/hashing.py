@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -30,31 +31,39 @@ class DimensionMismatch(ValueError):
 
 # ---------------------------------------------------------------------------
 # Hash functions. Every function evaluates a whole batch at once: labels(bits)
-# maps an (n, dim) 0/1 uint8 matrix, column i = coordinate i, to n labels.
-# Labels are int64 while label_bound <= 2^63 and exact Python ints (object
-# dtype) beyond, so a long concatenation never wraps.
-
-_INT64_BOUND = 1 << 63
-
-
-def _label_dtype(bound: int):
-    return np.int64 if bound <= _INT64_BOUND else object
+# maps an (n, dim) 0/1 uint8 matrix, column i = coordinate i, to n labels,
+# each a row of `width` uint64 words, most significant first: one for a leaf
+# (any function but a Concatenation); a Concatenation packs its leaves' labels
+# into words in mixed radix (_pack), so word order is leaf-tuple order.
 
 
-def _row_values(bits: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Little-endian value of each 0/1 row (column j contributes 2^j).
+@functools.lru_cache(maxsize=256)
+def _pack(bounds: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(word, scale, top) for digits below these bounds, the first least
+    significant: digit i times scale[i] adds into word[i], counted from the
+    last word, and a new word opens where the next bound would pass 2^64."""
+    words, scales, word, scale = [], [], 0, 1
+    for b in bounds:
+        if scale * b > 1 << 64:
+            word, scale = word + 1, 1
+        words.append(word)
+        scales.append(scale % (1 << 64))  # 2^64 only ahead of bound-1 digits, which are 0
+        scale *= b
+    return tuple(words), tuple(scales), scale
 
-    int64 holds rows of up to 63 columns; object dtype is exact at any width.
-    """
-    if dtype is object:
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return np.array([int.from_bytes(row.tobytes(), "little") for row in packed], dtype=object)
-    return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
+
+def _row_values(bits: np.ndarray) -> np.ndarray:
+    """Little-endian value of each 0/1 row of at most 64 columns (column j contributes 2^j)."""
+    return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64))
 
 
-def _min_rank(ranks: np.ndarray, bits: np.ndarray, empty: int) -> np.ndarray:
-    """Smallest rank among each row's set coordinates, `empty` for an empty row."""
-    return np.where(bits.astype(bool), ranks, empty).min(axis=1)
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """Rows of uint64 words, most significant first, as big-endian byte
+    strings: byte order is then numeric order. The words are swapped in
+    place, so the caller gives up `words`."""
+    if sys.byteorder == "little":
+        words.byteswap(inplace=True)
+    return words.view(f"S{8 * words.shape[-1]}")[..., 0]
 
 
 @functools.lru_cache(maxsize=4)
@@ -67,28 +76,33 @@ def _cube_bits(d: int) -> np.ndarray:
 
 
 class HashFunction:
-    """Deterministic total map {0,1}^dim -> [0, label_bound)."""
+    """Deterministic total map {0,1}^dim -> [0, label_bound), each label a
+    row of `width` uint64 words read as one big-endian integer."""
 
     dim: int
+    width = 1
 
     @property
     def label_bound(self) -> int:
         raise NotImplementedError
 
     def labels(self, bits: np.ndarray) -> np.ndarray:
-        """Labels of the rows of an (n, dim) 0/1 uint8 matrix: int64 while
-        label_bound <= 2^63, exact Python ints (object dtype) beyond."""
+        """(n, width) uint64 labels of the rows of an (n, dim) 0/1 uint8 matrix."""
         if bits.ndim != 2 or bits.shape[1] != self.dim:
             raise DimensionMismatch(f"bit rows of shape {bits.shape}, function expects width {self.dim}")
-        return self._labels(bits)
+        return self._labels(bits).reshape(len(bits), self.width)
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
+        """A leaf's labels of the rows, one uint64 each."""
         raise NotImplementedError
+
+    # The non-concatenation functions h is built from, in part order.
+    _leaves = property(lambda self: (self,))
 
     def __call__(self, x: Point) -> int:
         if x.dim != self.dim:
             raise DimensionMismatch(f"point has dimension {x.dim}, function expects {self.dim}")
-        return int(self._labels(points_to_bit_matrix([x]))[0])
+        return int.from_bytes(self.labels(points_to_bit_matrix([x])).astype(">u8").tobytes(), "big")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -97,22 +111,21 @@ class HashFunction:
         return tuple(range(self.dim))
 
     @classmethod
-    def _cube_labels(cls, functions: Sequence["HashFunction"]) -> np.ndarray:
-        """Labels of the 2^j points pdep(s, support) of each function's
-        subcube, in order of s, one row per function; every function is of
-        this class and has a support of size j. Classes whose labels of the
-        cube have a closed form compute all rows at once."""
-        rows = []
-        for h in functions:
-            J = h.support
-            bits = np.zeros((1 << len(J), h.dim), dtype=np.uint8)
-            bits[:, J] = _cube_bits(len(J))
-            rows.append(h.labels(bits))
-        return np.stack(rows)
+    def _cube_labels(cls, functions: Sequence["HashFunction"], J: np.ndarray) -> np.ndarray:
+        """(m, 2^j, w) labels of the 2^j points pdep(s, J[i]) of each function's
+        subcube, in order of s (J[i]: the support of functions[i], all of this
+        class): a leaf labels its own block, concatenations each distinct leaf
+        once over all blocks (LabelStack); closed forms give one word of any int dtype."""
+        m, j = J.shape
+        bits = np.zeros((m, 1 << j, functions[0].dim), dtype=np.uint8)
+        bits[np.arange(m)[:, None, None], np.arange(1 << j)[:, None], J[:, None, :]] = _cube_bits(j)
+        if cls is Concatenation:
+            return LabelStack.of(functions).words(bits)
+        return np.stack([h._labels(rows) for h, rows in zip(functions, bits)])[..., None]
 
 
 # Subcube points of one slice of a code group: 128 KiB as int16, 512 KiB
-# of int64 labels. Its presence tables have at most twice as many.
+# per label word. Its presence tables have at most twice as many.
 _CODE_CELLS = 1 << 16
 
 
@@ -122,10 +135,10 @@ def _code_groups(functions: Sequence[HashFunction]) -> Iterator[tuple[np.ndarray
     (and at least one) per slice: J[i] is the support of functions[rows[i]]
     and codes[i] its labels at the 2^j points of its subcube (_cube_labels,
     all rows at once), which are all its labels, recoded to consecutive ints
-    in label order: int16 up to dim 14, int32 beyond. If every label_bound
-    is at most 2^(j+1), a presence table marks each row's labels, and its
+    in label order: int16 up to dim 14, int32 beyond. If every label is one
+    word below 2^(j+1), a presence table marks each row's labels, and its
     running count along the row is every present label's code plus one;
-    otherwise one row-wise sort ranks them.
+    otherwise one row-wise sort ranks them, as byte strings past one word.
     """
     dtype = np.int16 if functions[0].dim <= 14 else np.int32
     supports = [h.support for h in functions]
@@ -137,15 +150,17 @@ def _code_groups(functions: Sequence[HashFunction]) -> Iterator[tuple[np.ndarray
         for lo in range(0, len(group), width):
             rows = group[lo : lo + width]
             fns = [functions[i] for i in rows]
-            bound = max(h.label_bound for h in fns)
-            labels = kind._cube_labels(fns).astype(_label_dtype(bound), copy=False)
-            if bound <= 2 << j:
+            J = np.array([supports[i] for i in rows], dtype=np.int32).reshape(len(rows), j)
+            labels = kind._cube_labels(fns, J)
+            bound = int(labels.max()) + 1
+            if labels.shape[2] == 1 and bound <= 2 << j:
                 seen = np.zeros((len(rows), bound), dtype=dtype)
-                labels += (np.arange(len(rows)) * bound)[:, None]  # flat cells of seen
+                labels = labels[..., 0].astype(np.intp) + (np.arange(len(rows)) * bound)[:, None]  # cells of seen
                 seen.reshape(-1)[labels] = 1
                 np.cumsum(seen, axis=1, out=seen)
                 codes = seen.reshape(-1)[labels] - 1
             else:
+                labels = labels[..., 0] if labels.shape[2] == 1 else _as_keys(labels)
                 order = np.argsort(labels, axis=1)
                 ranked = np.take_along_axis(labels, order, axis=1)
                 step = np.zeros(labels.shape, dtype=dtype)
@@ -153,7 +168,6 @@ def _code_groups(functions: Sequence[HashFunction]) -> Iterator[tuple[np.ndarray
                 np.cumsum(step, axis=1, out=step)
                 codes = np.empty_like(step)
                 np.put_along_axis(codes, order, step, axis=1)
-            J = np.array([supports[i] for i in rows], dtype=np.int32).reshape(len(rows), j)
             yield np.array(rows), J, codes
 
 
@@ -200,12 +214,12 @@ class CoordinateProjection(HashFunction):
     support = property(lambda self: (self.coord,))
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return bits[:, self.coord].astype(np.int64)
+        return bits[:, self.coord].astype(np.uint64)
 
 
 @dataclass(frozen=True)
 class CoordinateSubset(HashFunction):
-    """Projection onto a subset of coordinates, packed as one label."""
+    """Projection onto at most 64 coordinates, packed as one label."""
 
     dim: int
     coords: tuple[int, ...]
@@ -213,6 +227,8 @@ class CoordinateSubset(HashFunction):
     def __post_init__(self):
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("duplicate coordinates")
+        if len(self.coords) > 64:
+            raise ValueError(f"a subset projection reads at most 64 coordinates, got {len(self.coords)}")
         for i in self.coords:
             if not 0 <= i < self.dim:
                 raise ValueError(f"coordinate {i} out of range for dimension {self.dim}")
@@ -224,7 +240,7 @@ class CoordinateSubset(HashFunction):
     support = property(lambda self: tuple(sorted(self.coords)))
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return _row_values(bits[:, list(self.coords)], _label_dtype(self.label_bound))
+        return _row_values(bits[:, list(self.coords)])
 
 
 @dataclass(frozen=True)
@@ -246,7 +262,7 @@ class Parity(HashFunction):
     support = property(lambda self: tuple(sorted(self.coords)))
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return bits[:, list(self.coords)].sum(axis=1, dtype=np.int64) & 1
+        return bits[:, list(self.coords)].sum(axis=1, dtype=np.uint64) & np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -260,12 +276,12 @@ class Constant(HashFunction):
     support = ()
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return np.zeros(len(bits), dtype=np.int64)
+        return np.zeros(len(bits), dtype=np.uint64)
 
 
 @dataclass(frozen=True)
 class ExplicitTable(HashFunction):
-    """A label for every point, listed in point-value order (small dim only)."""
+    """A label below 2^64 for every point, listed in point-value order (small dim only)."""
 
     dim: int
     table: tuple[int, ...]
@@ -273,8 +289,8 @@ class ExplicitTable(HashFunction):
     def __post_init__(self):
         if len(self.table) != 1 << self.dim:
             raise ValueError(f"table needs {1 << self.dim} entries, got {len(self.table)}")
-        if any(l < 0 for l in self.table):
-            raise ValueError("labels must be non-negative")
+        if not all(0 <= l < 1 << 64 for l in self.table):
+            raise ValueError("table labels must lie in [0, 2^64)")
 
     @functools.cached_property
     def label_bound(self) -> int:
@@ -282,7 +298,7 @@ class ExplicitTable(HashFunction):
 
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
-        return np.array(self.table, dtype=_label_dtype(self.label_bound))
+        return np.array(self.table, dtype=np.uint64)
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
@@ -316,13 +332,13 @@ class MinHashPermutation(HashFunction):
 
     @functools.cached_property
     def _ranks(self) -> np.ndarray:
-        return np.array(self.perm, dtype=np.int64)
+        return np.array(self.perm, dtype=np.uint64)
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        return _min_rank(self._ranks, bits, self.dim)
+        return np.where(bits.astype(bool), self._ranks, np.uint64(self.dim)).min(axis=1)
 
     @classmethod
-    def _cube_labels(cls, functions: Sequence["MinHashPermutation"]) -> np.ndarray:
+    def _cube_labels(cls, functions: Sequence["MinHashPermutation"], J: np.ndarray) -> np.ndarray:
         # A running minimum: coordinate i lowers the half of the cube that
         # contains it to its rank, and the empty set keeps the label dim.
         d = functions[0].dim
@@ -331,7 +347,7 @@ class MinHashPermutation(HashFunction):
         for i in range(d):
             ones = out.reshape(len(functions), -1, 2, 1 << i)[:, :, 1]
             np.minimum(ones, ranks[:, i, None, None], out=ones)
-        return out
+        return out[..., None]
 
 
 @dataclass(frozen=True)
@@ -343,6 +359,8 @@ class PairCollapse(HashFunction):
     y0: int
 
     def __post_init__(self):
+        if self.dim > 63:
+            raise ValueError(f"a pair collapse takes dim <= 63, got {self.dim}")
         n = 1 << self.dim
         if not (0 <= self.x0 < n and 0 <= self.y0 < n):
             raise ValueError("designated points out of range")
@@ -352,24 +370,24 @@ class PairCollapse(HashFunction):
         return (1 << self.dim) + 1
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        v = _row_values(bits, _label_dtype(self.label_bound))
-        return np.where((v == self.x0) | (v == self.y0), 0, v + 1)
+        v = _row_values(bits)
+        return np.where((v == self.x0) | (v == self.y0), np.uint64(0), v + np.uint64(1))
 
     @classmethod
-    def _cube_labels(cls, functions: Sequence["PairCollapse"]) -> np.ndarray:
+    def _cube_labels(cls, functions: Sequence["PairCollapse"], J: np.ndarray) -> np.ndarray:
         # Point v has the label v + 1, except the pair's points, which have 0.
         n = 1 << functions[0].dim
         out = np.tile(np.arange(1, n + 1), (len(functions), 1))
         for ends in ([h.x0 for h in functions], [h.y0 for h in functions]):
             out[np.arange(len(functions)), ends] = 0
-        return out
+        return out[..., None]
 
 
 @dataclass(frozen=True)
 class Concatenation(HashFunction):
-    """Tuple of component labels, packed little-endian mixed radix: part j's
-    label is scaled by the product of the earlier parts' label bounds, so two
-    packed labels are equal iff every component label is."""
+    """Tuple of component labels: the leaves' labels (nested concatenations
+    flattened), packed in mixed radix into 64-bit words (_pack), so two
+    labels are equal iff every leaf's labels are."""
 
     parts: tuple[HashFunction, ...]
 
@@ -384,25 +402,100 @@ class Concatenation(HashFunction):
     def dim(self) -> int:  # type: ignore[override]
         return self.parts[0].dim
 
+    @property
+    def _leaves(self) -> tuple[HashFunction, ...]:
+        if Concatenation not in map(type, self.parts):
+            return self.parts
+        return tuple(itertools.chain.from_iterable(p._leaves for p in self.parts))
+
     @functools.cached_property
     def label_bound(self) -> int:
-        bound = 1
-        for p in self.parts:
-            bound *= p.label_bound
-        return bound
+        word, _, top = _pack(tuple([p.label_bound for p in self._leaves]))
+        return top << 64 * word[-1]
+
+    @property
+    def width(self) -> int:  # type: ignore[override]
+        return -(-(self.label_bound - 1).bit_length() // 64) or 1
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*(p.support for p in self.parts))))
 
+    @functools.cached_property
+    def _stack(self) -> "LabelStack":
+        return LabelStack.of([self])
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
-        dtype = _label_dtype(self.label_bound)
-        packed = np.zeros(len(bits), dtype=dtype)
-        scale = 1
-        for p in self.parts:
-            packed += p._labels(bits).astype(dtype) * scale
-            scale *= p.label_bound
-        return packed
+        return self._stack.words(bits)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class LabelStack:
+    """The labels of several functions at once: each distinct leaf labels its
+    rows once, and each function packs its leaves' labels by its own layout."""
+
+    leaves: list[HashFunction]
+    table: np.ndarray  # (m, k) leaf numbers, padded with -1
+    word: np.ndarray  # (m, k) word of each digit, counted from the last; 0 in padding
+    scale: np.ndarray  # (m, k) uint64 scale of each digit; 0 in padding
+    width: int  # words per label
+
+    @classmethod
+    def of(cls, functions: Sequence[HashFunction], width: Optional[int] = None) -> "LabelStack":
+        """Labels come as `width` words, by default as many as the widest needs."""
+        # The distinct leaves, equal ones once, in order of first use, and each
+        # function's leaves by number; each distinct object is hashed once.
+        rows = [h._leaves for h in functions]
+        flat = list(itertools.chain.from_iterable(rows))
+        index: dict[HashFunction, int] = {}
+        number = {i: index.setdefault(p, len(index)) for i, p in dict(zip(map(id, flat), flat)).items()}
+        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
+        table[np.arange(table.shape[1]) < lengths[:, None]] = list(map(number.__getitem__, map(id, flat)))
+        leaves = list(index)
+        # Functions whose leaves have equal bounds share a layout: number each bound
+        # by its first leaf, and pack each distinct row once (padding: word 0, scale 0).
+        first: dict[int, int] = {}
+        bound = np.array([first.setdefault(p.label_bound, i) for i, p in enumerate(leaves)] + [-1])
+        layouts: dict[tuple[int, ...], int] = {}
+        inverse = [layouts.setdefault(tuple(row), len(layouts)) for row in bound[table].tolist()]
+        word = np.zeros((len(layouts), table.shape[1]), dtype=np.int64)
+        scale = np.zeros(word.shape, dtype=np.uint64)
+        for i, row in enumerate(layouts):
+            bounds = tuple(leaves[b].label_bound for b in row if b >= 0)
+            word[i, : len(bounds)], scale[i, : len(bounds)], _ = _pack(bounds)
+        word, scale = word[inverse], scale[inverse]
+        return cls(leaves, table, word, scale, width or int(word.max()) + 1)
+
+    def digits(self, bits: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """(m, k, n) uint64 leaf labels of functions[rows] (all by default) of the
+        rows of bits: (n, dim), shared, or (m, n, dim), one block per function."""
+        table = self.table if rows is None else self.table[rows]
+        if bits.ndim == 2:
+            # One row per leaf, and a zero row that the padding -1 reads.
+            values = np.zeros((len(self.leaves) + 1, len(bits)), dtype=np.uint64)
+            for i, leaf in enumerate(self.leaves):
+                values[i] = leaf._labels(bits)
+            return values[table]
+        # Each leaf labels the rows of its cells, grouped by one sort (padding first).
+        (m, k), n = table.shape, bits.shape[1]
+        digits = np.zeros((m, k, n), dtype=np.uint64)
+        cells = np.argsort(table, axis=None)
+        leaf = table.ravel()[cells]
+        cut = (np.flatnonzero(leaf[1:] != leaf[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cut, cut + [len(leaf)]):
+            if leaf[lo] >= 0:
+                f, s = np.divmod(cells[lo:hi], k)
+                digits[f, s] = self.leaves[leaf[lo]]._labels(bits[f].reshape(-1, bits.shape[2])).reshape(len(f), n)
+        return digits
+
+    def words(self, bits: np.ndarray) -> np.ndarray:
+        """(m, n, width) uint64 labels of the rows of bits (as for digits), right-aligned."""
+        digits = self.digits(bits) * self.scale[:, :, None]
+        out = np.empty((len(digits), digits.shape[2], self.width), dtype=np.uint64)
+        for c in range(self.width):  # word c from the last sums its digits
+            out[:, :, -1 - c] = np.where((self.word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
+        return out
 
 
 # Cells of one block of ProjectionProduct's float64 product: 512 KiB.
@@ -526,6 +619,8 @@ class HashFamily:
     descriptor_doc: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
         if self.atoms is None and self.law is None:
             raise ValueError("family needs a finite support or a sampling law")
         if self.atoms is not None:
@@ -572,17 +667,9 @@ class HashFamily:
         return [self.draw(g) for _ in range(n)]
 
     @functools.cached_property
-    def _part_table(self) -> tuple[list[HashFunction], np.ndarray]:
-        """(parts, table): the distinct leaf functions of the atoms, equal
-        ones once, and an (atoms, width) matrix whose row i lists atom i's
-        parts by index, padded with -1. A concatenation's parts are its
-        leaves, nested ones flattened; any other atom is its own one part."""
-        index: dict[HashFunction, int] = {}
-        rows = [[index.setdefault(p, len(index)) for p in _leaves(h)] for _, h in self.atoms]
-        lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-        table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
-        table[np.arange(table.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
-        return list(index), table
+    def _stack(self) -> "LabelStack":
+        """The atoms' LabelStack: their leaves, nested concatenations flattened."""
+        return LabelStack.of([h for _, h in self.atoms])
 
     @functools.cached_property
     def distance_symmetric(self) -> bool:
@@ -594,11 +681,11 @@ class HashFamily:
         atom's leaves settle every other family before any per-atom work."""
         if self.atoms is None:
             return False
-        leaves = _leaves(self.atoms[0][1])
+        leaves = self.atoms[0][1]._leaves
         d, k = self.dim, len(leaves)
         if not (_projections(leaves) and len(self.atoms) == d**k and self.is_uniform):
             return False
-        parts, table = self._part_table
+        parts, table = self._stack.leaves, self._stack.table
         if table.shape[1] != k or table.min() < 0 or not _projections(parts):
             return False
         # d^k atoms spell d^k distinct tuples iff they spell every one.
@@ -611,10 +698,8 @@ class HashFamily:
 
         The draws take g to the same state as n calls of draw would, so the
         result equals scoring those draws one pair at a time; here they come
-        from one generator call. A concatenation collides iff each of its
-        parts does (its mixed-radix packing is injective), so the pairs are
-        grouped by drawn part and each distinct part labels all of its pairs
-        in one call.
+        from one generator call, and the atoms' LabelStack labels each pair's
+        two rows, each distinct part once over all of its pairs.
         """
         if self.atoms is None:
             return self.law.collisions(x_bits, y_bits, g)
@@ -623,27 +708,8 @@ class HashFamily:
             picks = g.integers(len(self.atoms), size=n)
         else:
             picks = g.choice(len(self.atoms), size=n, p=self._draw_weights)
-        parts, table = self._part_table
-        cells = table[picks]
-        pairs, slots = np.nonzero(cells >= 0)
-        drawn_parts = cells[pairs, slots]
-        # Group the (pair, part) cells by part with one sort.
-        order = np.argsort(drawn_parts, kind="stable")
-        drawn, starts = np.unique(drawn_parts[order], return_index=True)
-        hits = np.ones(n, dtype=bool)
-        for part, rows in zip(drawn, np.split(pairs[order], starts[1:])):
-            labels = parts[part].labels(np.concatenate((x_bits[rows], y_bits[rows])))
-            # A part repeated within an atom lists its pair twice; plain
-            # assignment of False is right however often a pair recurs.
-            hits[rows[labels[: len(rows)] != labels[len(rows) :]]] = False
-        return hits
-
-
-def _leaves(h: HashFunction) -> tuple[HashFunction, ...]:
-    """The non-concatenation functions h is built from, in part order."""
-    if not isinstance(h, Concatenation):
-        return (h,)
-    return tuple(itertools.chain.from_iterable(map(_leaves, h.parts)))
+        digits = self._stack.digits(np.stack((x_bits, y_bits), axis=1), picks)
+        return (digits[:, :, 0] == digits[:, :, 1]).all(axis=1)
 
 
 def _projections(functions: Iterable[HashFunction]) -> bool:
@@ -873,18 +939,12 @@ def bit_sampling_profile(d: int, r: float, c: float) -> SensitivityProfile:
 def _collision_masses(family: HashFamily, bits: np.ndarray) -> list[Fraction]:
     """Exact Pr[h(row i) = h(row 0)] for each row i of a bit matrix.
 
-    Each distinct part labels the rows once; an atom collides iff all its
-    parts do, and D times a row's mass is the sum of its colliding atoms'
-    integer weights."""
+    The atoms' LabelStack labels the rows, each distinct part once, and D
+    times a row's mass is the sum of its colliding atoms' integer weights."""
     if family.atoms is None:
         raise ValueError("collision probability needs a finite family")
-    parts, table = family._part_table
-    # same[j, i]: part j agrees on rows i and 0. The padding index -1 reads the all-true last row.
-    same = np.ones((len(parts) + 1, len(bits)), dtype=bool)
-    for j, h in enumerate(parts):
-        labels = h.labels(bits)
-        same[j] = labels == labels[0]
-    hits = same[table].all(axis=1).T.tolist()  # (rows, atoms)
+    digits = family._stack.digits(bits)
+    hits = (digits == digits[:, :, :1]).all(axis=1).T.tolist()  # (rows, atoms)
     denom, nums = family._integer_weights
     return [Fraction(sum(itertools.compress(nums, row)), denom) for row in hits]
 

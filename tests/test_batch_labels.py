@@ -54,6 +54,29 @@ def ref_label(h, v: int) -> int:
     raise TypeError(type(h).__name__)
 
 
+def _flat(h):
+    """h's leaves, nested concatenations flattened, in part order."""
+    return [p for part in h.parts for p in _flat(part)] if isinstance(h, Concatenation) else [h]
+
+
+def ref_words(h, v: int) -> list[int]:
+    """h's label of the point with value v as uint64 words, most significant
+    first: its leaves' ref_labels in mixed radix, the first leaf least
+    significant, with a new word whenever the next leaf's bound would carry
+    the word past 2^64."""
+    words, scale = [0], 1
+    for leaf in _flat(h):
+        if scale * leaf.label_bound > 1 << 64:
+            words, scale = words + [0], 1
+        words[-1] += ref_label(leaf, v) * scale
+        scale *= leaf.label_bound
+    return words[::-1]
+
+
+def _value(words) -> int:
+    return sum(int(w) << (64 * j) for j, w in enumerate(reversed(words)))
+
+
 def _dense_ranks(keys) -> list[int]:
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
@@ -81,7 +104,7 @@ def atoms(draw, d):
     if kind == "const":
         return Constant(d)
     if kind == "table":
-        top = draw(st.sampled_from([3, 1 << 40, 1 << 70]))  # int64 and beyond
+        top = draw(st.sampled_from([3, 1 << 40, (1 << 64) - 1]))  # up to a full word
         return ExplicitTable(d, tuple(draw(st.lists(st.integers(0, top), min_size=1 << d, max_size=1 << d))))
     if kind == "minperm":
         return MinHashPermutation(d, tuple(draw(st.permutations(range(d)))))
@@ -105,10 +128,11 @@ def functions(draw):
 
 def _check(h, values):
     labels = h.labels(_rows(values, h.dim))
-    assert labels.shape == (len(values),)
-    assert labels.dtype == (np.int64 if h.label_bound <= 1 << 63 else object)
-    assert labels.tolist() == [ref_label(h, v) for v in values]
-    assert [h(Point(v, h.dim)) for v in values] == [ref_label(h, v) for v in values]
+    want = [ref_words(h, v) for v in values]
+    assert labels.dtype == np.uint64 and labels.shape == (len(values), h.width)
+    assert labels.tolist() == want
+    assert [h(Point(v, h.dim)) for v in values] == [_value(w) for w in want]
+    assert all(_value(w) < h.label_bound for w in want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,7 +175,7 @@ def test_stacked_cube_labels_equal_per_function_codes(d):
     codes = collision_code_matrix(fns)
     cube = _rows(range(1 << d), d)
     for h, row in zip(fns, codes, strict=True):
-        assert np.array_equal(row, np.unique(h.labels(cube), return_inverse=True)[1])
+        assert np.array_equal(row, np.unique(h.labels(cube), axis=0, return_inverse=True)[1])
         assert np.array_equal(row, collision_codes(h))
 
 
@@ -159,7 +183,7 @@ def test_stacked_cube_labels_equal_per_function_codes(d):
 def ignoring_tables(draw, d):
     # A table that reads only the coordinates outside a drawn set.
     ignored = sum(1 << i for i in draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d)))
-    base = draw(st.lists(st.integers(0, draw(st.sampled_from([1, 5, 1 << 70]))), min_size=1 << d, max_size=1 << d))
+    base = draw(st.lists(st.integers(0, draw(st.sampled_from([1, 5, (1 << 64) - 1]))), min_size=1 << d, max_size=1 << d))
     return ExplicitTable(d, tuple(base[v & ~ignored] for v in range(1 << d)))
 
 
@@ -179,7 +203,7 @@ def test_labels_ignore_coordinates_outside_support(data):
     labels = h.labels(_rows(range(n), d))
     for i in set(range(d)) - set(h.support):
         assert np.array_equal(labels, labels[np.arange(n) ^ (1 << i)])
-    for t in hashing._leaves(h):
+    for t in h._leaves:
         if isinstance(t, ExplicitTable):
             own = t.labels(_rows(range(n), d))
             assert t.support == tuple(i for i in range(d) if (own != own[np.arange(n) ^ (1 << i)]).any())
@@ -213,10 +237,13 @@ def test_projection_product_is_exact(data):
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
     words = ProjectionProduct.of(fns, width).words(_rows(values, d))
     assert words.dtype == np.uint64 and words.shape == (len(fns), len(values), width)
-    labels = [[sum(int(w) << (64 * j) for j, w in enumerate(reversed(row))) for row in fn_words] for fn_words in words]
+    labels = [[_value(row) for row in fn_words] for fn_words in words]
     assert labels == [[ref_label(h, v) for v in values] for h in fns]
-    for h in fns:
+    for h, fn_words in zip(fns, words):
         _check(h, values)
+        # The product's words are the concatenation's own, zero above them.
+        assert np.array_equal(fn_words[:, width - h.width :], h.labels(_rows(values, d)))
+        assert not fn_words[:, : width - h.width].any()
     with pytest.raises(ValueError, match="do not fit"):
         ProjectionProduct.of(fns + [Concatenation((CoordinateProjection(d, 0),) * (64 * width + 1))], width)
     # Any other part takes the per-function path.
@@ -226,8 +253,8 @@ def test_projection_product_is_exact(data):
 def test_wide_labels_reach_past_int64():
     h = Concatenation(tuple(CoordinateProjection(3, 2) for _ in range(70)))
     (label,) = h.labels(_rows([4], 3)).tolist()
-    assert label == (1 << 70) - 1
-    assert type(label) is int
+    assert label == [(1 << 6) - 1, (1 << 64) - 1]
+    assert h(Point(4, 3)) == (1 << 70) - 1
 
 
 def test_labels_reject_wrong_width():
@@ -257,7 +284,7 @@ def _mixed_family():
     # Atoms of mixed lengths and kinds, a nested concatenation, equal parts
     # held by distinct objects, and a table whose labels pass 2^63.
     d = 10
-    table = ExplicitTable(d, tuple((v * 0x9E3779B97F4A7C15) % (1 << 70) for v in range(1 << d)))
+    table = ExplicitTable(d, tuple((v * 0x9E3779B97F4A7C15) % (1 << 64) for v in range(1 << d)))
     perm = MinHashPermutation(d, (3, 1, 4, 0, 5, 9, 2, 6, 8, 7))
     fns = [
         CoordinateProjection(d, 4),
@@ -301,10 +328,12 @@ def test_bulk_collisions_match_one_draw_per_pair(family):
 
 def test_part_table_flattens_and_dedupes():
     p, q = Parity(10, (1, 2, 5)), CoordinateProjection(10, 0)
-    parts, table = _repeated_part_family()._part_table
+    stack = _repeated_part_family()._stack
+    parts, table = stack.leaves, stack.table
     assert parts == [p, q]
     assert table.tolist() == [[0, 0, -1], [1, 0, 1], [0, -1, -1]]
-    parts, table = power(power(bit_sampling_family(6), 2), 2)._part_table
+    stack = power(power(bit_sampling_family(6), 2), 2)._stack
+    parts, table = stack.leaves, stack.table
     assert parts == [CoordinateProjection(6, i) for i in range(6)]
     assert table.shape == (6**4, 4)
     assert table[1 + 6 * 2 + 36 * 3].tolist() == [0, 3, 2, 1]

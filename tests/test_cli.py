@@ -338,6 +338,22 @@ def bad_files(tmp_path, point_file):
         "family-false-symmetric": {"kind": "finite", "d": 4, "distance_symmetric": True, "atoms": [
             {"weight": "1", "fn": {"kind": "proj", "d": 4, "i": 0}},
         ]},
+        # A leaf's labels fit one 64-bit word.
+        "family-wide-table": {"kind": "finite", "d": 1, "atoms": [
+            {"weight": "1", "fn": {"kind": "table", "d": 1, "labels": [0, 1 << 64]}},
+        ]},
+        "family-wide-subset": {"kind": "finite", "d": 65, "atoms": [
+            {"weight": "1", "fn": {"kind": "subset", "d": 65, "coords": list(range(65))}},
+        ]},
+        "family-wide-pair": {"kind": "finite", "d": 64, "atoms": [
+            {"weight": "1", "fn": {"kind": "pair", "d": 64, "x": 0, "y": 1}},
+        ]},
+        "family-negative-d": {"kind": "finite", "d": -1, "atoms": [
+            {"weight": "1", "fn": {"kind": "const", "d": -1}},
+        ]},
+        "family-zero-d": {"kind": "finite", "d": 0, "atoms": [
+            {"weight": "1", "fn": {"kind": "const", "d": 0}},
+        ]},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -422,6 +438,9 @@ USAGE_ERRORS = {
                              "--t-grid", "0,1"], "family-string-exact.json"),
     "family-false-symmetric": (["sensitivity", "--family-file", "{dir}/family-false-symmetric.json",
                                 "--r", "1", "--cr", "2"], "distance_symmetric"),
+    **{f"family-{name}": (["stability", "--family-file", f"{{dir}}/family-{name}.json", "--t-grid", "0,1"],
+                          f"family-{name}.json")
+       for name in ("wide-table", "wide-subset", "wide-pair", "negative-d", "zero-d")},
     "bounds-steps-0": (["bounds", "--steps", "0"], "--steps"),
     "bounds-K-0": (["bounds", "--K", "0"], "K must be positive"),
     "bounds-K-negative": (["bounds", "--K", "-1"], "K must be positive"),

@@ -114,8 +114,8 @@ def test_packing_bijective(bounds):
     h = Concatenation(parts)
     assert h.label_bound == math.prod(p.label_bound for p in parts)
     bits = hashing._cube_bits(3)
-    packed = h.labels(bits).tolist()
-    columns = [p.labels(bits).tolist() for p in parts]
+    packed = h.labels(bits)[:, 0].tolist()
+    columns = [p.labels(bits)[:, 0].tolist() for p in parts]
     for v, lab in enumerate(packed):
         assert 0 <= lab < h.label_bound
         unpacked = []
@@ -123,6 +123,25 @@ def test_packing_bijective(bounds):
             lab, digit = divmod(lab, p.label_bound)
             unpacked.append(digit)
         assert unpacked == [col[v] for col in columns]
+
+
+def test_leaves_refuse_labels_past_one_word():
+    # A leaf's labels fit one uint64 word; the top of the word is allowed.
+    assert ExplicitTable(1, (0, (1 << 64) - 1)).labels(np.eye(2, 1, -1, dtype=np.uint8)).tolist() == [[0], [(1 << 64) - 1]]
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        ExplicitTable(1, (0, 1 << 64))
+    assert CoordinateSubset(64, tuple(range(64))).label_bound == 1 << 64
+    with pytest.raises(ValueError, match="at most 64 coordinates, got 65"):
+        CoordinateSubset(65, tuple(range(65)))
+    assert PairCollapse(63, 0, 1).label_bound == (1 << 63) + 1
+    with pytest.raises(ValueError, match="dim <= 63, got 64"):
+        PairCollapse(64, 0, 1)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_family_refuses_dimension_below_one(d):
+    with pytest.raises(ValueError, match=f"at least 1, got {d}"):
+        HashFamily(dim=d, atoms=((Fraction(1), Constant(d)),))
 
 
 def test_packing_validates():

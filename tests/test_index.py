@@ -56,7 +56,7 @@ def _ref_labels(functions, bits):
         labels, scale = [0] * len(bits), 1
         for part in fn.parts:
             if part not in parts:
-                parts[part] = part.labels(bits).tolist()
+                parts[part] = part.labels(bits)[:, 0].tolist()
             labels = [lab + v * scale for lab, v in zip(labels, parts[part])]
             scale *= part.label_bound
         out.append(labels)
@@ -93,20 +93,42 @@ def _ref_query(idx, tables, points, x, labels=None):
     return QueryTrace(None, inspected, len(tables), k * len(tables))
 
 
+def _label_from_words(value, fn):
+    """The label _ref_labels packs for fn, from fn's label words read as one
+    integer: each part's label is a mixed-radix digit of its word, and a
+    new word starts whenever the next part's bound would carry the word
+    past 2^64."""
+    label, radix, word, scale = 0, 1, value % (1 << 64), 1
+    for part in fn.parts:
+        b = part.label_bound
+        if scale * b > 1 << 64:
+            value >>= 64
+            word, scale = value % (1 << 64), 1
+        label += word // scale % b * radix
+        radix *= b
+        scale *= b
+    return label
+
+
 def _buckets(idx):
-    """The index's sorted tables read back as dicts: label -> ids. Each key
-    is table t above the label, in big-endian words."""
-    label_bits = (max(fn.label_bound for fn in idx.functions) - 1).bit_length()
+    """The index's sorted tables read back as dicts: label -> ids. A key is
+    its function's label words with the table number t as one more most
+    significant digit, of radix L: t * M + label, M the largest label_bound,
+    when the top word's bound times L fits a word, else t in a word of its
+    own above the label's W words."""
+    W = max(fn.width for fn in idx.functions)
+    M = max(fn.label_bound for fn in idx.functions)
+    shared = (M >> 64 * (W - 1)) * idx.params.L <= 1 << 64
     size = idx.keys.dtype.itemsize
-    assert size == 8 * max(1, -(-(label_bits + (idx.params.L - 1).bit_length()) // 64))
+    assert size == 8 * (W if shared else W + 1)
     raw = idx.keys.tobytes()
     values = [int.from_bytes(raw[u * size : (u + 1) * size], "big") for u in range(len(idx.keys))]
     assert all(idx.keys[u] < idx.keys[u + 1] for u in range(len(values) - 1))
     assert values == sorted(set(values))
     tables = [{} for _ in range(idx.params.L)]
     for u, value in enumerate(values):
-        label = value & ((1 << label_bits) - 1)
-        tables[value >> label_bits][label] = idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
+        t, label = divmod(value, M if shared else 1 << 64 * W)
+        tables[t][_label_from_words(label, idx.functions[t])] = idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
     return tables
 
 

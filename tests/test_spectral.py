@@ -88,7 +88,9 @@ def _exact_levels(fam):
             coords = tuple(range(d)) if d <= 8 else h.support
             weights, labels = cubes.setdefault(len(coords), ([], []))
             weights.append(weight)
-            labels.append(h.labels(_subcube_bits(d, coords))[:, None])
+            # Only equality counts: each row of label words becomes its rank.
+            words = h.labels(_subcube_bits(d, coords))
+            labels.append(np.unique(words, axis=0, return_inverse=True)[1].reshape(-1, 1))
     denom = math.lcm(*(w.denominator for w, _ in fam.atoms))
     total = np.zeros(d + 1, dtype=object)  # each level times D 4^d, D the common denominator
     for j, (weights, blocks) in cubes.items():
@@ -433,12 +435,13 @@ def test_full_and_partial_support_rows_at_dimension_14(code_rows):
     assert levels == _rounded(finite_family(fns))
 
 
-def test_object_label_concatenation_spectrum():
-    # 17^16 > 2^63: the concatenation's labels are Python ints, ranked by the
-    # code matrix's sorting path, next to int64 atoms in the same family.
+def test_multi_word_label_concatenation_spectrum():
+    # 17^16 > 2^64: the concatenation's labels take two words, ranked as
+    # byte strings by the code matrix's sorting path, next to one-word
+    # atoms in the same family.
     d = 4
     wide = Concatenation(tuple(PairCollapse(d, x, (x * 5 + 3) % 16) for x in range(16)))
-    assert wide.label_bound > 1 << 63
+    assert wide.width == 2 and wide.label_bound > 1 << 64
     fam = finite_family([wide, CoordinateProjection(d, 2), ExplicitTable(d, tuple(range(16)))], [0.5, 0.25, 0.25])
     assert family_spectrum(fam).levels == _rounded(fam)
 
