@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,9 @@ INDEX_FORMAT = "lshlab-index"
 INDEX_VERSION = 3
 
 CANDIDATE_CAP_FACTOR = 3  # tunable probe budget: at most 3L candidate inspections
+
+# An index's ids and offsets are int32, and build draws its (L, k) part table whole.
+MAX_ENTRIES, MAX_TABLE_PARTS = (1 << 31) - 1, 1 << 22
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,7 @@ def plan(
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
+    Function t concatenates parts[j] for j in row t of the (L, k) `table`.
     Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Each
     bucket has one key: its function's label words with the table number t
     as one more most significant digit, of radix L, packed as labels are
@@ -118,59 +123,84 @@ class NNIndex:
     numeric order, so the L tables, each sorted by label, form one sorted
     array `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
     ascending. A query builds its L keys the same way, and one searchsorted
-    finds all L buckets. The tables are a pure function of (functions,
+    finds all L buckets. The tables are a pure function of (parts, table,
     points), so they are derived here and nowhere else.
     """
 
     def __init__(
         self,
         params: IndexParams,
-        functions: Sequence[HashFunction],
+        parts: Sequence[HashFunction],
+        table: np.ndarray | Sequence[Sequence[int]],
         bits: np.ndarray,
         family_doc: Optional[dict] = None,
     ):
-        """`bits` holds the points as (n, d) 0/1 uint8 rows (see points_to_bit_matrix)."""
-        if len(functions) != params.L:
-            raise ValueError(f"need exactly L = {params.L} functions, got {len(functions)}")
+        """`table`: L rows of k indices into `parts`, of which the index keeps
+        the used ones; `bits`: the points as (n, d) 0/1 uint8 rows."""
+        L, k = params.L, params.k
+        if len(table) != L:
+            raise ValueError(f"need exactly L = {L} functions, got {len(table)}")
         if bits.dtype != np.uint8 or bits.ndim != 2 or not len(bits) or (bits > 1).any():
             raise ValueError("need the points as (n, d) 0/1 uint8 rows, n >= 1")
+        short = np.fromiter(map(len, table), np.intp, L) != k
+        if short.any():
+            raise ValueError(f"function {short.argmax()} is not a concatenation of k = {k} parts")
+        table = np.asarray(table)
+        if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= len(parts):
+            raise ValueError(f"functions must be lists of part numbers in [0, {len(parts)})")
+        used, table = np.unique(table, return_inverse=True)
+        self.parts = tuple(parts[j] for j in used.tolist())
+        self.table = table.reshape(L, k)
         self.dim = bits.shape[1]
-        for i, fn in enumerate(functions):
-            if not isinstance(fn, Concatenation) or len(fn.parts) != params.k:
-                raise ValueError(f"function {i} is not a concatenation of k = {params.k} parts")
-            if fn.dim != self.dim:
-                raise DimensionMismatch(f"function {i} has dimension {fn.dim}, the points {self.dim}")
+        for j, part in enumerate(self.parts):
+            if part.dim != self.dim:
+                raise DimensionMismatch(f"part {j} has dimension {part.dim}, the points {self.dim}")
         self.params = params
-        self.functions = tuple(functions)
         self.family_doc = family_doc
         self.rows = pack_rows(bits)
+        # Leaf parts are the stack's leaves as they are; nested ones are flattened.
+        if Concatenation in map(type, self.parts):
+            stack = LabelStack.of([Concatenation(tuple(self.parts[j] for j in row)) for row in self.table.tolist()])
+        else:
+            stack = LabelStack(list(self.parts), self.table)
         # Labels of narrower functions sit right-aligned, below the top word's bound.
-        label_width = max(fn.width for fn in self.functions)
-        top = -(-max(fn.label_bound for fn in self.functions) >> 64 * (label_width - 1))
-        (_, above), (_, scale), _ = _pack((top, params.L))
+        bound = stack.layout[2]
+        label_width = -(-(bound - 1).bit_length() // 64) or 1
+        top = -(-bound >> 64 * (label_width - 1))
+        (_, above), (_, scale), _ = _pack((top, L))
         width = label_width + above
-        self._tags = np.zeros((params.L, 1, width), dtype=np.uint64)
-        self._tags[:, 0, 0] = [t * scale for t in range(params.L)]
-        self._labeler = ProjectionProduct.of(self.functions, width) or LabelStack.of(self.functions, width)
-        words = self._words(bits)
-        # Each table sorts by its lowest word, then stably by each higher label word.
+        self._tags = np.zeros((L, 1, width), dtype=np.uint64)
+        self._tags[:, 0, 0] = [t * scale for t in range(L)]
+        self._labeler = ProjectionProduct.of(stack, width) or replace(stack, width=width)
+        # Each table sorts by its lowest label word, then stably by each
+        # higher one. The table digit shares the top label word, or is added
+        # as a word of its own to the bucket keys alone.
+        words = self._labeler.words(bits)
+        if not above:
+            words += self._tags
+        n = len(bits)
         order = np.argsort(words[..., -1], axis=1)
         for j in range(width - 2, width - label_width - 1, -1):
             by_word = np.argsort(np.take_along_axis(words[..., j], order, axis=1), axis=1, kind="stable")
             order = np.take_along_axis(order, by_word, axis=1)
-        words = np.take_along_axis(words, order[..., None], axis=1)
-        first = np.ones(order.shape, dtype=bool)
-        first[:, 1:] = (words[:, 1:] != words[:, :-1]).any(axis=2)
-        # Row t of the flattened tables starts at t*n, always with a new bucket.
-        starts = np.flatnonzero(first)
-        self.keys = _as_keys(words.reshape(-1, width)[starts])
+        # One gather of the label words, at each table's order moved to its rows.
+        order += np.arange(0, L * n, n)[:, None]
+        labels = np.take(words.reshape(-1, width)[:, width - label_width :], order.ravel(), axis=0)
+        order -= np.arange(0, L * n, n)[:, None]
         del words  # 8w bytes per point and table, freed before the id arrays are made
+        first = np.ones((L, n), dtype=bool)
+        first.reshape(-1)[1:] = (labels[1:] != labels[:-1]).any(axis=1)
+        first[:, 0] = True  # each table starts with a new bucket
+        starts = np.flatnonzero(first)
+        keys = labels[starts] if len(starts) < len(labels) else labels
+        if above:
+            keys = np.hstack((np.repeat(self._tags[:, 0, :1], first.sum(axis=1), axis=0), keys))
+        self.keys = _as_keys(keys)
         self.offsets = np.append(starts.astype(np.int32), np.int32(first.size))
         # The unstable sort leaves each bucket's ids in any order. In a table
         # with a bucket of two or more points, buckets are numbered in order
         # and one sort of (bucket + 1) * n + id puts each bucket's ids in
         # ascending order.
-        n = len(bits)
         for t in np.flatnonzero(~first.all(axis=1)):
             runs = np.cumsum(first[t]) * n + order[t]
             runs.sort()
@@ -201,13 +231,16 @@ def build(
 ) -> NNIndex:
     """Draw L functions from the family's k-th power and index the points (0/1 rows or Points)."""
     bits = points if isinstance(points, np.ndarray) else points_to_bit_matrix(points)
-    functions = sample_power(family, params.k, params.L, params.seed)
+    if len(bits) * params.L > MAX_ENTRIES or params.k * params.L > MAX_TABLE_PARTS:
+        raise ValueError(f"an index needs n*L <= {MAX_ENTRIES} and k*L <= {MAX_TABLE_PARTS}; "
+                         f"n = {len(bits)}, k = {params.k}, L = {params.L}")
+    parts, table = sample_power(family, params.k, params.L, params.seed)
     family_doc = None
     try:
         family_doc = family_descriptor(family)
     except ValueError:
         pass
-    return NNIndex(params, functions, bits, family_doc)
+    return NNIndex(params, parts, table, bits, family_doc)
 
 
 @dataclass(frozen=True)
@@ -297,16 +330,15 @@ def stats(index: NNIndex) -> IndexStats:
 
 
 def save_index(index: NNIndex, path) -> None:
-    # Distinct parts by identity, in first-use order: functions share part objects.
-    parts = {id(p): p for fn in index.functions for p in fn.parts}
-    number = {key: j for j, key in enumerate(parts)}
+    # The parts in first-use order, numbered by it.
+    order = np.argsort(np.unique(index.table, return_index=True)[1])
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "params": asdict(index.params),
         "family": index.family_doc,
-        "parts": [function_descriptor(p) for p in parts.values()],
-        "functions": [[number[id(p)] for p in fn.parts] for fn in index.functions],
+        "parts": [function_descriptor(index.parts[j]) for j in order.tolist()],
+        "functions": np.argsort(order)[index.table].tolist(),
         "points": bits_to01(unpack_rows(index.rows, index.dim)),
     }
     # json.dumps runs the C encoder; json.dump would stream through the Python one.
@@ -331,14 +363,13 @@ def load_index(path) -> NNIndex:
         params = IndexParams(**doc["params"])
         parts = [function_from_descriptor(p) for p in doc["parts"]]
         rows = doc["functions"]
-        if type(rows) is not list or not all(type(row) is list for row in rows) or not all(
-            type(j) is int and 0 <= j < len(parts) for row in rows for j in row
-        ):
+        # Lists of JSON integers (a bool or a float is not one), their types
+        # collected in C; NNIndex checks the shape and the range.
+        if type(rows) is not list or set(map(type, rows)) - {list} or set(map(type, chain(*rows))) - {int}:
             raise ValueError(f"functions must be lists of part numbers in [0, {len(parts)})")
-        functions = [Concatenation(tuple(parts[j] for j in row)) for row in rows]
         if not isinstance(doc["points"], list):
             raise ValueError("points must be a list of 0/1 strings")
-        return NNIndex(params, functions, bits_from01(doc["points"]), doc.get("family"))
+        return NNIndex(params, parts, rows, bits_from01(doc["points"]), doc.get("family"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -436,9 +436,7 @@ class LabelStack:
 
     leaves: list[HashFunction]
     table: np.ndarray  # (m, k) leaf numbers, padded with -1
-    word: np.ndarray  # (m, k) word of each digit, counted from the last; 0 in padding
-    scale: np.ndarray  # (m, k) uint64 scale of each digit; 0 in padding
-    width: int  # words per label
+    width: Optional[int] = None  # words per label, by default as many as the widest needs
 
     @classmethod
     def of(cls, functions: Sequence[HashFunction], width: Optional[int] = None) -> "LabelStack":
@@ -452,20 +450,28 @@ class LabelStack:
         lengths = np.fromiter(map(len, rows), np.int64, len(rows))
         table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
         table[np.arange(table.shape[1]) < lengths[:, None]] = list(map(number.__getitem__, map(id, flat)))
-        leaves = list(index)
-        # Functions whose leaves have equal bounds share a layout: number each bound
-        # by its first leaf, and pack each distinct row once (padding: word 0, scale 0).
+        return cls(list(index), table, width)
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(word, scale, bound): the (m, k) word of each digit, counted from
+        the last, and its uint64 scale (both 0 in padding), and the largest
+        label_bound; computed on first use, as only labels need it."""
+        # Functions whose leaves have equal bounds share a layout: number each
+        # bound by its first leaf, and pack each distinct row once.
         first: dict[int, int] = {}
-        bound = np.array([first.setdefault(p.label_bound, i) for i, p in enumerate(leaves)] + [-1])
+        bound = np.array([first.setdefault(p.label_bound, i) for i, p in enumerate(self.leaves)] + [-1])
         layouts: dict[tuple[int, ...], int] = {}
-        inverse = [layouts.setdefault(tuple(row), len(layouts)) for row in bound[table].tolist()]
-        word = np.zeros((len(layouts), table.shape[1]), dtype=np.int64)
+        inverse = [layouts.setdefault(tuple(row), len(layouts)) for row in bound[self.table].tolist()]
+        word = np.zeros((len(layouts), self.table.shape[1]), dtype=np.int64)
         scale = np.zeros(word.shape, dtype=np.uint64)
+        top = 0
         for i, row in enumerate(layouts):
-            bounds = tuple(leaves[b].label_bound for b in row if b >= 0)
-            word[i, : len(bounds)], scale[i, : len(bounds)], _ = _pack(bounds)
-        word, scale = word[inverse], scale[inverse]
-        return cls(leaves, table, word, scale, width or int(word.max()) + 1)
+            bounds = tuple(self.leaves[b].label_bound for b in row if b >= 0)
+            words, scale[i, : len(bounds)], last = _pack(bounds)
+            word[i, : len(bounds)] = words
+            top = max(top, last << 64 * words[-1])
+        return word[inverse], scale[inverse], top
 
     def digits(self, bits: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """(m, k, n) uint64 leaf labels of functions[rows] (all by default) of the
@@ -491,10 +497,11 @@ class LabelStack:
 
     def words(self, bits: np.ndarray) -> np.ndarray:
         """(m, n, width) uint64 labels of the rows of bits (as for digits), right-aligned."""
-        digits = self.digits(bits) * self.scale[:, :, None]
-        out = np.empty((len(digits), digits.shape[2], self.width), dtype=np.uint64)
-        for c in range(self.width):  # word c from the last sums its digits
-            out[:, :, -1 - c] = np.where((self.word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
+        word, scale, _ = self.layout
+        digits = self.digits(bits) * scale[:, :, None]
+        out = np.empty((len(digits), digits.shape[2], self.width or int(word.max()) + 1), dtype=np.uint64)
+        for c in range(out.shape[2]):  # word c from the last sums its digits
+            out[:, :, -1 - c] = np.where((word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
         return out
 
 
@@ -522,33 +529,28 @@ class ProjectionProduct:
     width: int  # words per label
 
     @classmethod
-    def of(cls, functions: Sequence[HashFunction], width: int) -> Optional["ProjectionProduct"]:
-        """None unless every function concatenates coordinate projections.
-        Labels come as `width` words, at least as many as the widest needs."""
-        if not functions or not all(
-            isinstance(fn, Concatenation) and all(isinstance(p, CoordinateProjection) for p in fn.parts)
-            for fn in functions
-        ):
+    def of(cls, stack: LabelStack, width: int) -> Optional["ProjectionProduct"]:
+        """The product for a stack's functions, or None unless every leaf is
+        a coordinate projection. Labels come as `width` words, at least as
+        many as the widest needs."""
+        if not _projections(stack.leaves):
             return None
-        bound = max(fn.label_bound for fn in functions)
-        used = -(-(bound - 1).bit_length() // 64)  # words the labels reach
+        m, k = stack.table.shape  # the longest function has k parts: labels below 2^k
+        used = -(-k // 64)  # words the labels reach
         if used > width:
-            raise ValueError(f"labels below {bound} do not fit in {width} words")
-        limb = 53 if bound <= 1 << 53 else 32
+            raise ValueError(f"labels below {1 << k} do not fit in {width} words")
+        limb = 53 if k <= 53 else 32
         rows = 1 if limb == 53 else 2 * used
-        lens = [len(fn.parts) for fn in functions]
-        coord = np.fromiter((p.coord for fn in functions for p in fn.parts), dtype=np.intp, count=sum(lens))
-        t = np.repeat(np.arange(len(functions)), lens)
-        j = np.concatenate([np.arange(m) for m in lens])
+        t, j = np.nonzero(stack.table >= 0)
+        coord = np.array([p.coord for p in stack.leaves], dtype=np.intp)[stack.table[t, j]]
         # Part j of function t adds 2^(j % limb) at its coordinate in its
         # limb's row; parts that meet in one cell hold distinct powers, so
         # the float64 sums are exact.
-        row = (rows - 1 - j // limb) * len(functions) + t
-        dim = functions[0].dim
-        w = np.bincount(row * dim + coord, np.ldexp(1.0, j % limb), len(functions) * rows * dim)
-        w = w.reshape(-1, dim)
+        row = (rows - 1 - j // limb) * m + t
+        dim = stack.leaves[0].dim
+        w = np.bincount(row * dim + coord, np.ldexp(1.0, j % limb), m * rows * dim).reshape(-1, dim)
         coords = np.flatnonzero(w.any(axis=0))
-        return cls(coords, w[:, coords], len(functions), width)
+        return cls(coords, w[:, coords], m, width)
 
     def words(self, bits: np.ndarray) -> np.ndarray:
         """(n_functions, n, width) uint64 words of the labels of the rows of
@@ -846,26 +848,29 @@ def power(family: HashFamily, k: int) -> HashFamily:
     return HashFamily(law=PowerLaw(family, k), **shared)
 
 
-def sample_power(family: HashFamily, k: int, n: int, seed: int) -> list[HashFunction]:
-    """power(family, k).sample(n, seed), without building the power's atoms.
+def sample_power(family: HashFamily, k: int, n: int, seed: int) -> tuple[list[HashFunction], np.ndarray]:
+    """power(family, k).sample(n, seed) as (parts, table), without building
+    the power's atoms: draw i concatenates parts[table[i, j]] over j < k.
 
-    For a uniform base of m atoms the power draws its atom indices from one
-    generator, and n draws at once equal n draws one at a time. Below
-    _POWER_ATOM_LIMIT the power is uniform over its m^k atoms in
-    itertools.product order, so one g.integers(m^k) per function names the
-    k parts by its base-m digits, most significant first; past it the power
-    is a law whose draws take one g.integers(m) per part.
+    A uniform base's atoms are the parts, and n draws of their indices from
+    one generator equal n draws one at a time. Below _POWER_ATOM_LIMIT the
+    power is uniform over its m^k atoms in itertools.product order, so one
+    g.integers(m^k) per function names the k parts by its base-m digits, most
+    significant first; past it the power is a law whose draws take one
+    g.integers(m) per part. Other bases number their drawn parts' objects.
     """
     if not family.is_uniform:
-        return power(family, k).sample(n, seed)
+        flat = [p for fn in power(family, k).sample(n, seed) for p in fn.parts]
+        number: dict[int, int] = {}
+        table = [number.setdefault(id(p), len(number)) for p in flat]
+        return list({id(p): p for p in flat}.values()), np.array(table).reshape(n, k)
     m = len(family.atoms)
     g = rngmod.stream(seed, 0)
     if m**k <= _POWER_ATOM_LIMIT:
-        picks = g.integers(m**k, size=n)[:, None] // m ** np.arange(k - 1, -1, -1) % m
+        table = g.integers(m**k, size=n)[:, None] // m ** np.arange(k - 1, -1, -1) % m
     else:
-        picks = g.integers(m, size=(n, k))
-    fns = [h for _, h in family.atoms]
-    return [Concatenation(tuple(fns[i] for i in row)) for row in picks.tolist()]
+        table = g.integers(m, size=(n, k))
+    return [h for _, h in family.atoms], table
 
 
 # ---------------------------------------------------------------------------

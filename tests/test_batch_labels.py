@@ -15,6 +15,7 @@ from lshlab.hashing import (
     CoordinateProjection,
     CoordinateSubset,
     ExplicitTable,
+    LabelStack,
     MinHashPermutation,
     PairCollapse,
     Parity,
@@ -235,7 +236,7 @@ def test_projection_product_is_exact(data):
     ]
     width = -(-max(len(h.parts) for h in fns) // 64) + data.draw(st.integers(0, 1), label="extra")
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
-    words = ProjectionProduct.of(fns, width).words(_rows(values, d))
+    words = ProjectionProduct.of(LabelStack.of(fns), width).words(_rows(values, d))
     assert words.dtype == np.uint64 and words.shape == (len(fns), len(values), width)
     labels = [[_value(row) for row in fn_words] for fn_words in words]
     assert labels == [[ref_label(h, v) for v in values] for h in fns]
@@ -245,9 +246,9 @@ def test_projection_product_is_exact(data):
         assert np.array_equal(fn_words[:, width - h.width :], h.labels(_rows(values, d)))
         assert not fn_words[:, : width - h.width].any()
     with pytest.raises(ValueError, match="do not fit"):
-        ProjectionProduct.of(fns + [Concatenation((CoordinateProjection(d, 0),) * (64 * width + 1))], width)
-    # Any other part takes the per-function path.
-    assert ProjectionProduct.of(fns + [Concatenation((Parity(d, (0,)),))], width) is None
+        ProjectionProduct.of(LabelStack.of(fns + [Concatenation((CoordinateProjection(d, 0),) * (64 * width + 1))]), width)
+    # Any other leaf takes the LabelStack path.
+    assert ProjectionProduct.of(LabelStack.of(fns + [Concatenation((Parity(d, (0,)),))]), width) is None
 
 
 def test_wide_labels_reach_past_int64():

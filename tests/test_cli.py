@@ -294,6 +294,57 @@ def test_index_build_rejects_corrupt_binary_points(tmp_path, point_file):
     ]) == 2
 
 
+@pytest.mark.parametrize("case", ["true", "float", "negative", "past-the-end", "ragged", "wrong-k", "wrong-L"])
+def test_index_query_refuses_bad_functions(tmp_path, point_file, capsys, case):
+    # The loader's messages for each malformed row of part numbers, after
+    # the file name, on one stderr line.
+    path, _ = point_file
+    good = tmp_path / "idx.json"
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--k", "3", "--L", "4",
+                "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    rows, n_parts = doc["functions"], len(doc["parts"])
+    bad = {"true": True, "float": 1.0, "negative": -1, "past-the-end": n_parts}
+    if case in bad:
+        rows[1][2] = bad[case]
+        message = f"functions must be lists of part numbers in [0, {n_parts})"
+    elif case == "ragged":
+        rows[2].pop()
+        message = "function 2 is not a concatenation of k = 3 parts"
+    elif case == "wrong-k":
+        doc["functions"] = [row + [0] for row in rows]
+        message = "function 0 is not a concatenation of k = 3 parts"
+    else:
+        rows.pop()
+        message = "need exactly L = 4 functions, got 3"
+    bad_path = tmp_path / f"{case}.json"
+    bad_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["index-query", "--index", str(bad_path), "--point", "0" * 24]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad_path}: {message}"]
+
+
+@pytest.mark.parametrize("n, extra", [
+    (50, ["--L", "100000000"]),
+    (50, ["--k", "1000000000", "--L", "1"]),
+    (600, ["--k", "1", "--L", str(1 << 22)]),
+], ids=["huge-L", "huge-k", "n-times-L"])
+def test_index_build_refuses_oversized_tables_before_drawing(tmp_path, monkeypatch, capsys, n, extra):
+    # k*L parts past 2^22, or n*L entries past the int32 ids, exit 2 with one
+    # line before a part table is drawn.
+    def refuse(*args):
+        raise AssertionError("a part table was drawn")
+
+    monkeypatch.setattr("lshlab.annindex.sample_power", refuse)
+    data = tmp_path / "pts.txt"
+    save_points_text(np.zeros((n, 24), dtype=np.uint8), data)
+    out = tmp_path / "idx.json"
+    assert run(["index-build", "--data", str(data), "--r", "1", "--cr", "3", "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "k*L <= 4194304" in err[0] and "n*L <= 2147483647" in err[0]
+    assert not out.exists()
+
+
 @pytest.fixture
 def bad_files(tmp_path, point_file):
     """Malformed index and family files, derived from one valid index."""

@@ -282,7 +282,9 @@ def test_sample_power_matches_power_sample(past_limit):
         with mock.patch.object(hashing, "_POWER_ATOM_LIMIT", size - 1 if past_limit else size):
             powered = power(fam, k)
             assert (powered.atoms is None) == past_limit
-            assert sample_power(fam, k, 40, seed=3) == powered.sample(40, seed=3)
+            parts, table = sample_power(fam, k, 40, seed=3)
+            assert table.shape == (40, k)
+            assert [Concatenation(tuple(parts[j] for j in row)) for row in table] == powered.sample(40, seed=3)
 
 
 # ---------------------------------------------------------------------------

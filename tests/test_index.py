@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from lshlab.hashing import (
     SensitivityProfile,
     bit_sampling_family,
     bit_sampling_profile,
+    finite_family,
     function_descriptor,
     minhash_family,
     power,
@@ -48,13 +48,19 @@ def _random_points(n, d, seed):
 # Reference: one dict-of-lists table per function, probed table by table.
 
 
+def _functions(idx):
+    """The index's L functions as Concatenations of their parts."""
+    return [Concatenation(tuple(idx.parts[j] for j in row)) for row in idx.table.tolist()]
+
+
 def _ref_labels(functions, bits):
-    """Each function's labels of the rows of bits, packed from its parts one
-    part at a time in Python ints; each distinct part is evaluated once."""
+    """Each function's labels of the rows of bits, packed from its leaves
+    (nested parts flattened) one at a time in Python ints; each distinct
+    leaf is evaluated once."""
     parts, out = {}, []
     for fn in functions:
         labels, scale = [0] * len(bits), 1
-        for part in fn.parts:
+        for part in fn._leaves:
             if part not in parts:
                 parts[part] = part.labels(bits)[:, 0].tolist()
             labels = [lab + v * scale for lab, v in zip(labels, parts[part])]
@@ -80,7 +86,7 @@ def _ref_query(idx, tables, points, x, labels=None):
     given, holds x's label under each function."""
     k, cr, cap = idx.params.k, idx.params.cr, idx.candidate_cap
     if labels is None:
-        labels = [lab for (lab,) in _ref_labels(idx.functions, points_to_bit_matrix([x]))]
+        labels = [lab for (lab,) in _ref_labels(_functions(idx), points_to_bit_matrix([x]))]
     inspected = 0
     for ti, (label, table) in enumerate(zip(labels, tables)):
         for i in table.get(label, []):
@@ -99,7 +105,7 @@ def _label_from_words(value, fn):
     new word starts whenever the next part's bound would carry the word
     past 2^64."""
     label, radix, word, scale = 0, 1, value % (1 << 64), 1
-    for part in fn.parts:
+    for part in fn._leaves:
         b = part.label_bound
         if scale * b > 1 << 64:
             value >>= 64
@@ -116,8 +122,9 @@ def _buckets(idx):
     significant digit, of radix L: t * M + label, M the largest label_bound,
     when the top word's bound times L fits a word, else t in a word of its
     own above the label's W words."""
-    W = max(fn.width for fn in idx.functions)
-    M = max(fn.label_bound for fn in idx.functions)
+    functions = _functions(idx)
+    W = max(fn.width for fn in functions)
+    M = max(fn.label_bound for fn in functions)
     shared = (M >> 64 * (W - 1)) * idx.params.L <= 1 << 64
     size = idx.keys.dtype.itemsize
     assert size == 8 * (W if shared else W + 1)
@@ -128,7 +135,7 @@ def _buckets(idx):
     tables = [{} for _ in range(idx.params.L)]
     for u, value in enumerate(values):
         t, label = divmod(value, M if shared else 1 << 64 * W)
-        tables[t][_label_from_words(label, idx.functions[t])] = idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
+        tables[t][_label_from_words(label, functions[t])] = idx.ids[idx.offsets[u] : idx.offsets[u + 1]].tolist()
     return tables
 
 
@@ -201,7 +208,7 @@ def test_build_is_deterministic():
     a = build(pts, bit_sampling_family(24), params)
     b = build(pts, bit_sampling_family(24), params)
     assert _buckets(a) == _buckets(b)
-    assert a.functions == b.functions
+    assert _functions(a) == _functions(b)
 
 
 def test_build_takes_rows_or_points():
@@ -210,7 +217,7 @@ def test_build_takes_rows_or_points():
     a = build(pts, bit_sampling_family(24), params)
     b = build(points_to_bit_matrix(pts), bit_sampling_family(24), params)
     assert _buckets(a) == _buckets(b)
-    assert np.array_equal(a.rows, b.rows) and a.functions == b.functions
+    assert np.array_equal(a.rows, b.rows) and _functions(a) == _functions(b)
     for bad in (points_to_bit_matrix(pts) * 2, points_to_bit_matrix(pts).astype(bool), points_to_bit_matrix(pts)[0]):
         with pytest.raises(ValueError, match="0/1 uint8 rows"):
             build(bad, bit_sampling_family(24), params)
@@ -239,7 +246,7 @@ def test_build_fast_path_matches_generic_labels():
     pts = _random_points(40, 16, seed=7)
     params = IndexParams(r=1, cr=4, k=5, L=3, delta=0.1, seed=9)
     idx = build(pts, bit_sampling_family(16), params)
-    assert _buckets(idx) == _ref_tables(idx.functions, pts)
+    assert _buckets(idx) == _ref_tables(_functions(idx), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +278,13 @@ def test_query_respects_candidate_cap():
     assert trace.candidates_inspected == 1
     # Far from every stored copy but in its bucket of table 0: the cap stops
     # the scan inside table 0, before the second table is probed.
-    fn = idx.functions[0]
+    fn = _functions(idx)[0]
     coords = {p.coord for p in fn.parts}
     decoy = Point(sum(1 << i for i in range(12) if i not in coords), 12)
     assert hamming(decoy, near) > 2
     trace = query_traced(idx, decoy)
     assert trace == QueryTrace(None, idx.candidate_cap, 1, 3)
-    assert trace == _ref_query(idx, _ref_tables(idx.functions, pts), pts, decoy)
+    assert trace == _ref_query(idx, _ref_tables(_functions(idx), pts), pts, decoy)
 
 
 def test_query_cap_at_a_table_boundary():
@@ -285,18 +292,18 @@ def test_query_cap_at_a_table_boundary():
     # cap exactly, and the first refused candidate is table 1's.
     pts = [Point(0, 40)] * 6
     idx = build(pts, bit_sampling_family(40), IndexParams(r=1, cr=2, k=3, L=2, delta=0.1, seed=2))
-    used = {p.coord for fn in idx.functions for p in fn.parts}
+    used = {p.coord for fn in _functions(idx) for p in fn.parts}
     decoy = Point(sum(1 << i for i in range(40) if i not in used), 40)
     assert hamming(decoy, pts[0]) > 2
     trace = query_traced(idx, decoy)
     assert trace == QueryTrace(None, 6, 2, 6)
-    assert trace == _ref_query(idx, _ref_tables(idx.functions, pts), pts, decoy)
+    assert trace == _ref_query(idx, _ref_tables(_functions(idx), pts), pts, decoy)
 
 
 def test_query_inspects_the_last_candidate_under_the_cap():
     # L = 1, cap 3: two far points fill the bucket ahead of the near one.
     params = IndexParams(r=1, cr=2, k=2, L=1, delta=0.1, seed=4)
-    (fn,) = build([Point(0, 16)], bit_sampling_family(16), params).functions
+    (fn,) = _functions(build([Point(0, 16)], bit_sampling_family(16), params))
     far = Point(sum(1 << i for i in range(16) if i not in {p.coord for p in fn.parts}), 16)
     idx = build([far, far, Point(0, 16)], bit_sampling_family(16), params)
     assert query_traced(idx, Point(0, 16)) == QueryTrace((2, 0), 3, 1, 2)
@@ -331,10 +338,19 @@ def test_array_index_matches_dict_reference(data):
     # ten words: k near 64 and 128, with L past 128 for projections, so
     # that the table number and the label straddle a word boundary.
     d = data.draw(st.integers(2, 20), label="d")
-    family = data.draw(st.sampled_from([bit_sampling_family(d), minhash_family(d)]), label="family")
+    # Bit sampling, MinHash, a power of bit sampling (parts that are
+    # concatenations), and a weighted family, which sample_power draws
+    # through power(family, k).sample, as it draws MinHash.
+    weighted = finite_family([CoordinateProjection(d, 0), Parity(d, (0, d - 1)), CoordinateProjection(d, d - 1)],
+                             [0.5, 0.25, 0.25])
+    families = [bit_sampling_family(d), minhash_family(d), power(bit_sampling_family(d), 2), weighted]
+    family = data.draw(st.sampled_from(families), label="family")
     k = data.draw(st.one_of(st.integers(1, 6), st.integers(56, 70), st.integers(120, 130)), label="k")
-    # A MinHash query labels all L*k parts, so only projections get L > 128.
-    wide = st.one_of(st.integers(1, 6), st.integers(129, 136)) if family.law is None else st.integers(1, 6)
+    # Other queries label all L*k parts, so only projections get L > 128.
+    projections = family.atoms is not None and all(
+        isinstance(p, CoordinateProjection) for _, h in family.atoms for p in h._leaves
+    )
+    wide = st.one_of(st.integers(1, 6), st.integers(129, 136)) if projections else st.integers(1, 6)
     L = data.draw(wide, label="L")
     value = st.integers(0, (1 << d) - 1)
     n = data.draw(st.integers(1, 40), label="n")
@@ -347,7 +363,7 @@ def test_array_index_matches_dict_reference(data):
     params = IndexParams(r=cr - 1, cr=cr, k=k, L=L, delta=0.1, seed=data.draw(st.integers(0, 99)))
     idx = build(pts, family, params)
 
-    tables = _ref_tables(idx.functions, pts)
+    tables = _ref_tables(_functions(idx), pts)
     assert _buckets(idx) == tables
     assert all(ids == sorted(ids) for table in tables for ids in table.values())
     st_ = stats(idx)
@@ -361,10 +377,10 @@ def test_array_index_matches_dict_reference(data):
     random_ = [Point(data.draw(value), d) for _ in range(3)]
     # Off every coordinate a table samples: in the stored point's bucket
     # there, yet possibly far from it, which is how a probe reaches the cap.
-    used = [{part.coord for part in fn.parts} for fn in idx.functions] if family.law is None else []
+    used = [{part.coord for part in fn._leaves} for fn in _functions(idx)] if projections else []
     decoys = [p.flip(set(range(d)) - coords) for p, coords in zip(stored, used + [set().union(*used)])]
     queries = stored + planted + random_ + decoys
-    labels = _ref_labels(idx.functions, points_to_bit_matrix(queries))
+    labels = _ref_labels(_functions(idx), points_to_bit_matrix(queries))
     for i, x in enumerate(queries):
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
 
@@ -376,7 +392,7 @@ def test_buckets_hold_ascending_ids_when_keys_repeat(k):
     pts = _random_points(700, 9, seed=5) * 2
     params = IndexParams(r=1, cr=3, k=k, L=12, delta=0.1, seed=2)
     idx = build(pts, bit_sampling_family(9), params)
-    assert _buckets(idx) == _ref_tables(idx.functions, pts)
+    assert _buckets(idx) == _ref_tables(_functions(idx), pts)
     assert all(np.all(np.diff(idx.ids[lo:hi]) > 0) for lo, hi in zip(idx.offsets[:-1], idx.offsets[1:]))
 
 
@@ -391,11 +407,11 @@ def test_duplicate_points_in_two_word_keys(family, k, L):
     pts = _random_points(50, 12, seed=14) * 3
     idx = build(pts, family, IndexParams(r=1, cr=3, k=k, L=L, delta=0.1, seed=3))
     assert idx.keys.dtype.itemsize >= 16
-    tables = _ref_tables(idx.functions, pts)
+    tables = _ref_tables(_functions(idx), pts)
     assert _buckets(idx) == tables
     assert stats(idx).max_bucket >= 3
     queries = pts[:5] + _random_points(5, 12, seed=15)
-    labels = _ref_labels(idx.functions, points_to_bit_matrix(queries))
+    labels = _ref_labels(_functions(idx), points_to_bit_matrix(queries))
     for i, x in enumerate(queries):
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
 
@@ -407,15 +423,13 @@ def test_keys_whose_low_bytes_are_zero(k, low):
     # every label's low two bytes are zero, and the zero point's key in
     # table 0 is zero throughout. numpy drops trailing zero bytes from an S
     # value; keys must still sort, compare and match at their full width.
-    # A Parity part sends the labels through the per-function path.
-    functions = [
-        Concatenation((low,) * 16 + tuple(CoordinateProjection(8, 1 + (t + j) % 7) for j in range(k - 16)))
-        for t in range(3)
-    ]
+    # A Parity part sends the labels through the LabelStack path.
+    parts = [low] + [CoordinateProjection(8, c) for c in range(1, 8)]
+    table = [[0] * 16 + [1 + (t + j) % 7 for j in range(k - 16)] for t in range(3)]
     pts = [Point(v, 8) for v in (0, 2, 4, 6, 254, 128, 2, 0)]
-    idx = NNIndex(IndexParams(r=1, cr=2, k=k, L=3, delta=0.1, seed=0), functions, points_to_bit_matrix(pts))
+    idx = NNIndex(IndexParams(r=1, cr=2, k=k, L=3, delta=0.1, seed=0), parts, table, points_to_bit_matrix(pts))
     assert idx.keys.dtype.itemsize == (8 if k == 40 else 16)
-    tables = _ref_tables(functions, pts)
+    tables = _ref_tables(_functions(idx), pts)
     assert _buckets(idx) == tables
     for x in pts + [Point(1, 8), Point(255, 8), Point(3, 8)]:
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
@@ -448,6 +462,31 @@ def test_save_is_byte_stable(tmp_path):
     save_index(idx, p1)
     save_index(build(pts, bit_sampling_family(16), params), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("family, k, L", [
+    (bit_sampling_family(24), 57, 9), (bit_sampling_family(24), 70, 5), (minhash_family(24), 4, 6),
+    (power(bit_sampling_family(6), 2), 3, 7),
+    (finite_family([CoordinateProjection(24, 3), Parity(24, (0, 5))], [0.75, 0.25]), 5, 4),
+], ids=["bit-sampling", "two-word-keys", "minhash", "nested-power", "weighted"])
+def test_save_load_save_is_byte_identical(tmp_path, family, k, L):
+    # The file numbers the parts in first-use order; the loaded index keeps
+    # that numbering, so saving it again writes the same bytes, and its
+    # tables and queries are the built index's.
+    d = family.dim
+    pts = _random_points(50, d, seed=16)
+    idx = build(pts, family, IndexParams(r=1, cr=3, k=k, L=L, delta=0.1, seed=5))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_index(idx, first)
+    clone = load_index(first)
+    save_index(clone, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert _functions(clone) == _functions(idx)
+    assert np.array_equal(clone.table, json.loads(first.read_text())["functions"])
+    assert clone.keys.tobytes() == idx.keys.tobytes()
+    assert np.array_equal(clone.offsets, idx.offsets) and np.array_equal(clone.ids, idx.ids)
+    for x in pts[:5] + _random_points(5, d, seed=17):
+        assert query_traced(clone, x) == query_traced(idx, x)
 
 
 def test_load_rejects_wrong_format(tmp_path):
@@ -484,9 +523,9 @@ def test_load_shares_equal_parts_and_checks_every_one(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["parts"]) <= 6
     clone = load_index(path)
-    assert [fn.parts for fn in clone.functions] == [fn.parts for fn in idx.functions]
+    assert [fn.parts for fn in _functions(clone)] == [fn.parts for fn in _functions(idx)]
     by_number = {}
-    for fn, row in zip(clone.functions, doc["functions"]):
+    for fn, row in zip(_functions(clone), doc["functions"]):
         for p, j in zip(fn.parts, row):
             assert by_number.setdefault(j, p) is p
     assert [function_descriptor(by_number[j]) for j in range(len(by_number))] == doc["parts"]
@@ -539,15 +578,23 @@ def test_load_rejects_bad_part_numbers(tmp_path, case):
 
 
 def test_index_refuses_functions_it_could_not_reload():
-    # Bare projections (k = 1, not wrapped in a concatenation) would save a
-    # file that the loader refuses; the index refuses them when it is made.
-    pts = _random_points(10, 8, seed=12)
-    params = IndexParams(r=1, cr=3, k=1, L=2, delta=0.1, seed=6)
-    functions = [CoordinateProjection(8, 0), CoordinateProjection(8, 5)]
-    with pytest.raises(ValueError, match="not a concatenation of k = 1 parts"):
-        NNIndex(params, functions, points_to_bit_matrix(pts))
-    with pytest.raises(ValueError, match="not a concatenation of k = 2 parts"):
-        NNIndex(replace(params, k=2), [Concatenation((fn,)) for fn in functions], points_to_bit_matrix(pts))
+    # A table that is not L rows of k part numbers in [0, len(parts)) would
+    # save a file that the loader refuses; the index refuses it when it is made.
+    bits = points_to_bit_matrix(_random_points(10, 8, seed=12))
+    params = IndexParams(r=1, cr=3, k=2, L=2, delta=0.1, seed=6)
+    parts = [CoordinateProjection(8, 0), CoordinateProjection(8, 5)]
+    NNIndex(params, parts, [[0, 1], [1, 1]], bits)
+    for table, message in [
+        ([[0, 1]], "need exactly L = 2 functions, got 1"),
+        ([[0, 1], [1]], "function 1 is not a concatenation of k = 2 parts"),
+        (np.zeros((2, 3), dtype=np.int64), "function 0 is not a concatenation of k = 2 parts"),
+        ([[0, 1], [1, 2]], r"part numbers in \[0, 2\)"),
+        ([[0, -1], [1, 1]], r"part numbers in \[0, 2\)"),
+        (np.ones((2, 2), dtype=bool), r"part numbers in \[0, 2\)"),
+        ([[0, 1.0], [1, 1]], r"part numbers in \[0, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            NNIndex(params, parts, table, bits)
 
 
 def test_index_works_with_minhash_family(tmp_path):
