@@ -42,7 +42,7 @@ from .hashing import (
 )
 from .points import Point, load_points_binary, load_points_text
 from .sampling import mc_stability_curve
-from .spectral import EXACT, _TRANSFORM_DIM_LIMIT, check_log_convexity, stability_curve
+from .spectral import _TRANSFORM_DIM_LIMIT, check_log_convexity, stability_curve
 from .verify import SUITES, format_report, run_suites
 
 
@@ -160,20 +160,13 @@ def cmd_bounds(args) -> int:
 def cmd_stability(args) -> int:
     fam = _resolve_family(args, _TRANSFORM_DIM_LIMIT if args.mode == "exact" else None)
     grid = _parse_grid(args.t_grid)
-    if args.mode == "exact":
-        curve = stability_curve(fam, grid)
-    else:
+    if args.mode != "exact":
         curve = mc_stability_curve(fam, grid, args.samples, args.seed)
-
-    if curve.stderr is None:
-        rows = list(zip(curve.grid, curve.values))
-        header = ("t", "K")
-    else:
-        rows = list(zip(curve.grid, curve.values, curve.stderr))
-        header = ("t", "K", "stderr")
-    write_rows(args.out, header, rows, args.format)
-
-    if curve.provenance == EXACT and len(curve.grid) >= 3:
+        write_rows(args.out, ("t", "K", "stderr"), zip(curve.grid, curve.values, curve.stderr), args.format)
+        return 0
+    curve = stability_curve(fam, grid)
+    write_rows(args.out, ("t", "K"), zip(curve.grid, curve.values), args.format)
+    if len(curve.grid) >= 3:
         cert = check_log_convexity(curve)
         status = "PASS" if cert.passed else "FAIL"
         print(

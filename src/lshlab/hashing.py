@@ -189,15 +189,6 @@ def collision_code_matrix(functions: Sequence[HashFunction]) -> np.ndarray:
     return codes
 
 
-def collision_codes(h: HashFunction) -> np.ndarray:
-    """Labels of all 2^dim inputs of h, in point-value order, recoded to
-    consecutive ints in label order: the one-row collision_code_matrix.
-
-    Only the equality structure is preserved; use h.labels for real labels.
-    """
-    return collision_code_matrix([h])[0].astype(np.int64)
-
-
 @dataclass(frozen=True)
 class CoordinateProjection(HashFunction):
     dim: int
@@ -893,7 +884,6 @@ class SensitivityProfile:
     p: float
     q: float
     rho: Optional[float]
-    distance_kind: str = "hamming"
     rho_note: str = ""
     p_exact: Optional[Fraction] = None
     q_exact: Optional[Fraction] = None

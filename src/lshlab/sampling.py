@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .hashing import HashFamily
-from .spectral import MONTE_CARLO, FourierSpectrum, StabilityCurve, _as_spectrum, _check_times, stability
+from .spectral import FourierSpectrum, StabilityCurve, _as_spectrum, _check_times, stability
 from . import rng as rngmod
 
 _MC_CHUNK = 4096
@@ -96,7 +96,6 @@ def mc_stability_curve(
     return StabilityCurve(
         grid=grid,
         values=tuple(e.estimate for e in estimates),
-        provenance=MONTE_CARLO,
         stderr=tuple(e.stderr for e in estimates),
     )
 

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .hashing import HashFamily, HashFunction, _code_groups, collision_codes, finite_family
+from .hashing import HashFamily, HashFunction, _as_keys, _code_groups, _cube_bits, finite_family
 from .points import cube_distance_rows
 
 _TRANSFORM_DIM_LIMIT = 20
@@ -28,9 +28,6 @@ _BRUTE_FORCE_DIM_LIMIT = 12
 # 1 MiB as int32 with 2 MiB of int64 squares above. A subcube of more
 # points (from 2^19) grows the block to one column of it.
 _BATCH_CELLS = 1 << 18
-
-EXACT = "exact-spectral"
-MONTE_CARLO = "monte-carlo"
 
 
 def _fwht_in_place(a: np.ndarray) -> np.ndarray:
@@ -202,12 +199,12 @@ def _check_times(grid: tuple[float, ...]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class StabilityCurve:
-    """K sampled on a time grid. Exact-provenance curves satisfy K(0) = 1 and
-    are nonincreasing; Monte Carlo curves carry standard errors instead."""
+    """K sampled on a time grid. An exact curve (stderr None) satisfies
+    K(0) = 1 and is nonincreasing; a Monte Carlo curve carries one finite,
+    nonnegative standard error per grid point."""
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
-    provenance: str
     stderr: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
@@ -216,8 +213,11 @@ class StabilityCurve:
         _check_times(self.grid)
         if list(self.grid) != sorted(self.grid):
             raise ValueError("grid must be sorted")
-        if self.provenance not in (EXACT, MONTE_CARLO):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if self.stderr is not None and not (
+            len(self.stderr) == len(self.grid)
+            and all(isinstance(e, float) and 0 <= e < math.inf for e in self.stderr)
+        ):
+            raise ValueError("stderr must hold one finite, nonnegative float per grid point")
 
 
 def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> StabilityCurve:
@@ -227,12 +227,14 @@ def stability_curve(source: SpectrumSource, t_grid: Sequence[float]) -> Stabilit
     # Past t = 1e307, -t |S| overflows to -inf, whose e^{-inf} = 0 is the limit.
     with np.errstate(over="ignore"):
         values = tuple(float(np.dot(levels, np.exp(-t * sizes))) for t in grid)
-    return StabilityCurve(grid=grid, values=values, provenance=EXACT)
+    return StabilityCurve(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
 # Independent oracle: direct summation over all ordered pairs, weighting each
-# by the probability that a rho-correlated draw produces it.
+# by the probability that a rho-correlated draw produces it. It ranks the
+# labels h gives the whole cube itself, so it shares no code with the
+# subcube codes (_code_groups) that the spectra transform.
 
 
 def collision_counts_by_distance(h: HashFunction) -> np.ndarray:
@@ -240,7 +242,7 @@ def collision_counts_by_distance(h: HashFunction) -> np.ndarray:
     d = h.dim
     if d > _BRUTE_FORCE_DIM_LIMIT:
         raise ValueError(f"pair enumeration limited to d <= {_BRUTE_FORCE_DIM_LIMIT}")
-    codes = collision_codes(h)
+    _, codes = np.unique(_as_keys(h.labels(_cube_bits(d))), return_inverse=True)
     counts = np.zeros(d + 1, dtype=np.int64)
     for xs, dist in cube_distance_rows(d):
         counts += np.bincount(dist[codes[xs][:, None] == codes], minlength=d + 1)
@@ -272,87 +274,79 @@ class LogConvexityCertificate:
     worst_abs_slack: float
     worst_triple: Optional[tuple[float, float, float]]
     n_checks: int
-    tolerance: float
+    tolerance: float = 1e-9
     note: str = ""
 
 
-def check_log_convexity(curve: StabilityCurve, tolerance: float = 1e-9) -> LogConvexityCertificate:
+# libm's expm1 and pow, one element at a time: numpy's vector loops (even its
+# square, x * x) may round the last bit differently.
+_expm1 = np.frompyfunc(math.expm1, 1, 1)
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
     """Certify midpoint log-convexity of an exact curve.
 
     Checks K(m)^2 <= K(t1) K(t2) (1 + tolerance) for every grid pair whose
     midpoint lies on the grid, plus the weighted inequality for every
-    consecutive triple; reports the worst slack found.
+    consecutive triple; reports the worst slacks, with the first triple of
+    the worst relative slack in check order.
     """
-    if curve.provenance != EXACT:
-        raise ValueError("log-convexity certification needs an exact-provenance curve")
+    if curve.stderr is not None:
+        raise ValueError("log-convexity certification needs an exact curve")
     if len(curve.grid) < 3:
         raise ValueError("need at least 3 grid points")
     t = np.array(curve.grid)
     k = np.array(curve.values)
-    if np.any(k <= 0):
+    if not all(0 < v < math.inf for v in curve.values):
         return LogConvexityCertificate(
             passed=False,
             worst_rel_slack=math.inf,
             worst_abs_slack=math.inf,
             worst_triple=None,
             n_checks=0,
-            tolerance=tolerance,
-            note="nonpositive curve value",
+            note="curve value not positive and finite",
         )
     logk = np.log(k)
-
-    worst_rel = -math.inf
-    worst_abs = -math.inf
-    worst_triple = None
-    n_checks = 0
-
-    def consider(rel: float, abs_slack: float, triple) -> None:
-        nonlocal worst_rel, worst_abs, worst_triple, n_checks
-        n_checks += 1
-        if rel > worst_rel:
-            worst_rel = rel
-            worst_triple = triple
-        worst_abs = max(worst_abs, abs_slack)
-
+    worst_rel, worst_triple, worst_abs, n_checks = -math.inf, None, -math.inf, 0
     n = len(t)
     # Pairs with an on-grid midpoint (includes uniformly spaced triples), in
     # (i, j) order: the first of the grid points pos - 1, pos, pos + 1 around
     # the midpoint that math.isclose(., mid, rel_tol=1e-12, abs_tol=1e-12)
-    # accepts, for the pairs of as many rows i at a time as fill 2^16 pairs.
+    # accepts, for the pairs of as many rows i at a time as fill 2^16 pairs;
+    # then one block of the consecutive triples in general position.
     rows = max(1, (1 << 16) // n)
-    for lo in range(0, n - 2, rows):
-        i, j = np.nonzero(np.arange(n) >= np.arange(lo, min(lo + rows, n - 2))[:, None] + 2)
-        i += lo
-        with np.errstate(over="ignore"):
-            mid = (t[i] + t[j]) / 2
-        # Past about 9e307 the sum overflows; halving first keeps those midpoints finite.
-        mid = np.where(np.isinf(mid), t[i] / 2 + t[j] / 2, mid)[:, None]
-        cand = np.searchsorted(t, mid) + np.arange(-1, 2)
-        near = t[np.clip(cand, 0, n - 1)]
-        within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)
-        close = (cand >= 0) & (cand < n) & ((near == mid) | (np.isfinite(near) & np.isfinite(mid) & within))
-        hit = close.any(axis=1)
-        for a, c, b in zip(i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]):
-            rel = math.expm1(2 * logk[c] - logk[a] - logk[b])
-            consider(rel, k[c] ** 2 - k[a] * k[b], (float(t[a]), float(t[c]), float(t[b])))
-    # Consecutive triples in general position.
-    for i in range(1, n - 1):
-        span = t[i + 1] - t[i - 1]
-        if span <= 0:
+    for lo in [*range(0, n - 2, rows), None]:
+        if lo is None:
+            a = np.flatnonzero(t[2:] > t[:-2])
+            c, b = a + 1, a + 2
+            theta = (t[b] - t[c]) / (t[b] - t[a])
+            exponent = logk[c] - theta * logk[a] - (1 - theta) * logk[b]
+            slack = k[c] - (_pow(k[a], theta) * _pow(k[b], 1 - theta)).astype(float)
+        else:
+            i, j = np.nonzero(np.arange(n) >= np.arange(lo, min(lo + rows, n - 2))[:, None] + 2)
+            i += lo
+            with np.errstate(over="ignore"):
+                mid = (t[i] + t[j]) / 2
+            # Past about 9e307 the sum overflows; halving first keeps those midpoints finite.
+            mid = np.where(np.isinf(mid), t[i] / 2 + t[j] / 2, mid)[:, None]
+            cand = np.searchsorted(t, mid) + np.arange(-1, 2)
+            near = t[np.clip(cand, 0, n - 1)]
+            within = np.abs(near - mid) <= np.maximum(1e-12 * np.maximum(np.abs(near), np.abs(mid)), 1e-12)
+            close = (cand >= 0) & (cand < n) & ((near == mid) | (np.isfinite(near) & np.isfinite(mid) & within))
+            hit = close.any(axis=1)
+            a, c, b = i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]
+            exponent = 2 * logk[c] - logk[a] - logk[b]
+            slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
+        if not len(a):
             continue
-        theta = (t[i + 1] - t[i]) / span
-        rel = math.expm1(logk[i] - theta * logk[i - 1] - (1 - theta) * logk[i + 1])
-        bound = k[i - 1] ** theta * k[i + 1] ** (1 - theta)
-        consider(rel, k[i] - bound, (float(t[i - 1]), float(t[i]), float(t[i + 1])))
-
-    return LogConvexityCertificate(
-        passed=worst_rel <= tolerance,
-        worst_rel_slack=worst_rel,
-        worst_abs_slack=worst_abs,
-        worst_triple=worst_triple,
-        n_checks=n_checks,
-        tolerance=tolerance,
-    )
+        rel = _expm1(exponent).astype(float)
+        top = int(np.argmax(rel))
+        if rel[top] > worst_rel:
+            worst_rel, worst_triple = float(rel[top]), (float(t[a[top]]), float(t[c[top]]), float(t[b[top]]))
+        worst_abs = max(worst_abs, slack.max())
+        n_checks += len(a)
+    return LogConvexityCertificate(worst_rel <= 1e-9, worst_rel, worst_abs, worst_triple, n_checks)
 
 
 def stability_ratio(source: SpectrumSource, t: float, c: float) -> float:

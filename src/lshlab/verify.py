@@ -11,7 +11,7 @@ name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -99,9 +99,7 @@ def suite_log_convexity(seed: int, corrupt: bool = False) -> SuiteResult:
         if corrupt:
             values = list(curve.values)
             values[10] = min(1.0, values[10] * 1.01)
-            curve = type(curve)(
-                grid=curve.grid, values=tuple(values), provenance=curve.provenance
-            )
+            curve = replace(curve, values=tuple(values))
             corrupt = False
         cert = check_log_convexity(curve)
         worst = max(worst, cert.worst_rel_slack)

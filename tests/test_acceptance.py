@@ -105,7 +105,7 @@ def test_criterion_3_log_convexity():
         weights[-1] = float(1 - math.fsum(weights[:-1]))
         fam = finite_family(fns, weights)
         spec = family_spectrum(fam)
-        cert = check_log_convexity(stability_curve(spec, grid), tolerance=1e-9)
+        cert = check_log_convexity(stability_curve(spec, grid))
         assert cert.passed, cert
         if stability(spec, math.exp(-0.1)) >= 1:
             continue  # constant family: ratio undefined

@@ -22,7 +22,6 @@ from lshlab.hashing import (
     ProjectionProduct,
     bit_sampling_family,
     collision_code_matrix,
-    collision_codes,
     finite_family,
     minhash_family,
     power,
@@ -146,7 +145,7 @@ def test_labels_match_definitions(case):
 @given(functions())
 def test_collision_codes_match_definitions(case):
     h, _ = case
-    assert np.array_equal(collision_codes(h), ref_codes(h))
+    assert np.array_equal(collision_code_matrix([h])[0], ref_codes(h))
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,7 +166,7 @@ def test_code_matrix_rows_are_collision_codes(data):
 def test_stacked_cube_labels_equal_per_function_codes(d):
     # All MinHash permutations of a matrix are labelled at once, and so are
     # all pair collapses (the pair may be one point). Each row must match
-    # that function's own labels recoded, and its collision_codes, with rows
+    # that function's own labels recoded, and its one-row code matrix, with rows
     # of other classes interleaved.
     n = 1 << d
     fns = [MinHashPermutation(d, p) for p in itertools.permutations(range(d))]
@@ -177,7 +176,7 @@ def test_stacked_cube_labels_equal_per_function_codes(d):
     cube = _rows(range(1 << d), d)
     for h, row in zip(fns, codes, strict=True):
         assert np.array_equal(row, np.unique(h.labels(cube), axis=0, return_inverse=True)[1])
-        assert np.array_equal(row, collision_codes(h))
+        assert np.array_equal(row, collision_code_matrix([h])[0])
 
 
 @st.composite
@@ -219,7 +218,7 @@ def test_wide_projection_concatenation_is_exact(data):
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8))
     _check(h, values)
     if d <= 6:
-        assert np.array_equal(collision_codes(h), ref_codes(h))
+        assert np.array_equal(collision_code_matrix([h])[0], ref_codes(h))
 
 
 @settings(max_examples=60, deadline=None)

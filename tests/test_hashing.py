@@ -23,8 +23,8 @@ from lshlab.hashing import (
     Parity,
     bit_sampling_family,
     bit_sampling_profile,
-    collision_codes,
     collision_by_distance,
+    collision_code_matrix,
     collision_probability,
     constant_family,
     exact_sensitivity,
@@ -90,7 +90,7 @@ def test_collision_codes_match_eval():
         Concatenation((CoordinateProjection(4, 1), Parity(4, (0, 2)))),
     ]
     for h in fns:
-        codes = collision_codes(h)
+        codes = collision_code_matrix([h])[0]
         raw = [h(Point(v, 4)) for v in range(16)]
         for a in range(16):
             for b in range(16):

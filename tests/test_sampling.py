@@ -118,7 +118,7 @@ def test_mc_deterministic_given_seed():
 
 def test_mc_curve():
     curve = mc_stability_curve(bit_sampling_family(9), [0.0, 0.5], 1500, seed=10)
-    assert curve.provenance == "monte-carlo"
+    assert len(curve.stderr) == len(curve.grid)
     assert curve.values[0] == 1.0
     expected = (1 + math.exp(-0.5)) / 2
     assert abs(curve.values[1] - expected) <= 4 * curve.stderr[1]

@@ -1,11 +1,12 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lshlab import hashing
 from lshlab.hashing import (
@@ -18,7 +19,7 @@ from lshlab.hashing import (
     PairCollapse,
     Parity,
     bit_sampling_family,
-    collision_codes,
+    collision_code_matrix,
     constant_family,
     finite_family,
     power,
@@ -26,7 +27,6 @@ from lshlab.hashing import (
 from lshlab import spectral
 from lshlab.points import Point
 from lshlab.spectral import (
-    EXACT,
     FourierSpectrum,
     StabilityCurve,
     _fwht_in_place,
@@ -482,7 +482,7 @@ def test_code_groups_slice_each_group_by_subcube_cells():
         perm = tuple(int(c) for c in g.permutation(d))
         fns += [Constant(d), CoordinateProjection(d, i % d), ExplicitTable(d, wide),
                 CoordinateSubset(d, (i % d, (i + 3) % d)), MinHashPermutation(d, perm)]
-    want = [collision_codes(h) for h in fns]
+    want = [collision_code_matrix([h])[0] for h in fns]
     seen = []
     with mock.patch.object(hashing, "_CODE_CELLS", 8):
         for rows, J, codes in hashing._code_groups(fns):
@@ -590,6 +590,28 @@ def test_collision_counts_total():
     assert counts.sum() <= (1 << 5) ** 2
 
 
+@pytest.mark.parametrize("d", [1, 4, 6])
+def test_oracle_reads_no_collision_codes(d):
+    # The oracle ranks the labels h gives the cube itself: with the code
+    # groups the spectra transform unavailable, its counts still equal a
+    # direct count over all ordered pairs.
+    g = np.random.default_rng(d)
+    wide = Concatenation(tuple(PairCollapse(d, int(x), int(x) ^ 1) for x in g.integers(0, 1 << d, 11)))
+    assert d < 6 or wide.width == 2
+    fns = [_random_table(g, d), MinHashPermutation(d, tuple(int(i) for i in g.permutation(d))), wide]
+    broken = mock.Mock(side_effect=AssertionError("the oracle read collision codes"))
+    for h in fns:
+        labels = [h(Point(v, d)) for v in range(1 << d)]
+        want = np.zeros(d + 1, dtype=np.int64)
+        for x in range(1 << d):
+            for y in range(1 << d):
+                want[(x ^ y).bit_count()] += labels[x] == labels[y]
+        with mock.patch.object(hashing, "_code_groups", broken), \
+                mock.patch.object(hashing, "collision_code_matrix", broken), \
+                mock.patch.object(spectral, "_code_groups", broken):
+            assert collision_counts_by_distance(h).tolist() == want.tolist()
+
+
 @settings(deadline=None, max_examples=20)
 @given(d=st.integers(2, 8), seed=st.integers(0, 10**6))
 def test_oracle_equivalence(d, seed):
@@ -606,7 +628,7 @@ def test_oracle_equivalence(d, seed):
 
 def test_curve_invariants():
     curve = stability_curve(bit_sampling_family(6), np.linspace(0, 3, 13))
-    assert curve.provenance == EXACT
+    assert curve.stderr is None
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
     # strictly decreasing whenever mass sits above the empty set
     assert all(a > b for a, b in zip(curve.values, curve.values[1:]))
@@ -624,7 +646,7 @@ def test_curve_rejects_non_finite_times(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         stability_curve(bit_sampling_family(4), [0.0, bad])
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        StabilityCurve((0.0, bad), (1.0, 0.5), EXACT)
+        StabilityCurve((0.0, bad), (1.0, 0.5))
     with pytest.raises(ValueError):
         stability_ratio(bit_sampling_family(4), bad, 2.0)
     with pytest.raises(ValueError):
@@ -658,17 +680,57 @@ def test_certificate_flags_violation():
     # a hand-corrupted curve cannot come from any hash family
     grid = (0.0, 0.5, 1.0, 1.5)
     values = (1.0, 0.9, 0.85, 0.2)
-    cert = check_log_convexity(StabilityCurve(grid, values, EXACT))
+    cert = check_log_convexity(StabilityCurve(grid, values))
     assert not cert.passed
     assert cert.worst_triple is not None
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+def test_certificate_fails_a_value_not_positive_and_finite(bad):
+    cert = check_log_convexity(StabilityCurve((0.0, 0.5, 1.0, 1.5), (1.0, bad, 0.8, 0.7)))
+    assert not cert.passed and cert.n_checks == 0 and cert.worst_triple is None
+
+
 def test_certificate_requires_exact_curve():
-    curve = StabilityCurve((0.0, 0.5, 1.0), (1.0, 0.9, 0.8), "monte-carlo", stderr=(0.0,) * 3)
+    curve = StabilityCurve((0.0, 0.5, 1.0), (1.0, 0.9, 0.8), stderr=(0.0,) * 3)
     with pytest.raises(ValueError):
         check_log_convexity(curve)
     with pytest.raises(ValueError):
-        check_log_convexity(StabilityCurve((0.0, 1.0), (1.0, 0.9), EXACT))
+        check_log_convexity(StabilityCurve((0.0, 1.0), (1.0, 0.9)))
+
+
+@pytest.mark.parametrize("stderr", [(0.1,), (0.1, -0.2, 0.0), (0.1, math.nan, 0.0), "abc", (0.1, math.inf, 0.0)])
+def test_curve_refuses_malformed_stderr(stderr):
+    # An exact curve has no stderr; a Monte Carlo one has one finite,
+    # nonnegative float per point, so a positional label string is refused.
+    with pytest.raises(ValueError, match="stderr"):
+        StabilityCurve((0.0, 0.5, 1.0), (1.0, 0.9, 0.8), stderr)
+
+
+def test_certificate_names_the_first_worst_check():
+    # A flat curve ties every check at slack 0, over three blocks of rows
+    # and the triples. The first on-grid midpoint is that of points 2 and
+    # 4, so the first worst check is neither a later pair nor a triple.
+    grid = (0.0, 0.3) + tuple(float(t) for t in np.linspace(0.5, 3, 398))
+    curve = StabilityCurve(grid, (1.0,) * 400)
+    cert = check_log_convexity(curve)
+    assert cert.passed and cert.worst_rel_slack == 0.0
+    assert cert.worst_triple == grid[2:5]
+    assert cert.n_checks == _pairwise_log_convexity(curve)[4]
+
+
+def test_certificate_memory_stays_blocked():
+    # 2001 points make 1,001,999 checks; blocks of at most 2^16 pairs keep
+    # the certificate's peak allocation far below all checks at once.
+    curve = stability_curve(bit_sampling_family(10), np.linspace(0, 3, 2001))
+    tracemalloc.start()
+    try:
+        cert = check_log_convexity(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.n_checks == 1_001_999
+    assert peak <= 16 << 20
 
 
 def _pairwise_log_convexity(curve, tolerance=1e-9):
@@ -732,12 +794,14 @@ def _grids(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(case=_grids())
+# libm's pow(x, 2) and the product x * x differ in the last bit at this K(0.5).
+@example(case=((0.0, 0.5, 1.0), [0.75, 0.6986048931476442, 0.5]))
 def test_log_convexity_matches_pairwise_loop(case):
     grid, values = case
     if values is None:
         curve = stability_curve(power(bit_sampling_family(5), 2), grid)
     else:
-        curve = StabilityCurve(grid, tuple(values), EXACT)
+        curve = StabilityCurve(grid, tuple(values))
     cert = check_log_convexity(curve)
     got = (cert.passed, cert.worst_rel_slack, cert.worst_abs_slack, cert.worst_triple, cert.n_checks)
     want = _pairwise_log_convexity(curve)
@@ -751,7 +815,7 @@ def test_log_convexity_blocks_of_rows_match_pairwise_loop():
     grid = np.linspace(1, 5, 400)
     grid[::3] += g.uniform(-1e-11, 1e-11, len(grid[::3]))
     values = np.sort(g.uniform(1e-3, 1, 400))[::-1]
-    curve = StabilityCurve(tuple(map(float, grid)), tuple(map(float, values)), EXACT)
+    curve = StabilityCurve(tuple(map(float, grid)), tuple(map(float, values)))
     cert = check_log_convexity(curve)
     got = (cert.passed, cert.worst_rel_slack, cert.worst_abs_slack, cert.worst_triple, cert.n_checks)
     assert repr(got) == repr(_pairwise_log_convexity(curve))
