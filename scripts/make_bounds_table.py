@@ -3,6 +3,7 @@
 the gap between the .46/c bound and 1/c is widest."""
 
 import argparse
+from dataclasses import astuple
 
 import numpy as np
 
@@ -23,13 +24,7 @@ def main() -> None:
     cs = sorted(set(np.concatenate([coarse, fine]).tolist()))
     rows = bound_table(cs, args.d, args.q, big_k=args.K)
 
-    write_rows(
-        args.out,
-        BOUND_TABLE_HEADER,
-        [(r.c, r.im, r.ai, r.diim, r.mnp, r.main) for r in rows],
-        "csv",
-        float_fmt=lambda v: f"{v:.12g}",
-    )
+    write_rows(args.out, BOUND_TABLE_HEADER, map(astuple, rows), "csv", float_fmt=lambda v: f"{v:.12g}")
     print(f"wrote {len(rows)} rows to {args.out}")
     head = rows[0]
     print(f"at c=1: mnp={head.mnp:.6f}, gap to upper bound {head.im - head.mnp:.6f}")

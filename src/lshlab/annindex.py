@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -163,29 +163,27 @@ class NNIndex:
             stack = LabelStack.of([Concatenation(tuple(self.parts[j] for j in row)) for row in self.table.tolist()])
         else:
             stack = LabelStack(list(self.parts), self.table)
-        # Labels of narrower functions sit right-aligned, below the top word's bound.
-        bound = stack.layout[2]
-        label_width = -(-(bound - 1).bit_length() // 64) or 1
-        top = -(-bound >> 64 * (label_width - 1))
-        (_, above), (_, scale), _ = _pack((top, L))
-        width = label_width + above
-        self._tags = np.zeros((L, 1, width), dtype=np.uint64)
-        self._tags[:, 0, 0] = [t * scale for t in range(L)]
-        self._labeler = ProjectionProduct.of(stack, width) or replace(stack, width=width)
-        # Each table sorts by its lowest label word, then stably by each
-        # higher one. The table digit shares the top label word, or is added
-        # as a word of its own to the bucket keys alone.
+        self._labeler = ProjectionProduct.of(stack) or stack  # one product for projections
         words = self._labeler.words(bits)
+        # Labels of narrower functions sit right-aligned, below the top
+        # word's bound; the table digit shares that word, or takes one of
+        # its own above it in the bucket keys alone.
+        width = words.shape[2]
+        top = -(-stack.layout[2] >> 64 * (width - 1))
+        (_, above), (_, scale), _ = _pack((top, L))
+        self._tags = np.zeros((L, 1, width + above), dtype=np.uint64)
+        self._tags[:, 0, 0] = [t * scale for t in range(L)]
         if not above:
             words += self._tags
+        # Each table sorts by its lowest label word, then stably by each higher one.
         n = len(bits)
         order = np.argsort(words[..., -1], axis=1)
-        for j in range(width - 2, width - label_width - 1, -1):
+        for j in range(width - 2, -1, -1):
             by_word = np.argsort(np.take_along_axis(words[..., j], order, axis=1), axis=1, kind="stable")
             order = np.take_along_axis(order, by_word, axis=1)
         # One gather of the label words, at each table's order moved to its rows.
         order += np.arange(0, L * n, n)[:, None]
-        labels = np.take(words.reshape(-1, width)[:, width - label_width :], order.ravel(), axis=0)
+        labels = np.take(words.reshape(-1, width), order.ravel(), axis=0)
         order -= np.arange(0, L * n, n)[:, None]
         del words  # 8w bytes per point and table, freed before the id arrays are made
         first = np.ones((L, n), dtype=bool)
@@ -212,11 +210,16 @@ class NNIndex:
         return CANDIDATE_CAP_FACTOR * self.params.L
 
     def _words(self, bits: np.ndarray) -> np.ndarray:
-        """(L, n, w) key words of the rows of bits, most significant first:
-        one product for projections, else one LabelStack."""
+        """(L, n, w) key words of the rows of bits, most significant first: the labeler's
+        words plus the tags, or below the tags' top word if the table digit has its own."""
         words = self._labeler.words(bits)
-        words += self._tags
-        return words
+        if words.shape[2] == self._tags.shape[2]:
+            words += self._tags
+            return words
+        keys = np.empty((*words.shape[:2], self._tags.shape[2]), dtype=np.uint64)
+        keys[...] = self._tags
+        keys[..., 1:] = words
+        return keys
 
     def _buckets(self, words: np.ndarray) -> np.ndarray:
         """For each table t, the bucket whose key is row t of the (L, w)
@@ -391,13 +394,13 @@ class ExperimentReport:
     delta: float
     k: int
     L: int
-    n_queries: int
+    queries: int
     successes: int
     success_rate: float
     max_inspected: int
     mean_inspected: float
     candidate_cap: int
-    base_evaluations_per_query: int
+    evals_per_query: int
     total_entries: int
     seed: int
 
@@ -443,13 +446,13 @@ def planted_experiment(
         delta=delta,
         k=params.k,
         L=params.L,
-        n_queries=n_queries,
+        queries=n_queries,
         successes=successes,
         success_rate=successes / n_queries,
         max_inspected=max(inspected),
         mean_inspected=sum(inspected) / len(inspected),
         candidate_cap=index.candidate_cap,
-        base_evaluations_per_query=params.L * params.k,
+        evals_per_query=params.L * params.k,
         total_entries=stats(index).total_entries,
         seed=seed,
     )

@@ -14,7 +14,7 @@ the error terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -251,7 +251,7 @@ class BoundRow:
     main: float
 
 
-BOUND_TABLE_HEADER = ("c", "im", "ai", "diim", "mnp", "main")
+BOUND_TABLE_HEADER = tuple(f.name for f in fields(BoundRow))
 
 
 def bound_table(

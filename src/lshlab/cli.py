@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +32,13 @@ from .annindex import (
 from .bounds import BOUND_TABLE_HEADER, bound_table
 from .hashing import (
     _ENUM_DIM_LIMIT,
+    _EXACT_MINHASH_DIM_LIMIT,
     bit_sampling_family,
     bit_sampling_profile,
     exact_sensitivity,
+    family_from_descriptor,
     family_from_json,
-    minhash_family,
     power,
-    trivial_family,
 )
 from .points import Point, load_points_binary, load_points_text
 from .sampling import mc_stability_curve
@@ -113,22 +113,15 @@ def _resolve_family(args, dim_limit: Optional[int] = None) -> object:
         except ValueError as exc:
             raise CliError(f"{args.family_file}: {exc}") from exc
     else:
-        name = args.family
         d = args.d
         if d is None:
             raise CliError("--d is required with a named family")
         if dim_limit is not None and d > dim_limit:
             raise CliError(f"--d {d} is past this command's limit of d <= {dim_limit}")
-        if name == "bit-sampling":
-            fam = bit_sampling_family(d)
-        elif name == "minhash":
-            fam = minhash_family(d, exact=d <= 8)
-        elif name == "trivial":
-            if args.r is None:
-                raise CliError("trivial family needs --r")
-            fam = trivial_family(d, args.r)
-        else:
-            raise CliError(f"unknown family {name!r}")
+        if args.family == "trivial" and args.r is None:
+            raise CliError("trivial family needs --r")
+        # A named family is the family file of its kind; MinHash is exact where it can be.
+        fam = family_from_descriptor({"kind": args.family, "d": d, "r": args.r, "exact": d <= _EXACT_MINHASH_DIM_LIMIT})
     if args.k is not None:
         fam = power(fam, args.k)
     return fam
@@ -147,13 +140,7 @@ def cmd_bounds(args) -> int:
         raise CliError("--steps must be at least 1")
     c_values = [float(c) for c in np.linspace(args.c_min, args.c_max, args.steps)]
     rows = bound_table(c_values, args.d, args.q, big_k=args.K, s=args.s)
-    write_rows(
-        args.out,
-        BOUND_TABLE_HEADER,
-        [(r.c, r.im, r.ai, r.diim, r.mnp, r.main) for r in rows],
-        args.format,
-        float_fmt=lambda v: f"{v:.12g}",
-    )
+    write_rows(args.out, BOUND_TABLE_HEADER, map(astuple, rows), args.format, float_fmt=lambda v: f"{v:.12g}")
     return 0
 
 
@@ -255,22 +242,7 @@ def cmd_index_experiment(args) -> int:
         n=args.n, d=args.d, r=args.r, c=args.c, delta=args.delta,
         n_queries=args.queries, seed=args.seed,
     )
-    header = (
-        "n", "d", "r", "cr", "delta", "k", "L", "queries", "successes",
-        "success_rate", "max_inspected", "mean_inspected", "candidate_cap",
-        "evals_per_query", "total_entries", "seed",
-    )
-    write_rows(
-        args.out,
-        header,
-        [(
-            rep.n, rep.d, rep.r, rep.cr, rep.delta, rep.k, rep.L, rep.n_queries,
-            rep.successes, rep.success_rate, rep.max_inspected, rep.mean_inspected,
-            rep.candidate_cap, rep.base_evaluations_per_query, rep.total_entries,
-            rep.seed,
-        )],
-        args.format,
-    )
+    write_rows(args.out, [f.name for f in fields(rep)], [astuple(rep)], args.format)
     return 0
 
 

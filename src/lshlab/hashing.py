@@ -427,11 +427,9 @@ class LabelStack:
 
     leaves: list[HashFunction]
     table: np.ndarray  # (m, k) leaf numbers, padded with -1
-    width: Optional[int] = None  # words per label, by default as many as the widest needs
 
     @classmethod
-    def of(cls, functions: Sequence[HashFunction], width: Optional[int] = None) -> "LabelStack":
-        """Labels come as `width` words, by default as many as the widest needs."""
+    def of(cls, functions: Sequence[HashFunction]) -> "LabelStack":
         # The distinct leaves, equal ones once, in order of first use, and each
         # function's leaves by number; each distinct object is hashed once.
         rows = [h._leaves for h in functions]
@@ -441,7 +439,7 @@ class LabelStack:
         lengths = np.fromiter(map(len, rows), np.int64, len(rows))
         table = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
         table[np.arange(table.shape[1]) < lengths[:, None]] = list(map(number.__getitem__, map(id, flat)))
-        return cls(list(index), table, width)
+        return cls(list(index), table)
 
     @functools.cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -487,10 +485,10 @@ class LabelStack:
         return digits
 
     def words(self, bits: np.ndarray) -> np.ndarray:
-        """(m, n, width) uint64 labels of the rows of bits (as for digits), right-aligned."""
+        """(m, n, w) uint64 labels of the rows of bits (as for digits), right-aligned in the widest one's w words."""
         word, scale, _ = self.layout
         digits = self.digits(bits) * scale[:, :, None]
-        out = np.empty((len(digits), digits.shape[2], self.width or int(word.max()) + 1), dtype=np.uint64)
+        out = np.empty((len(digits), digits.shape[2], int(word.max()) + 1), dtype=np.uint64)
         for c in range(out.shape[2]):  # word c from the last sums its digits
             out[:, :, -1 - c] = np.where((word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
         return out
@@ -520,18 +518,15 @@ class ProjectionProduct:
     width: int  # words per label
 
     @classmethod
-    def of(cls, stack: LabelStack, width: int) -> Optional["ProjectionProduct"]:
+    def of(cls, stack: LabelStack) -> Optional["ProjectionProduct"]:
         """The product for a stack's functions, or None unless every leaf is
-        a coordinate projection. Labels come as `width` words, at least as
-        many as the widest needs."""
+        a coordinate projection."""
         if not _projections(stack.leaves):
             return None
         m, k = stack.table.shape  # the longest function has k parts: labels below 2^k
-        used = -(-k // 64)  # words the labels reach
-        if used > width:
-            raise ValueError(f"labels below {1 << k} do not fit in {width} words")
+        width = -(-k // 64)  # words the labels reach
         limb = 53 if k <= 53 else 32
-        rows = 1 if limb == 53 else 2 * used
+        rows = 1 if limb == 53 else 2 * width
         t, j = np.nonzero(stack.table >= 0)
         coord = np.array([p.coord for p in stack.leaves], dtype=np.intp)[stack.table[t, j]]
         # Part j of function t adds 2^(j % limb) at its coordinate in its
@@ -545,16 +540,15 @@ class ProjectionProduct:
 
     def words(self, bits: np.ndarray) -> np.ndarray:
         """(n_functions, n, width) uint64 words of the labels of the rows of
-        an (n, dim) 0/1 matrix, most significant first; words above the
-        widest label are zero."""
-        out = np.zeros((self.n_functions, len(bits), self.width), dtype=np.uint64)
+        an (n, dim) 0/1 matrix, most significant first."""
+        out = np.empty((self.n_functions, len(bits), self.width), dtype=np.uint64)
         block = max(1, _PRODUCT_CELLS // len(self.weights))
         for lo in range(0, len(bits), block):
             points = bits[lo : lo + block, self.coords].T.astype(np.float64)
-            limbs = (self.weights @ points).astype(np.uint64).reshape(-1, self.n_functions, points.shape[1])
+            limbs = (self.weights @ points).reshape(-1, self.n_functions, points.shape[1])
             if len(limbs) > 1:  # two 32-bit limbs per word
-                limbs = (limbs[0::2] << np.uint64(32)) | limbs[1::2]
-            out[:, lo : lo + block, self.width - len(limbs) :] = limbs.transpose(1, 2, 0)
+                limbs = (limbs[0::2].astype(np.uint64) << np.uint64(32)) | limbs[1::2].astype(np.uint64)
+            out[:, lo : lo + block] = limbs.transpose(1, 2, 0)  # exact integers, cast as they are copied
         return out
 
 
@@ -654,9 +648,9 @@ class HashFamily:
             return self.atoms[int(g.choice(len(self.atoms), p=self._draw_weights))][1]
         return self.law.draw(g)
 
-    def sample(self, n: int, seed: int, substream: int = 0) -> list[HashFunction]:
-        """n independent draws; the same (seed, substream) always gives the same list."""
-        g = rngmod.stream(seed, substream)
+    def sample(self, n: int, seed: int) -> list[HashFunction]:
+        """n independent draws; the same seed always gives the same list."""
+        g = rngmod.stream(seed)
         return [self.draw(g) for _ in range(n)]
 
     @functools.cached_property
@@ -757,6 +751,9 @@ def constant_family(d: int) -> HashFamily:
     )
 
 
+_EXACT_MINHASH_DIM_LIMIT = 8
+
+
 def minhash_family(d: int, exact: bool = False) -> HashFamily:
     """MinHash: a uniformly random permutation of [d], hashing a set to the
     smallest rank among its elements. Points are read as subsets of [d].
@@ -768,8 +765,8 @@ def minhash_family(d: int, exact: bool = False) -> HashFamily:
         raise ValueError("dimension must be at least 1")
     doc = {"kind": "minhash", "d": d, "exact": bool(exact)}
     if exact:
-        if d > 8:
-            raise ValueError("exact MinHash enumeration is limited to d <= 8")
+        if d > _EXACT_MINHASH_DIM_LIMIT:
+            raise ValueError(f"exact MinHash enumeration is limited to d <= {_EXACT_MINHASH_DIM_LIMIT}")
         fns = [MinHashPermutation(d, perm) for perm in itertools.permutations(range(d))]
         return finite_family(
             fns, description=f"uniform over all {d}! MinHash permutations", descriptor_doc=doc

@@ -278,9 +278,16 @@ class LogConvexityCertificate:
     note: str = ""
 
 
+def _expm1_or_inf(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:  # past about 709.78
+        return math.inf
+
+
 # libm's expm1 and pow, one element at a time: numpy's vector loops (even its
 # square, x * x) may round the last bit differently.
-_expm1 = np.frompyfunc(math.expm1, 1, 1)
+_expm1 = np.frompyfunc(_expm1_or_inf, 1, 1)
 _pow = np.frompyfunc(pow, 2, 1)
 
 
@@ -340,7 +347,8 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
             slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
         if not len(a):
             continue
-        rel = _expm1(exponent).astype(float)
+        with np.errstate(over="ignore"):  # libm's overflow flag, for the inf above
+            rel = _expm1(exponent).astype(float)
         top = int(np.argmax(rel))
         if rel[top] > worst_rel:
             worst_rel, worst_triple = float(rel[top]), (float(t[a[top]]), float(t[c[top]]), float(t[b[top]]))

@@ -226,16 +226,17 @@ def test_wide_projection_concatenation_is_exact(data):
 def test_projection_product_is_exact(data):
     # One product labels several functions at once, exactly, as 64-bit
     # words: labels below 2^53 take one float64 weight row, wider ones two
-    # 32-bit limb rows per word they reach. Spare words above stay zero.
+    # 32-bit limb rows per word they reach. Narrower labels sit right-aligned
+    # under zero words.
     d = data.draw(st.integers(1, 80))
     widths = st.one_of(st.integers(1, 130), st.sampled_from([52, 53, 54, 63, 64, 65, 127, 128, 129]))
     fns = [
         Concatenation(tuple(CoordinateProjection(d, c) for c in data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))))
         for k in data.draw(st.lists(widths, min_size=1, max_size=4))
     ]
-    width = -(-max(len(h.parts) for h in fns) // 64) + data.draw(st.integers(0, 1), label="extra")
+    width = -(-max(len(h.parts) for h in fns) // 64)
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
-    words = ProjectionProduct.of(LabelStack.of(fns), width).words(_rows(values, d))
+    words = ProjectionProduct.of(LabelStack.of(fns)).words(_rows(values, d))
     assert words.dtype == np.uint64 and words.shape == (len(fns), len(values), width)
     labels = [[_value(row) for row in fn_words] for fn_words in words]
     assert labels == [[ref_label(h, v) for v in values] for h in fns]
@@ -244,10 +245,8 @@ def test_projection_product_is_exact(data):
         # The product's words are the concatenation's own, zero above them.
         assert np.array_equal(fn_words[:, width - h.width :], h.labels(_rows(values, d)))
         assert not fn_words[:, : width - h.width].any()
-    with pytest.raises(ValueError, match="do not fit"):
-        ProjectionProduct.of(LabelStack.of(fns + [Concatenation((CoordinateProjection(d, 0),) * (64 * width + 1))]), width)
     # Any other leaf takes the LabelStack path.
-    assert ProjectionProduct.of(LabelStack.of(fns + [Concatenation((Parity(d, (0,)),))]), width) is None
+    assert ProjectionProduct.of(LabelStack.of(fns + [Concatenation((Parity(d, (0,)),))])) is None
 
 
 def test_wide_labels_reach_past_int64():

@@ -122,6 +122,37 @@ GOLDEN_RUNS = {
         ["verify", "--seed", "1729"],
         "151c591bb877dde931eb1edeb8610b833dae793afc914919ec1257e82d54c93b",
     ),
+    # Tables whose columns are their records' fields.
+    "bounds-csv": (
+        ["bounds", "--steps", "5"],
+        "222f054a62df9c2c8e2df33ab08587409a2da75dfd5dfabeb15102ad0cb1843a",
+    ),
+    "bounds-jsonl": (
+        ["bounds", "--steps", "5", "--format", "jsonl"],
+        "ed941b5ec86c8dce1c0aab362442a3e2e7e60e6e1fbbdea35bc27b106dee5269",
+    ),
+    "index-experiment-csv": (
+        ["index-experiment", "--n", "300", "--d", "48", "--r", "3", "--queries", "40"],
+        "6b16f03045d9fdab0f268dba1c540959f298c1a8b6c415cec5e9cedeafe2b0a0",
+    ),
+    "index-experiment-jsonl": (
+        ["index-experiment", "--n", "300", "--d", "48", "--r", "3", "--queries", "40", "--format", "jsonl"],
+        "a268a505ffaa44d87e2993330553fbabdcb55bf0da2c85ce3ace53ccebd55083",
+    ),
+    # Named families: exact MinHash up to d = 8, its sampling law one past
+    # that, and the trivial family at its --r.
+    "sensitivity-exact-minhash": (
+        ["sensitivity", "--family", "minhash", "--d", "5", "--r", "1", "--cr", "3"],
+        "82627251fb1d4177dbf99a2b5e08934f69485110537cdc7c2a35ea277d2595e6",
+    ),
+    "mc-minhash-law-d9": (
+        ["stability", "--mode", "mc", "--family", "minhash", "--d", "9", "--t-grid", "0,1", "--samples", "2000"],
+        "4b7cac957cd8fd68f9a43498ffe86ce44b38a6e506b0f7c616eccb2d1cb28330",
+    ),
+    "sensitivity-trivial": (
+        ["sensitivity", "--family", "trivial", "--d", "6", "--r", "1", "--cr", "2"],
+        "34d3fa78bd348f7a0742e94cbc1bf03dbb25700f57b25fac2586232f96f1bebb",
+    ),
 }
 
 

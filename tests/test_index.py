@@ -435,6 +435,20 @@ def test_keys_whose_low_bytes_are_zero(k, low):
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
 
 
+@pytest.mark.parametrize("k, L, size", [(64, 1, 8), (64, 2, 16), (57, 128, 8), (57, 129, 16)])
+def test_table_digit_at_the_word_boundary(k, L, size):
+    # The table number shares the top label word while (top bound) * L fits
+    # 2^64: 2^64 * 1 and 2^57 * 128 do, 2^64 * 2 and 2^57 * 129 do not, and
+    # then it takes a zero word of its own above the label.
+    pts = _random_points(20, 16, seed=31) * 2
+    idx = build(pts, bit_sampling_family(16), IndexParams(r=1, cr=3, k=k, L=L, delta=0.1, seed=6))
+    assert idx.keys.dtype.itemsize == size
+    tables = _ref_tables(_functions(idx), pts)
+    assert _buckets(idx) == tables
+    for x in pts[:20]:
+        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
