@@ -47,6 +47,10 @@ CANDIDATE_CAP_FACTOR = 3  # tunable probe budget: at most 3L candidate inspectio
 # An index's ids and offsets are int32, and build draws its (L, k) part table whole.
 MAX_ENTRIES, MAX_TABLE_PARTS = (1 << 31) - 1, 1 << 22
 
+# Entries of one block of whole tables that a build sorts at a time (label
+# digits, for a LabelStack); a table of more points is a block of its own.
+BUILD_BLOCK_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class IndexParams:
@@ -164,46 +168,82 @@ class NNIndex:
         else:
             stack = LabelStack(list(self.parts), self.table)
         self._labeler = ProjectionProduct.of(stack) or stack  # one product for projections
-        words = self._labeler.words(bits)
         # Labels of narrower functions sit right-aligned, below the top
         # word's bound; the table digit shares that word, or takes one of
-        # its own above it in the bucket keys alone.
-        width = words.shape[2]
+        # its own above it.
+        width = self._labeler.width
         top = -(-stack.layout[2] >> 64 * (width - 1))
         (_, above), (_, scale), _ = _pack((top, L))
         self._tags = np.zeros((L, 1, width + above), dtype=np.uint64)
         self._tags[:, 0, 0] = [t * scale for t in range(L)]
-        if not above:
-            words += self._tags
-        # Each table sorts by its lowest label word, then stably by each higher one.
+        # The tables are built a block of whole tables at a time, straight
+        # into keys, offsets and ids at their full size; buckets move down
+        # over the duplicate keys of earlier blocks, and keys and offsets are
+        # cut to the bucket count at the end.
         n = len(bits)
-        order = np.argsort(words[..., -1], axis=1)
-        for j in range(width - 2, -1, -1):
-            by_word = np.argsort(np.take_along_axis(words[..., j], order, axis=1), axis=1, kind="stable")
-            order = np.take_along_axis(order, by_word, axis=1)
-        # One gather of the label words, at each table's order moved to its rows.
-        order += np.arange(0, L * n, n)[:, None]
-        labels = np.take(words.reshape(-1, width), order.ravel(), axis=0)
-        order -= np.arange(0, L * n, n)[:, None]
-        del words  # 8w bytes per point and table, freed before the id arrays are made
-        first = np.ones((L, n), dtype=bool)
-        first.reshape(-1)[1:] = (labels[1:] != labels[:-1]).any(axis=1)
-        first[:, 0] = True  # each table starts with a new bucket
-        starts = np.flatnonzero(first)
-        keys = labels[starts] if len(starts) < len(labels) else labels
-        if above:
-            keys = np.hstack((np.repeat(self._tags[:, 0, :1], first.sum(axis=1), axis=0), keys))
+        keys = np.empty((L * n, width + above), dtype=np.uint64)
+        self.offsets = np.empty(L * n + 1, dtype=np.int32)
+        self.ids = np.empty(L * n, dtype=np.int32)
+        # A LabelStack holds each leaf label of an entry while it packs them;
+        # the product's own chunks bound its working set.
+        cells = n * (stack.table.shape[1] if self._labeler is stack else 1)
+        size, step = 0, max(1, BUILD_BLOCK_ENTRIES // cells)
+        for t in range(0, L, step):
+            size = self._build_block(keys, bits, slice(t, min(L, t + step)), size)
+        self.offsets[size] = L * n
+        if size < L * n:
+            # No view of either array is alive, so each shrinks in place.
+            keys.resize((size, keys.shape[1]), refcheck=False)
+            self.offsets.resize(size + 1, refcheck=False)
         self.keys = _as_keys(keys)
-        self.offsets = np.append(starts.astype(np.int32), np.int32(first.size))
+
+    def _build_block(self, keys: np.ndarray, bits: np.ndarray, tables: slice, size: int) -> int:
+        """Build the tables numbered in `tables` into keys, offsets and ids,
+        after the `size` buckets of the tables before them; return the new
+        bucket count."""
+        n, above = len(bits), self._tags.shape[2] - self._labeler.width
+        lo, hi = tables.start * n, tables.stop * n
+        block = keys[lo:hi].reshape(-1, n, keys.shape[1])
+        labels = self._labeler.words(bits, tables, out=block[..., above:])
+        # Each table sorts by its lowest label word, then stably by each higher
+        # one; the order is the table's ids.
+        ids = self.ids[lo:hi].reshape(-1, n)
+        ids[...] = np.argsort(labels[..., -1], axis=1)
+        for j in range(labels.shape[2] - 2, -1, -1):
+            by_word = np.take_along_axis(labels[..., j], ids, axis=1).argsort(axis=1, kind="stable")
+            ids[...] = np.take_along_axis(ids, by_word, axis=1)
+            del by_word  # one block-sized temporary at a time
+        # Sorted one-word labels are the gathered ones; wider ones gather a word at a time.
+        if labels.shape[2] == 1:
+            labels[..., 0].sort(axis=1)
+        else:
+            for j in range(labels.shape[2]):
+                labels[..., j] = np.take_along_axis(labels[..., j], ids, axis=1)
+        first = np.ones(ids.shape, dtype=bool)
+        first[:, 1:] = (labels[:, 1:] != labels[:, :-1]).any(axis=2)
+        # The table digit goes on once the labels are sorted: it is the same
+        # throughout a table.
+        if above:
+            block[..., 0] = self._tags[tables, :, 0]
+        else:
+            block += self._tags[tables]
+        if first.all():
+            if size < lo:
+                keys[size : size + hi - lo] = keys[lo:hi]
+            self.offsets[size : size + hi - lo] = np.arange(lo, hi, dtype=np.int32)
+            return size + hi - lo
+        starts = np.flatnonzero(first)
+        keys[size : size + len(starts)] = keys[lo:hi][starts]
+        self.offsets[size : size + len(starts)] = starts + lo
         # The unstable sort leaves each bucket's ids in any order. In a table
         # with a bucket of two or more points, buckets are numbered in order
         # and one sort of (bucket + 1) * n + id puts each bucket's ids in
         # ascending order.
         for t in np.flatnonzero(~first.all(axis=1)):
-            runs = np.cumsum(first[t]) * n + order[t]
+            runs = np.cumsum(first[t]) * n + ids[t]
             runs.sort()
-            order[t] = runs % n
-        self.ids = order.ravel().astype(np.int32)
+            ids[t] = runs % n
+        return size + len(starts)
 
     @property
     def candidate_cap(self) -> int:

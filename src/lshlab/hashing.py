@@ -467,11 +467,13 @@ class LabelStack:
         rows of bits: (n, dim), shared, or (m, n, dim), one block per function."""
         table = self.table if rows is None else self.table[rows]
         if bits.ndim == 2:
-            # One row per leaf, and a zero row that the padding -1 reads.
-            values = np.zeros((len(self.leaves) + 1, len(bits)), dtype=np.uint64)
-            for i, leaf in enumerate(self.leaves):
-                values[i] = leaf._labels(bits)
-            return values[table]
+            # One row per leaf these functions use, and a zero row that the padding -1 reads.
+            used, inverse = np.unique(table, return_inverse=True)
+            values = np.zeros((len(used), len(bits)), dtype=np.uint64)
+            for i, leaf in enumerate(used.tolist()):
+                if leaf >= 0:
+                    values[i] = self.leaves[leaf]._labels(bits)
+            return values[inverse.reshape(table.shape)]
         # Each leaf labels the rows of its cells, grouped by one sort (padding first).
         (m, k), n = table.shape, bits.shape[1]
         digits = np.zeros((m, k, n), dtype=np.uint64)
@@ -484,17 +486,25 @@ class LabelStack:
                 digits[f, s] = self.leaves[leaf[lo]]._labels(bits[f].reshape(-1, bits.shape[2])).reshape(len(f), n)
         return digits
 
-    def words(self, bits: np.ndarray) -> np.ndarray:
-        """(m, n, w) uint64 labels of the rows of bits (as for digits), right-aligned in the widest one's w words."""
+    @functools.cached_property
+    def width(self) -> int:
+        """Words of the widest function's labels."""
+        return int(self.layout[0].max()) + 1
+
+    def words(self, bits: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(m, n, width) uint64 labels of functions[rows] (all by default) of the rows
+        of bits (as for digits), right-aligned in `width` words; written to `out` if given."""
         word, scale, _ = self.layout
-        digits = self.digits(bits) * scale[:, :, None]
-        out = np.empty((len(digits), digits.shape[2], int(word.max()) + 1), dtype=np.uint64)
-        for c in range(out.shape[2]):  # word c from the last sums its digits
+        word = word[rows]
+        digits = self.digits(bits, rows) * scale[rows, :, None]
+        if out is None:
+            out = np.empty((len(digits), digits.shape[2], self.width), dtype=np.uint64)
+        for c in range(self.width):  # word c from the last sums its digits
             out[:, :, -1 - c] = np.where((word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
         return out
 
 
-# Cells of one block of ProjectionProduct's float64 product: 512 KiB.
+# Cells of one block of ProjectionProduct's float64 points and of its product: 512 KiB each.
 _PRODUCT_CELLS = 1 << 16
 
 
@@ -538,17 +548,25 @@ class ProjectionProduct:
         coords = np.flatnonzero(w.any(axis=0))
         return cls(coords, w[:, coords], m, width)
 
-    def words(self, bits: np.ndarray) -> np.ndarray:
-        """(n_functions, n, width) uint64 words of the labels of the rows of
-        an (n, dim) 0/1 matrix, most significant first."""
-        out = np.empty((self.n_functions, len(bits), self.width), dtype=np.uint64)
-        block = max(1, _PRODUCT_CELLS // len(self.weights))
+    def words(self, bits: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(m, n, width) uint64 words of the labels, under functions[rows] (all
+        by default), of the rows of an (n, dim) 0/1 matrix, most significant
+        first; written to `out` if given."""
+        # Weight row (limb, t) of each function t in rows.
+        weights = self.weights.reshape(-1, self.n_functions, len(self.coords))[:, rows]
+        m = weights.shape[1]
+        weights = weights.reshape(-1, len(self.coords))
+        if out is None:
+            out = np.empty((m, len(bits), self.width), dtype=np.uint64)
+        block = max(1, _PRODUCT_CELLS // max(weights.shape))
         for lo in range(0, len(bits), block):
             points = bits[lo : lo + block, self.coords].T.astype(np.float64)
-            limbs = (self.weights @ points).reshape(-1, self.n_functions, points.shape[1])
+            limbs = (weights @ points).reshape(-1, m, points.shape[1])
+            del points  # no chunk's blocks outlive it
             if len(limbs) > 1:  # two 32-bit limbs per word
                 limbs = (limbs[0::2].astype(np.uint64) << np.uint64(32)) | limbs[1::2].astype(np.uint64)
             out[:, lo : lo + block] = limbs.transpose(1, 2, 0)  # exact integers, cast as they are copied
+            del limbs
         return out
 
 

@@ -285,10 +285,17 @@ def _expm1_or_inf(x: float) -> float:
         return math.inf
 
 
+def _pow_or_inf(x: float, y: float) -> float:
+    try:
+        return pow(x, y)
+    except OverflowError:  # a result past the largest float
+        return math.inf
+
+
 # libm's expm1 and pow, one element at a time: numpy's vector loops (even its
 # square, x * x) may round the last bit differently.
 _expm1 = np.frompyfunc(_expm1_or_inf, 1, 1)
-_pow = np.frompyfunc(pow, 2, 1)
+_pow = np.frompyfunc(_pow_or_inf, 2, 1)
 
 
 def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
@@ -344,7 +351,8 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
             hit = close.any(axis=1)
             a, c, b = i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]
             exponent = 2 * logk[c] - logk[a] - logk[b]
-            slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
+            with np.errstate(over="ignore"):  # a square or product past the largest float is inf
+                slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
         if not len(a):
             continue
         with np.errstate(over="ignore"):  # libm's overflow flag, for the inf above

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lshlab import rng as rngmod
 from lshlab.annindex import (
+    BUILD_BLOCK_ENTRIES,
     IndexParams,
     NNIndex,
     QueryTrace,
@@ -22,6 +24,7 @@ from lshlab.annindex import (
 from lshlab.hashing import (
     Concatenation,
     CoordinateProjection,
+    MinHashPermutation,
     Parity,
     SensitivityProfile,
     bit_sampling_family,
@@ -247,6 +250,89 @@ def test_build_fast_path_matches_generic_labels():
     params = IndexParams(r=1, cr=4, k=5, L=3, delta=0.1, seed=9)
     idx = build(pts, bit_sampling_family(16), params)
     assert _buckets(idx) == _ref_tables(_functions(idx), pts)
+
+
+def _mixed_tables(pts):
+    # Tables of one repeated part, two buckets each, alternate with tables of
+    # all 16 coordinates, whose labels tell the points apart: a block of
+    # distinct keys moves down over the duplicate keys of the block before it.
+    parts = [CoordinateProjection(16, c) for c in range(16)]
+    table = [[0] * 16 if t % 2 else list(range(16)) for t in range(6)]
+    return NNIndex(IndexParams(r=1, cr=3, k=16, L=6, delta=0.1, seed=0), parts, table, points_to_bit_matrix(pts))
+
+
+def _sampled(family, k, L):
+    return lambda pts: build(pts, family, IndexParams(r=1, cr=3, k=k, L=L, delta=0.1, seed=5))
+
+
+@pytest.mark.parametrize("pts, make, per_block, size", [
+    (_random_points(50, 128, seed=40), _sampled(bit_sampling_family(128), 57, 92), 20, 8),
+    (_random_points(50, 40, seed=41), _sampled(bit_sampling_family(40), 70, 9), 2, 16),
+    (_random_points(20, 16, seed=42) * 2, _sampled(bit_sampling_family(16), 64, 2), 1, 16),
+    (_random_points(30, 24, seed=43) * 10, _sampled(bit_sampling_family(24), 8, 7), 2, 8),
+    (_random_points(60, 12, seed=44), _sampled(minhash_family(12), 3, 11), 9, 8),
+    (_random_points(40, 16, seed=45), _mixed_tables, 1, 8),
+], ids=["one-word", "two-word", "table-word", "repeated-10", "minhash", "mixed"])
+def test_blocks_of_tables_build_the_one_block_index(monkeypatch, pts, make, per_block, size):
+    # The default block holds every table here; blocks of per_block tables
+    # (of per_block / k for MinHash, whose blocks count leaf labels) split
+    # the build into 2 to 7 blocks, which must give the same bytes.
+    blocks = []
+    build_block = NNIndex._build_block
+    monkeypatch.setattr(NNIndex, "_build_block", lambda self, *args: blocks.append(args[2]) or build_block(self, *args))
+    whole = make(pts)
+    assert len(blocks) == 1
+    monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", per_block * len(pts))
+    idx = make(pts)
+    assert 2 <= len(blocks) - 1 <= 7
+    assert idx.keys.dtype.itemsize == size and idx.keys.tobytes() == whole.keys.tobytes()
+    assert idx.offsets.tobytes() == whole.offsets.tobytes() and idx.ids.tobytes() == whole.ids.tobytes()
+    tables = _ref_tables(_functions(idx), pts)
+    assert _buckets(idx) == tables
+    queries = pts[:6] + _random_points(6, idx.dim, seed=46)
+    assert [query_traced(idx, x) for x in queries] == [query_traced(whole, x) for x in queries]
+
+
+def test_blocks_label_each_leaf_once(monkeypatch):
+    # A block labels only the leaves its own tables use.
+    calls = []
+    labels = MinHashPermutation._labels
+    monkeypatch.setattr(MinHashPermutation, "_labels", lambda self, bits: calls.append(self) or labels(self, bits))
+    monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", 9 * 60)
+    idx = build(_random_points(60, 12, seed=44), minhash_family(12), IndexParams(r=1, cr=3, k=3, L=11, delta=0.1, seed=5))
+    assert len(calls) == len(idx.parts) == len(set(calls))
+
+
+def _traced_build(bits, params):
+    family = bit_sampling_family(bits.shape[1])
+    tracemalloc.start()
+    try:
+        idx = build(bits, family, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return idx, peak - sum(a.nbytes for a in (idx.keys, idx.offsets, idx.ids))
+
+
+def test_build_memory_is_the_tables_and_one_block():
+    # The benchmark's shape is one block: past the kept arrays, the build
+    # holds the block's argsort order (8 bytes an entry) and little else,
+    # about 1.8 MiB traced, against 3.4 MiB when the labels, their order, a
+    # gathered copy and the bucket starts were all held at once.
+    bits = np.random.default_rng(3).integers(0, 2, size=(2000, 128), dtype=np.uint8)
+    idx, extra = _traced_build(bits, IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
+    assert len(idx.ids) == 2000 * 92 <= BUILD_BLOCK_ENTRIES
+    assert extra <= 16 * len(idx.ids)  # one block's words and order
+
+
+def test_build_memory_stays_blocked(monkeypatch):
+    # Blocks of 4 tables at n = 2^12: past the kept arrays, a block's words
+    # and order and the projection product's two 512 KiB float64 blocks.
+    monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", 4 << 12)
+    bits = np.random.default_rng(4).integers(0, 2, size=(1 << 12, 128), dtype=np.uint8)
+    idx, extra = _traced_build(bits, IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
+    assert len(idx.keys) == 92 << 12
+    assert extra <= 16 * (4 << 12) + (1 << 20)
 
 
 # ---------------------------------------------------------------------------

@@ -692,6 +692,13 @@ def test_certificate_fails_a_check_past_the_float_range():
     assert cert.worst_triple == (0.0, 1.0, 2.0) and cert.n_checks == 2
 
 
+def test_certificate_fails_a_square_past_the_float_range():
+    # K(1)^2 is 1e320: the square overflows, so both slacks read inf.
+    cert = check_log_convexity(StabilityCurve((0.0, 1.0, 2.0), (1.0, 1e160, 1.0)))
+    assert not cert.passed and cert.worst_rel_slack == cert.worst_abs_slack == math.inf
+    assert cert.worst_triple == (0.0, 1.0, 2.0) and cert.n_checks == 2
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
 def test_certificate_fails_a_value_not_positive_and_finite(bad):
     cert = check_log_convexity(StabilityCurve((0.0, 0.5, 1.0, 1.5), (1.0, bad, 0.8, 0.7)))
