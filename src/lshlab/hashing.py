@@ -110,6 +110,13 @@ class HashFunction:
         the class knows a smaller set."""
         return tuple(range(self.dim))
 
+    def _orbit(self) -> object:
+        """A key that two functions share only if a coordinate permutation
+        and a shift x -> x ^ s carry one's label partition onto the other's,
+        which keeps every level weight: the function itself, unless the
+        class knows its orbit."""
+        return self
+
     @classmethod
     def _cube_labels(cls, functions: Sequence["HashFunction"], J: np.ndarray) -> np.ndarray:
         """(m, 2^j, w) labels of the 2^j points pdep(s, J[i]) of each function's
@@ -204,6 +211,10 @@ class CoordinateProjection(HashFunction):
 
     support = property(lambda self: (self.coord,))
 
+    def _orbit(self) -> object:
+        # Swapping two coordinates carries either projection onto the other.
+        return (CoordinateProjection, self.dim)
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return bits[:, self.coord].astype(np.uint64)
 
@@ -230,6 +241,11 @@ class CoordinateSubset(HashFunction):
 
     support = property(lambda self: tuple(sorted(self.coords)))
 
+    def _orbit(self) -> object:
+        # The partition is by the values at the set of coords, and a
+        # permutation carries any set onto any other of its size.
+        return (CoordinateSubset, self.dim, len(self.coords))
+
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return _row_values(bits[:, list(self.coords)])
 
@@ -251,6 +267,10 @@ class Parity(HashFunction):
         return 2
 
     support = property(lambda self: tuple(sorted(self.coords)))
+
+    def _orbit(self) -> object:
+        # A permutation carries any set of coords onto any other of its size.
+        return (Parity, self.dim, len(self.coords))
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         return bits[:, list(self.coords)].sum(axis=1, dtype=np.uint64) & np.uint64(1)
@@ -321,6 +341,10 @@ class MinHashPermutation(HashFunction):
     def label_bound(self) -> int:
         return self.dim + 1
 
+    def _orbit(self) -> object:
+        # Moving coordinate i to place perm[i] turns h into the identity permutation.
+        return (MinHashPermutation, self.dim)
+
     @functools.cached_property
     def _ranks(self) -> np.ndarray:
         return np.array(self.perm, dtype=np.uint64)
@@ -359,6 +383,11 @@ class PairCollapse(HashFunction):
     @property
     def label_bound(self) -> int:
         return (1 << self.dim) + 1
+
+    def _orbit(self) -> object:
+        # The shift by x0 and then a permutation carry the pair to (0, 2^m - 1),
+        # m = popcount(x0 ^ y0), and every other point stays alone.
+        return (PairCollapse, self.dim, (self.x0 ^ self.y0).bit_count())
 
     def _labels(self, bits: np.ndarray) -> np.ndarray:
         v = _row_values(bits)
@@ -411,6 +440,15 @@ class Concatenation(HashFunction):
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*(p.support for p in self.parts))))
+
+    def _orbit(self) -> object:
+        leaves = self._leaves
+        if not _projections(leaves):
+            return self
+        # A permutation sends each coordinate to its number in order of first
+        # use, and carries any two projection tuples of one pattern onto it.
+        first: dict[int, int] = {}
+        return (Concatenation, self.dim, tuple([first.setdefault(p.coord, len(first)) for p in leaves]))
 
     @functools.cached_property
     def _stack(self) -> "LabelStack":
@@ -807,13 +845,14 @@ def trivial_family(d: int, r: int) -> HashFamily:
         raise ValueError("trivial family enumeration is limited to d <= 14")
     if r < 1:
         raise ValueError("no pairs within distance < 1")
-    n = 1 << d
-    fns = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            dist = (x ^ y).bit_count()
-            if dist <= r:
-                fns.append(PairCollapse(d, x, y))
+    # The pairs (x, x ^ m) over the masks m of weight 1..r, kept where
+    # x ^ m > x, in (x, y) order: each row of partners sorted.
+    points = np.arange(1 << d)
+    masks = points[1:][np.bitwise_count(points[1:]) <= r]
+    partners = np.sort(points[:, None] ^ masks, axis=1)
+    keep = partners > points[:, None]
+    xs = np.broadcast_to(points[:, None], partners.shape)[keep]
+    fns = [PairCollapse(d, x, y) for x, y in zip(xs.tolist(), partners[keep].tolist())]
     if not fns:
         raise ValueError(f"no point pairs within distance {r}")
     return finite_family(

@@ -8,6 +8,12 @@ rho-correlated pair of strings. Writing K(t) for the stability at e^{-t}
 makes K a nonnegative combination of the functions e^{-t|S|}, hence
 log-convex in t; check_log_convexity certifies that numerically and
 stability_ratio exhibits the resulting ln(1/K(t)) / ln(1/K(ct)) >= 1/c bound.
+
+A coordinate permutation or a shift x -> x ^ s keeps every level weight, so
+family_spectrum transforms one atom per orbit key (HashFunction._orbit):
+projections, subsets, parities, MinHash permutations, pair collapses and
+concatenations of projections carry keys; any other function is its own
+orbit.
 """
 
 from __future__ import annotations
@@ -149,7 +155,9 @@ def fourier_spectrum(h: HashFunction) -> FourierSpectrum:
 
 def family_spectrum(family: HashFamily) -> FourierSpectrum:
     """Expected spectrum over a finite family: the probability-weighted
-    average of its atoms' spectra, each level summed exactly and rounded once."""
+    average of its atoms' spectra, each level summed exactly and rounded once.
+    Atoms of one orbit (HashFunction._orbit) have equal levels, so only the
+    first of each is transformed, weighted by the orbit's summed numerators."""
     if family.dim > _TRANSFORM_DIM_LIMIT:
         raise ValueError(
             f"transform limited to d <= {_TRANSFORM_DIM_LIMIT}; "
@@ -158,10 +166,14 @@ def family_spectrum(family: HashFamily) -> FourierSpectrum:
     if family.atoms is None:
         raise ValueError("exact family spectrum needs a finite support")
     denom, nums = family._integer_weights
-    # The atoms of one weight numerator add into one row of sums.
-    numerators, key = np.unique(np.array(nums, dtype=object), return_inverse=True)
+    orbits: dict[object, list] = {}
+    for (_, h), n in zip(family.atoms, nums):
+        orbits.setdefault(h._orbit(), [h, 0])[1] += n
+    functions, weights = zip(*orbits.values())
+    # The orbits of one weight numerator add into one row of sums.
+    numerators, key = np.unique(np.array(weights, dtype=object), return_inverse=True)
     total = np.zeros(family.dim + 1, dtype=object)
-    for atoms, rows in _level_rows([h for _, h in family.atoms], family.dim):
+    for atoms, rows in _level_rows(functions, family.dim):
         used, at = np.unique(key[atoms], return_inverse=True)
         sums = np.zeros((len(used), family.dim + 1), np.int64)
         np.add.at(sums, at, rows)  # a slice's at most 2^16 rows of 4^dim <= 2^40 stay below 2^56
@@ -352,7 +364,13 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
             a, c, b = i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]
             exponent = 2 * logk[c] - logk[a] - logk[b]
             with np.errstate(over="ignore"):  # a square or product past the largest float is inf
-                slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
+                square, product = _pow(k[c], 2).astype(float), k[a] * k[b]
+                # Where both are inf, K(m) (K(m) - (K(t1) / K(m)) K(t2)) is the
+                # slack without inf - inf: 0 on a flat curve, else of its sign.
+                over = np.isinf(square) & np.isinf(product)
+                km, k1, k2 = k[c[over]], k[a[over]], k[b[over]]
+                square[over], product[over] = km * (km - k1 / km * k2), 0.0
+            slack = square - product
         if not len(a):
             continue
         with np.errstate(over="ignore"):  # libm's overflow flag, for the inf above
@@ -362,7 +380,7 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
             worst_rel, worst_triple = float(rel[top]), (float(t[a[top]]), float(t[c[top]]), float(t[b[top]]))
         worst_abs = max(worst_abs, slack.max())
         n_checks += len(a)
-    return LogConvexityCertificate(worst_rel <= 1e-9, worst_rel, worst_abs, worst_triple, n_checks)
+    return LogConvexityCertificate(worst_rel <= 1e-9, worst_rel, float(worst_abs), worst_triple, n_checks)
 
 
 def stability_ratio(source: SpectrumSource, t: float, c: float) -> float:

@@ -88,6 +88,21 @@ GOLDEN_RUNS = {
         ["stability", "--family", "trivial", "--d", "6", "--r", "1", "--t-grid", "0:3:7"],
         "2afc325bfd904e61134abf4dbe6633eeebf79a765168460241eace4d737f3141",
     ),
+    # Large orbits, one transform each: all 40,320 MinHash atoms, the
+    # 5,120 + 23,040 pair collapses at distances 1 and 2, and 2,744
+    # projection triples of 5 repetition patterns.
+    "exact-minhash-8": (
+        ["stability", "--family", "minhash", "--d", "8", "--t-grid", "0:3:7"],
+        "7aaddbd413865f9bc0d13100d26b01df3c220636e4d9594cd6b5cdb15c567869",
+    ),
+    "exact-trivial-10-r2": (
+        ["stability", "--family", "trivial", "--d", "10", "--r", "2", "--t-grid", "0:3:7"],
+        "e00e558d1f3891ee89a19ae617bf3a4809f7f42db97aca1ec37158afe4940b89",
+    ),
+    "exact-bit-sampling-14-k3": (
+        ["stability", "--family", "bit-sampling", "--d", "14", "--k", "3", "--t-grid", "0:3:7"],
+        "48e9619762fc3c44fa31a0a3cad1b792e84fa550374b18f0ffb9f6d7dd42abf5",
+    ),
     "exact-weighted-family-file": (
         ["stability", "--family-file", "{dir}/weighted.json", "--t-grid", "0:3:7"],
         "f8326deb71895f8701d14bcf804585ebd8a70f4b5c0531a0cf09fbaf817e9fc6",

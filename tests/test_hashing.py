@@ -368,6 +368,17 @@ def test_trivial_family_rejects_r_zero():
         trivial_family(3, 0)
 
 
+@pytest.mark.parametrize("d, r", [(1, 1), (2, 2), (5, 9), (6, 1), (8, 1), (8, 2), (8, 3)])
+def test_trivial_family_pairs_in_loop_order(d, r):
+    # Monte Carlo draws index the atoms, so their order is the former loop's:
+    # every x, then every y > x within distance r, as Python ints.
+    n = 1 << d
+    want = [(x, y) for x in range(n) for y in range(x + 1, n) if (x ^ y).bit_count() <= r]
+    atoms = [h for _, h in trivial_family(d, r).atoms]
+    assert [(h.x0, h.y0) for h in atoms] == want
+    assert all(type(h.x0) is int and type(h.y0) is int for h in atoms)
+
+
 # ---------------------------------------------------------------------------
 # exact sensitivity
 

@@ -517,6 +517,127 @@ def test_transform_block_grows_to_largest_subcube():
 
 
 # ---------------------------------------------------------------------------
+# orbits: family_spectrum transforms one atom per orbit key
+
+
+@st.composite
+def _orbit_members(draw, d=None, kinds=("proj", "subset", "parity", "minhash", "pair", "concat")):
+    """Random members of the keyed classes, each followed by its image
+    under a random coordinate permutation, which moves coordinate i to
+    perm[i], and for a pair collapse also a random shift."""
+    d = d or draw(st.integers(1, 6))
+    coord = st.integers(0, d - 1)
+    fns = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        perm = draw(st.permutations(range(d)))
+        if kind == "proj":
+            i = draw(coord)
+            fns += [CoordinateProjection(d, i), CoordinateProjection(d, perm[i])]
+        elif kind in ("subset", "parity"):
+            cls = CoordinateSubset if kind == "subset" else Parity
+            coords = draw(st.lists(coord, unique=True, max_size=d))
+            fns += [cls(d, tuple(coords)), cls(d, tuple(perm[c] for c in coords))]
+        elif kind == "minhash":
+            ranks = draw(st.permutations(range(d)))
+            moved = [0] * d
+            for i, rank in enumerate(ranks):  # coordinate perm[i] takes the rank of i
+                moved[perm[i]] = rank
+            fns += [MinHashPermutation(d, tuple(ranks)), MinHashPermutation(d, tuple(moved))]
+        elif kind == "pair":
+            point = st.integers(0, (1 << d) - 1)
+            x0, y0, shift = draw(point), draw(point), draw(point)
+
+            def move(v):
+                return sum((v >> i & 1) << perm[i] for i in range(d)) ^ shift
+
+            fns += [PairCollapse(d, x0, y0), PairCollapse(d, move(x0), move(y0))]
+        else:
+            coords = draw(st.lists(coord, min_size=1, max_size=4))
+            nest = len(coords) > 2 and draw(st.booleans())  # leaves flatten
+
+            def concat(cs):
+                parts = [CoordinateProjection(d, c) for c in cs]
+                return Concatenation((Concatenation(tuple(parts[:2])), *parts[2:]) if nest else tuple(parts))
+
+            fns += [concat(coords), concat([perm[c] for c in coords])]
+    return fns
+
+
+@settings(deadline=None, max_examples=80)
+@given(fns=_orbit_members())
+def test_functions_of_one_orbit_key_have_equal_levels(fns):
+    # A permuted (and shifted) image shares its function's key, and all
+    # functions that share a key have the same exact levels.
+    for h, image in zip(fns[::2], fns[1::2]):
+        assert image._orbit() == h._orbit()
+    levels = {}
+    for h in fns:
+        got = _exact_levels(finite_family([h]))
+        assert levels.setdefault(h._orbit(), got) == got
+
+
+def test_unkeyed_functions_are_their_own_orbit():
+    d = 3
+    table = ExplicitTable(d, (0, 1, 1, 2, 0, 3, 3, 1))
+    mixed = Concatenation((CoordinateProjection(d, 0), Parity(d, (1, 2))))
+    for h in (table, Constant(d), mixed):
+        assert h._orbit() is h
+    assert len({ExplicitTable(d, table.table)._orbit(), table._orbit()}) == 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_orbit_sums_of_mixed_weighted_families_equal_reference(data):
+    # MinHash, pair-collapse and projection-concatenation orbits summed
+    # with tables (their own orbits) must give the correctly rounded
+    # exact levels, whatever the weights.
+    d = data.draw(st.integers(1, 6))
+    fns = data.draw(_orbit_members(d, ("minhash", "pair", "concat")))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fns += [_random_table(g, d, 4) for _ in range(data.draw(st.integers(0, 3)))]
+    raw = data.draw(st.lists(st.integers(1, 50), min_size=len(fns), max_size=len(fns)))
+    fam = finite_family(fns, [Fraction(r, sum(raw)) for r in raw])
+    assert family_spectrum(fam).levels == _rounded(fam)
+
+
+def test_named_families_mixed_with_tables_equal_reference():
+    # Whole named families, 120 + 240 + 25 atoms in 1 + 2 + 2 orbits, and
+    # two tables, at unequal weights.
+    d = 5
+    g = np.random.default_rng(5)
+    fns = [h for f in (hashing.minhash_family(d, exact=True), hashing.trivial_family(d, 2),
+                       power(bit_sampling_family(d), 2)) for _, h in f.atoms]
+    fns += [_random_table(g, d, 3), _random_table(g, d, 6)]
+    raw = [1 + i % 7 for i in range(len(fns))]
+    fam = finite_family(fns, [Fraction(r, sum(raw)) for r in raw])
+    assert len({h._orbit() for h in fns}) == 7
+    assert family_spectrum(fam).levels == _rounded(fam)
+
+
+def test_exact_minhash_curve_at_dimension_8_matches_jaccard():
+    # Each coordinate of a pair differs with probability f; given a nonempty
+    # union, each union element is shared with probability (1 - f)/(1 + f),
+    # the expected Jaccard similarity, and two empty sets collide.
+    d, grid = 8, [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+    curve = stability_curve(hashing.minhash_family(d, exact=True), grid)
+    for t, value in zip(grid, curve.values):
+        f = -math.expm1(-t) / 2
+        both_empty = ((1 - f) / 2) ** d
+        assert abs(value - (both_empty + (1 - both_empty) * (1 - f) / (1 + f))) <= 1e-12
+
+
+def test_trivial_curve_at_dimension_14_matches_closed_form():
+    # Equal points collide, and a pair at distance 1 collides iff it is the
+    # drawn one of the d 2^(d-1) edges: 114,688 atoms in one orbit.
+    d, grid = 14, [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+    curve = stability_curve(hashing.trivial_family(d, 1), grid)
+    for t, value in zip(grid, curve.values):
+        f = -math.expm1(-t) / 2
+        want = (1 - f) ** d + d * f * (1 - f) ** (d - 1) / (d * 2 ** (d - 1))
+        assert abs(value - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # stability values
 
 
@@ -699,6 +820,14 @@ def test_certificate_fails_a_square_past_the_float_range():
     assert cert.worst_triple == (0.0, 1.0, 2.0) and cert.n_checks == 2
 
 
+def test_certificate_of_a_flat_curve_past_the_float_range():
+    # Every K^2 and K K' is inf: the absolute slack is taken without
+    # inf - inf, so no nan (a RuntimeWarning here), and the flat curve ties.
+    cert = check_log_convexity(StabilityCurve((0.0, 1.0, 2.0), (1e300,) * 3))
+    assert cert.passed and cert.worst_rel_slack == 0.0 and cert.n_checks == 2
+    assert type(cert.worst_abs_slack) is float and math.isfinite(cert.worst_abs_slack)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
 def test_certificate_fails_a_value_not_positive_and_finite(bad):
     cert = check_log_convexity(StabilityCurve((0.0, 0.5, 1.0, 1.5), (1.0, bad, 0.8, 0.7)))
@@ -780,7 +909,7 @@ def _pairwise_log_convexity(curve, tolerance=1e-9):
         theta = (t[i + 1] - t[i]) / span
         rel = math.expm1(logk[i] - theta * logk[i - 1] - (1 - theta) * logk[i + 1])
         consider(rel, k[i] - k[i - 1] ** theta * k[i + 1] ** (1 - theta), (float(t[i - 1]), float(t[i]), float(t[i + 1])))
-    return (worst_rel <= tolerance, worst_rel, worst_abs, worst_triple, n_checks)
+    return (worst_rel <= tolerance, worst_rel, float(worst_abs), worst_triple, n_checks)
 
 
 @st.composite
