@@ -116,19 +116,49 @@ def plan(
     )
 
 
+class _Tables:
+    """An index's keys, offsets or ids. The first read builds all three
+    (NNIndex._build_tables) into the instance's dict, where every later
+    read finds them first, as plain attributes."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, index, owner=None):
+        if index is None:
+            return self
+        index._build_tables()
+        return index.__dict__[self.name]
+
+
+class _Bits:
+    """An index's points as (n, d) 0/1 rows: the rows it was given, until
+    its tables are built, and after that unpacked from `rows` on each read,
+    so a built index holds its points packed only."""
+
+    def __get__(self, index, owner=None):
+        if index is None:
+            return self
+        return unpack_rows(index.rows, index.dim)
+
+
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
     Function t concatenates parts[j] for j in row t of the (L, k) `table`.
-    Point i is kept packed: rows[i] holds its ceil(d/64) uint64 words. Each
-    bucket has one key: its function's label words with the table number t
-    as one more most significant digit, of radix L, packed as labels are
-    (_pack), stored big-endian as one S{8w} byte string. Byte order is then
-    numeric order, so the L tables, each sorted by label, form one sorted
-    array `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
+    The index keeps its points packed: rows[i] holds point i's ceil(d/64)
+    uint64 words, for distances. It labels them as (n, d) 0/1 rows `bits`,
+    the rows it was given until its tables are built. Each bucket has one
+    key: its function's label words with the table number t as one more
+    most significant digit, of radix L, packed as labels are (_pack),
+    stored big-endian as one S{8w} byte string. Byte order is then numeric
+    order, so the L tables, each sorted by label, form one sorted array
+    `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
     ascending. A query builds its L keys the same way, and one searchsorted
     finds all L buckets. The tables are a pure function of (parts, table,
-    points), so they are derived here and nowhere else.
+    points), so they are derived in _build_tables and nowhere else, the
+    first time keys, offsets or ids is read; a one-shot query (scan_traced)
+    needs none of them.
     """
 
     def __init__(
@@ -140,7 +170,8 @@ class NNIndex:
         family_doc: Optional[dict] = None,
     ):
         """`table`: L rows of k indices into `parts`, of which the index keeps
-        the used ones; `bits`: the points as (n, d) 0/1 uint8 rows."""
+        the used ones; `bits`: the points as (n, d) 0/1 uint8 rows, which the
+        index keeps until its tables are built; the caller must not change them."""
         L, k = params.L, params.k
         if len(table) != L:
             raise ValueError(f"need exactly L = {L} functions, got {len(table)}")
@@ -161,6 +192,7 @@ class NNIndex:
                 raise DimensionMismatch(f"part {j} has dimension {part.dim}, the points {self.dim}")
         self.params = params
         self.family_doc = family_doc
+        self.bits = bits
         self.rows = pack_rows(bits)
         # Leaf parts are the stack's leaves as they are; nested ones are flattened.
         if Concatenation in map(type, self.parts):
@@ -176,20 +208,38 @@ class NNIndex:
         (_, above), (_, scale), _ = _pack((top, L))
         self._tags = np.zeros((L, 1, width + above), dtype=np.uint64)
         self._tags[:, 0, 0] = [t * scale for t in range(L)]
-        # The tables are built a block of whole tables at a time, straight
-        # into keys, offsets and ids at their full size; buckets move down
-        # over the duplicate keys of earlier blocks, and keys and offsets are
-        # cut to the bucket count at the end.
-        n = len(bits)
-        keys = np.empty((L * n, width + above), dtype=np.uint64)
-        self.offsets = np.empty(L * n + 1, dtype=np.int32)
-        self.ids = np.empty(L * n, dtype=np.int32)
+
+    keys, offsets, ids = _Tables(), _Tables(), _Tables()
+    bits = _Bits()
+
+    def _blocks(self) -> list[slice]:
+        """The tables in blocks of whole tables, of at most BUILD_BLOCK_ENTRIES
+        entries each (leaf labels, for a LabelStack), or one table each."""
+        L = self.params.L
         # A LabelStack holds each leaf label of an entry while it packs them;
         # the product's own chunks bound its working set.
-        cells = n * (stack.table.shape[1] if self._labeler is stack else 1)
-        size, step = 0, max(1, BUILD_BLOCK_ENTRIES // cells)
-        for t in range(0, L, step):
-            size = self._build_block(keys, bits, slice(t, min(L, t + step)), size)
+        cells = len(self.rows) * (self._labeler.table.shape[1] if isinstance(self._labeler, LabelStack) else 1)
+        step = max(1, BUILD_BLOCK_ENTRIES // cells)
+        return [slice(t, min(L, t + step)) for t in range(0, L, step)]
+
+    def _build_tables(self) -> None:
+        """Build keys, offsets and ids a block of whole tables at a time,
+        straight into the arrays at their full size; buckets move down over
+        the duplicate keys of earlier blocks, and keys and offsets are cut to
+        the bucket count at the end."""
+        bits, L = self.bits, self.params.L
+        n = len(bits)
+        keys = np.empty((L * n, self._tags.shape[2]), dtype=np.uint64)
+        self.offsets = np.empty(L * n + 1, dtype=np.int32)
+        self.ids = np.empty(L * n, dtype=np.int32)
+        size = 0
+        try:
+            for tables in self._blocks():
+                size = self._build_block(keys, bits, tables, size)
+        except BaseException:
+            del self.offsets, self.ids  # no half-built tables are left readable
+            raise
+        self.__dict__.pop("bits", None)  # from now on the packed rows alone hold the points
         self.offsets[size] = L * n
         if size < L * n:
             # No view of either array is alive, so each shrinks in place.
@@ -206,9 +256,11 @@ class NNIndex:
         block = keys[lo:hi].reshape(-1, n, keys.shape[1])
         labels = self._labeler.words(bits, tables, out=block[..., above:])
         # Each table sorts by its lowest label word, then stably by each higher
-        # one; the order is the table's ids.
+        # one; the order is the table's ids. The first sort goes a table at a
+        # time, so no block-sized int64 order is held next to the arrays.
         ids = self.ids[lo:hi].reshape(-1, n)
-        ids[...] = np.argsort(labels[..., -1], axis=1)
+        for t in range(len(ids)):
+            ids[t] = np.argsort(labels[t, :, -1])
         for j in range(labels.shape[2] - 2, -1, -1):
             by_word = np.take_along_axis(labels[..., j], ids, axis=1).argsort(axis=1, kind="stable")
             ids[...] = np.take_along_axis(ids, by_word, axis=1)
@@ -294,37 +346,70 @@ class QueryTrace:
     base_evaluations: int
 
 
+def _inspect(index: NNIndex, x_words: np.ndarray, ids: np.ndarray, table: np.ndarray, total: int) -> QueryTrace:
+    """The trace of a query, packed as x_words, whose candidates in probe
+    order begin with `ids`, from tables `table`, of `total` in all L buckets
+    (any count past the cap, if the probe was cut short); ids holds at least
+    the first min(total, 3L + 1). The first 3L are distance-checked in one
+    pass, and the first within cr is the answer: whatever a query returns
+    lies within cr. The trace reports what probing one table at a time, and
+    stopping at the first hit or the cap, would."""
+    k, L, cap = index.params.k, index.params.L, index.candidate_cap
+    dist = np.bitwise_count(index.rows[ids[:cap]] ^ x_words).sum(axis=1)
+    near = np.flatnonzero(dist <= index.params.cr)
+    if len(near):
+        i = near[0]
+        probed = int(table[i]) + 1
+        return QueryTrace((int(ids[i]), int(dist[i])), int(i) + 1, probed, k * probed)
+    if total > cap:
+        # The next candidate, in table `probed`, would exceed the cap.
+        probed = int(table[cap]) + 1
+        return QueryTrace(None, cap, probed, k * probed)
+    return QueryTrace(None, total, L, k * L)
+
+
 def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     """Probe x's bucket in each table in order; inspect at most 3L candidates;
     return the first point found within cr (ties go to probe order).
 
-    All L buckets are found at once and the first 3L candidates, in probe
-    order, are distance-checked in one pass; the trace reports what probing
-    one table at a time, and stopping at the first hit or the cap, would.
+    All L buckets are found at once, by one search of the index's tables.
     """
     if x.dim != index.dim:
         raise ValueError(f"query dimension {x.dim} differs from index ({index.dim})")
-    k, L, cap = index.params.k, index.params.L, index.candidate_cap
     raw = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint8)
     bucket = index._buckets(index._words(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[:, 0])
     hit = bucket >= 0
     lo = index.offsets[bucket]
     lens = np.where(hit, index.offsets[bucket + 1] - lo, 0)
     ends = np.cumsum(lens)  # candidates in tables 0..t
-    seen = np.arange(min(int(ends[-1]), cap))
+    seen = np.arange(min(int(ends[-1]), index.candidate_cap + 1))
     table = np.searchsorted(ends, seen, side="right")
     ids = index.ids[lo[table] + seen - (ends - lens)[table]]
-    dist = np.bitwise_count(index.rows[ids] ^ raw.view(np.uint64)).sum(axis=1)
-    near = np.flatnonzero(dist <= index.params.cr)
-    if len(near):
-        i = near[0]
-        probed = int(table[i]) + 1
-        return QueryTrace((int(ids[i]), int(dist[i])), int(i) + 1, probed, k * probed)
-    if ends[-1] > cap:
-        # The next candidate, in table `probed`, would exceed the cap.
-        probed = int(np.searchsorted(ends, cap, side="right")) + 1
-        return QueryTrace(None, cap, probed, k * probed)
-    return QueryTrace(None, int(ends[-1]), L, k * L)
+    return _inspect(index, raw.view(np.uint64), ids, table, int(ends[-1]))
+
+
+def scan_traced(index: NNIndex, x: np.ndarray) -> QueryTrace:
+    """query_traced for the query given as a (d,) 0/1 uint8 row, without the
+    index's tables: x's bucket in table t is {i : g_t(p_i) = g_t(x)}, ids
+    ascending, read off a mask of label matches a block of whole tables at a
+    time, as the tables are built. The scan stops after the block that
+    passes the cap."""
+    if len(x) != index.dim:
+        raise ValueError(f"query dimension {len(x)} differs from index ({index.dim})")
+    cap, bits = index.candidate_cap, index.bits
+    ids, table, total = [], [], 0
+    for block in index._blocks():
+        match = index._labeler.matches(bits, x, block)
+        ends = np.cumsum(np.count_nonzero(match, axis=1))
+        # Candidates past the first one over the cap are never read.
+        need = cap + 1 - total
+        t, i = np.nonzero(match[: np.searchsorted(ends, need) + 1])
+        ids.append(i[:need])
+        table.append(t[:need] + block.start)
+        total += int(ends[-1])
+        if total > cap:
+            break
+    return _inspect(index, pack_rows(x[None])[0], np.concatenate(ids), np.concatenate(table), total)
 
 
 def query(index: NNIndex, x: Point) -> Optional[tuple[int, int]]:
@@ -368,8 +453,10 @@ def stats(index: NNIndex) -> IndexStats:
 # ---------------------------------------------------------------------------
 # Serialization: a versioned JSON container carrying the parameters, the
 # family descriptor, each distinct part once, the functions as rows of part
-# numbers, and the dataset. Tables are not stored: loading rebuilds them, so
-# a file cannot hold tables that disagree with its functions.
+# numbers, and the dataset. Tables are not stored, so a file cannot hold
+# tables that disagree with its functions: a loaded index builds them on
+# first need, and a one-shot query (scan_traced) reads label matches
+# instead, with the same answer.
 
 
 def save_index(index: NNIndex, path) -> None:
@@ -391,8 +478,8 @@ def save_index(index: NNIndex, path) -> None:
 
 
 def load_index(path) -> NNIndex:
-    """Read an index file and rebuild its tables. A malformed file raises a
-    ValueError that names it."""
+    """Read an index file; its tables are built on first need. A malformed
+    file raises a ValueError that names it."""
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -24,8 +24,8 @@ from .annindex import (
     load_index,
     plan,
     planted_experiment,
-    query_traced,
     save_index,
+    scan_traced,
     stats,
     tables_needed,
 )
@@ -40,7 +40,7 @@ from .hashing import (
     family_from_json,
     power,
 )
-from .points import Point, load_points_binary, load_points_text
+from .points import bits_from01, load_points_binary, load_points_text
 from .sampling import mc_stability_curve
 from .spectral import _TRANSFORM_DIM_LIMIT, check_log_convexity, stability_curve
 from .verify import SUITES, format_report, run_suites
@@ -222,8 +222,8 @@ def cmd_index_build(args) -> int:
 
 def cmd_index_query(args) -> int:
     index = load_index(args.index)
-    x = Point.from01(args.point)
-    trace = query_traced(index, x)
+    # One query of a freshly loaded index: label matches answer it without the tables.
+    trace = scan_traced(index, bits_from01([args.point.strip()])[0])
     if trace.result is None:
         found, pid, dist = 0, -1, -1
     else:

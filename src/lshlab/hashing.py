@@ -541,6 +541,11 @@ class LabelStack:
             out[:, :, -1 - c] = np.where((word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
         return out
 
+    def matches(self, bits: np.ndarray, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """(m, n) bool: whether functions[rows] give row i of bits the label
+        of the 0/1 row x."""
+        return (self.words(bits, rows) == self.words(x[None], rows)).all(axis=2)
+
 
 # Cells of one block of ProjectionProduct's float64 points and of its product: 512 KiB each.
 _PRODUCT_CELLS = 1 << 16
@@ -605,6 +610,29 @@ class ProjectionProduct:
                 limbs = (limbs[0::2].astype(np.uint64) << np.uint64(32)) | limbs[1::2].astype(np.uint64)
             out[:, lo : lo + block] = limbs.transpose(1, 2, 0)  # exact integers, cast as they are copied
             del limbs
+        return out
+
+    @functools.cached_property
+    def _indicator(self) -> np.ndarray:
+        """(n_functions, len(coords)) float64: 1 where a function projects the coordinate."""
+        w = self.weights.reshape(-1, self.n_functions, len(self.coords))
+        return (w != 0).any(axis=0).astype(np.float64)
+
+    def matches(self, bits: np.ndarray, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """(m, n) bool: whether functions[rows] give row i of bits the label
+        of the 0/1 row x, that is, whether the two agree on every coordinate
+        the function projects."""
+        indicator = self._indicator[rows]
+        out = np.empty((len(indicator), len(bits)), dtype=bool)
+        block = max(1, _PRODUCT_CELLS // max(indicator.shape))
+        for lo in range(0, len(bits), block):
+            # Blocks laid out as in words, so the product runs the same BLAS
+            # kernel (a float32 one would touch buffers of its own, about
+            # 0.4 MB resident). Each product counts the projected coordinates
+            # on which the rows differ: at most k <= 2^22, exact in float64.
+            differ = (bits[lo : lo + block, self.coords] != x[self.coords]).T.astype(np.float64)
+            out[:, lo : lo + block] = indicator @ differ == 0
+            del differ  # no chunk's blocks outlive it
         return out
 
 

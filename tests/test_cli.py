@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lshlab
-from lshlab import rng as rngmod
+from lshlab import annindex, rng as rngmod
 from lshlab.cli import main
 from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
 from lshlab.verify import SUITES
@@ -160,6 +160,33 @@ def test_index_build_and_query(tmp_path, point_file, capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["found"] == "1"
     assert cells["dist"] == "0"
+
+
+def test_index_query_never_builds_the_tables(tmp_path, point_file, monkeypatch):
+    # index-query answers from label matches: with the table build made to
+    # fail, it still writes the row the table query of the loaded index gives,
+    # for a stored point, a point near one, and a random point.
+    path, bits = point_file
+    idx_path = tmp_path / "idx.json"
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--out", str(idx_path)]) == 0
+    near = bits[5].copy()
+    near[:2] ^= 1
+    queries = bits_to01(np.stack([bits[3], near, points_to_bit_matrix([Point.random(24, rngmod.stream(57, 0))])[0]]))
+    wanted = []
+    for q in queries:
+        trace = annindex.query_traced(annindex.load_index(idx_path), Point.from01(q))
+        pid, dist = trace.result or (-1, -1)
+        wanted.append(f"found,id,dist,inspected\n{int(trace.result is not None)},{pid},{dist},{trace.candidates_inspected}\n")
+
+    def refuse(*args):
+        raise AssertionError("index-query built the tables")
+
+    monkeypatch.setattr(annindex.NNIndex, "_build_block", refuse)
+    out = tmp_path / "q.csv"
+    for q, want in zip(queries, wanted):
+        assert run(["index-query", "--index", str(idx_path), "--point", q, "--out", str(out)]) == 0
+        assert out.read_text() == want
+    assert wanted[0].startswith("found,id,dist,inspected\n1,3,0,")
 
 
 def test_index_query_missing_file(tmp_path):

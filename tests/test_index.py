@@ -19,6 +19,7 @@ from lshlab.annindex import (
     query,
     query_traced,
     save_index,
+    scan_traced,
     stats,
 )
 from lshlab.hashing import (
@@ -35,6 +36,17 @@ from lshlab.hashing import (
     power,
 )
 from lshlab.points import Point, hamming, points_to_bit_matrix
+
+
+def _built(idx):
+    """The index, its tables built: the first read of keys builds keys, offsets and ids."""
+    idx.keys
+    return idx
+
+
+def _row(x):
+    """The point as a (d,) 0/1 uint8 row, as scan_traced takes a query."""
+    return points_to_bit_matrix([x])[0]
 
 
 def _profile(r, cr, p, q):
@@ -280,17 +292,20 @@ def test_blocks_of_tables_build_the_one_block_index(monkeypatch, pts, make, per_
     blocks = []
     build_block = NNIndex._build_block
     monkeypatch.setattr(NNIndex, "_build_block", lambda self, *args: blocks.append(args[2]) or build_block(self, *args))
-    whole = make(pts)
+    whole = _built(make(pts))
     assert len(blocks) == 1
     monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", per_block * len(pts))
-    idx = make(pts)
+    idx = _built(make(pts))
     assert 2 <= len(blocks) - 1 <= 7
     assert idx.keys.dtype.itemsize == size and idx.keys.tobytes() == whole.keys.tobytes()
     assert idx.offsets.tobytes() == whole.offsets.tobytes() and idx.ids.tobytes() == whole.ids.tobytes()
     tables = _ref_tables(_functions(idx), pts)
     assert _buckets(idx) == tables
     queries = pts[:6] + _random_points(6, idx.dim, seed=46)
-    assert [query_traced(idx, x) for x in queries] == [query_traced(whole, x) for x in queries]
+    traces = [query_traced(whole, x) for x in queries]
+    assert [query_traced(idx, x) for x in queries] == traces
+    # The scan reads the label matches in the same blocks.
+    assert [scan_traced(idx, _row(x)) for x in queries] == traces
 
 
 def test_blocks_label_each_leaf_once(monkeypatch):
@@ -299,7 +314,7 @@ def test_blocks_label_each_leaf_once(monkeypatch):
     labels = MinHashPermutation._labels
     monkeypatch.setattr(MinHashPermutation, "_labels", lambda self, bits: calls.append(self) or labels(self, bits))
     monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", 9 * 60)
-    idx = build(_random_points(60, 12, seed=44), minhash_family(12), IndexParams(r=1, cr=3, k=3, L=11, delta=0.1, seed=5))
+    idx = _built(build(_random_points(60, 12, seed=44), minhash_family(12), IndexParams(r=1, cr=3, k=3, L=11, delta=0.1, seed=5)))
     assert len(calls) == len(idx.parts) == len(set(calls))
 
 
@@ -307,7 +322,7 @@ def _traced_build(bits, params):
     family = bit_sampling_family(bits.shape[1])
     tracemalloc.start()
     try:
-        idx = build(bits, family, params)
+        idx = _built(build(bits, family, params))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,9 +331,9 @@ def _traced_build(bits, params):
 
 def test_build_memory_is_the_tables_and_one_block():
     # The benchmark's shape is one block: past the kept arrays, the build
-    # holds the block's argsort order (8 bytes an entry) and little else,
-    # about 1.8 MiB traced, against 3.4 MiB when the labels, their order, a
-    # gathered copy and the bucket starts were all held at once.
+    # holds the projection product's chunks and one table's argsort order at
+    # a time, about 1.5 MiB traced, against 3.4 MiB when the labels, their
+    # order, a gathered copy and the bucket starts were all held at once.
     bits = np.random.default_rng(3).integers(0, 2, size=(2000, 128), dtype=np.uint8)
     idx, extra = _traced_build(bits, IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
     assert len(idx.ids) == 2000 * 92 <= BUILD_BLOCK_ENTRIES
@@ -414,6 +429,8 @@ def test_query_dimension_check():
     idx = build(pts, bit_sampling_family(10), params)
     with pytest.raises(ValueError):
         query(idx, Point(0, 11))
+    with pytest.raises(ValueError, match="query dimension 11 differs from index"):
+        scan_traced(idx, np.zeros(11, dtype=np.uint8))
 
 
 @settings(deadline=None, max_examples=50)
@@ -468,7 +485,9 @@ def test_array_index_matches_dict_reference(data):
     queries = stored + planted + random_ + decoys
     labels = _ref_labels(_functions(idx), points_to_bit_matrix(queries))
     for i, x in enumerate(queries):
-        assert query_traced(idx, x) == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
+        trace = query_traced(idx, x)
+        assert trace == _ref_query(idx, tables, pts, x, [lab[i] for lab in labels])
+        assert scan_traced(idx, _row(x)) == trace
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -533,6 +552,69 @@ def test_table_digit_at_the_word_boundary(k, L, size):
     assert _buckets(idx) == tables
     for x in pts[:20]:
         assert query_traced(idx, x) == _ref_query(idx, tables, pts, x)
+
+
+# ---------------------------------------------------------------------------
+# one-shot queries from label matches
+
+
+@pytest.mark.parametrize("pts, make, cap_hit", [
+    (_random_points(50, 128, seed=50), _sampled(bit_sampling_family(128), 57, 92), False),
+    (_random_points(50, 40, seed=51), _sampled(bit_sampling_family(40), 70, 9), False),
+    (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 1), False),
+    (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 2), False),
+    (_random_points(100, 24, seed=53), _sampled(bit_sampling_family(24), 1, 12), True),
+    (_random_points(60, 64, seed=54), _sampled(minhash_family(64), 6, 40), False),
+    (_random_points(40, 16, seed=55), _mixed_tables, True),
+    (_random_points(30, 24, seed=56) * 10, _sampled(bit_sampling_family(24), 8, 7), True),
+    (_random_points(50, 12, seed=57) * 3, _sampled(minhash_family(12), 3, 11), True),
+    ([Point(5, 12)] * 50, _sampled(bit_sampling_family(12), 3, 4), True),
+], ids=["k57", "k70-d40", "k64-L1", "k64-L2", "k1", "minhash", "mixed", "repeated-10", "minhash-repeated-3",
+        "identical"])
+def test_scan_of_a_loaded_index_is_the_table_query(tmp_path, pts, make, cap_hit):
+    # A loaded index answers from label matches without building its tables,
+    # and every trace is the table query's on the built index: stored
+    # points, stored points with a few bits flipped, random points, and
+    # decoys that share a stored point's bucket in table 0 but little else.
+    idx = _built(make(pts))
+    assert "bits" not in vars(idx)  # a built index holds its points packed only
+    save_index(idx, tmp_path / "index.json")
+    clone = load_index(tmp_path / "index.json")
+    d = idx.dim
+    g = rngmod.stream(58, 0)
+    stored = pts[:6]
+    planted = [p.flip(int(i) for i in g.choice(d, size=2, replace=False)) for p in stored]
+    decoys = []
+    if all(isinstance(p, CoordinateProjection) for p in _functions(idx)[0]._leaves):
+        used = {p.coord for p in _functions(idx)[0]._leaves}
+        decoys = [p.flip(set(range(d)) - used) for p in stored]
+    queries = stored + planted + _random_points(6, d, seed=59) + decoys
+    traces = [query_traced(idx, x) for x in queries]
+    assert [scan_traced(clone, _row(x)) for x in queries] == traces
+    assert "keys" not in vars(clone) and "ids" not in vars(clone)
+    capped = [t for t in traces if t.result is None and t.candidates_inspected == idx.candidate_cap]
+    assert bool(capped) == cap_hit
+
+
+def test_scan_memory_stays_blocked(monkeypatch):
+    # Blocks of 4 tables at n = 2^12, as test_build_memory_stays_blocked
+    # builds them: a scan holds one block's match mask and one chunk of the
+    # product's float64 mismatches (512 KiB) with its 0/1 copies, about
+    # 0.73 MB traced, against 1.42 MB for one block of all 92 tables.
+    monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", 4 << 12)
+    bits = np.random.default_rng(4).integers(0, 2, size=(1 << 12, 128), dtype=np.uint8)
+    idx = build(bits, bit_sampling_family(128), IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
+    x = np.random.default_rng(5).integers(0, 2, size=128, dtype=np.uint8)
+    assert len(idx._blocks()) == 23
+    tracemalloc.start()
+    try:
+        trace = scan_traced(idx, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.tables_probed == 92 and "keys" not in vars(idx)
+    assert peak <= 16 * (4 << 12) + (3 << 18)
+    assert trace == query_traced(idx, Point.from01("".join(map(str, x))))
 
 
 # ---------------------------------------------------------------------------
