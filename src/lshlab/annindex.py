@@ -52,6 +52,11 @@ MAX_ENTRIES, MAX_TABLE_PARTS = (1 << 31) - 1, 1 << 22
 BUILD_BLOCK_ENTRIES = 1 << 22
 
 
+def _real(v) -> bool:
+    """Whether v is an int or a float (a bool is neither here)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class IndexParams:
     r: int
@@ -73,6 +78,16 @@ class IndexParams:
             raise ValueError("k and L must be at least 1")
         if not 0 <= self.r < self.cr:
             raise ValueError("need 0 <= r < cr")
+        if not _real(self.delta) or not 0 < self.delta < 1:
+            raise ValueError(f"delta must be a real in (0, 1), got {self.delta!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if self.n_planned is not None and (type(self.n_planned) is not int or self.n_planned < 1):
+            raise ValueError(f"n_planned must be None or an integer >= 1, got {self.n_planned!r}")
+        for name in ("predicted_p_k", "planned_rho"):
+            v = getattr(self, name)
+            if v is not None and not (_real(v) and math.isfinite(v)):
+                raise ValueError(f"{name} must be None or a finite real, got {v!r}")
 
     @classmethod
     def from_profile(cls, profile: SensitivityProfile, **fields) -> "IndexParams":
@@ -131,34 +146,23 @@ class _Tables:
         return index.__dict__[self.name]
 
 
-class _Bits:
-    """An index's points as (n, d) 0/1 rows: the rows it was given, until
-    its tables are built, and after that unpacked from `rows` on each read,
-    so a built index holds its points packed only."""
-
-    def __get__(self, index, owner=None):
-        if index is None:
-            return self
-        return unpack_rows(index.rows, index.dim)
-
-
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
     Function t concatenates parts[j] for j in row t of the (L, k) `table`.
     The index keeps its points packed: rows[i] holds point i's ceil(d/64)
-    uint64 words, for distances. It labels them as (n, d) 0/1 rows `bits`,
-    the rows it was given until its tables are built. Each bucket has one
-    key: its function's label words with the table number t as one more
-    most significant digit, of radix L, packed as labels are (_pack),
-    stored big-endian as one S{8w} byte string. Byte order is then numeric
-    order, so the L tables, each sorted by label, form one sorted array
-    `keys`. Bucket u holds the point ids ids[offsets[u]:offsets[u+1]],
-    ascending. A query builds its L keys the same way, and one searchsorted
-    finds all L buckets. The tables are a pure function of (parts, table,
-    points), so they are derived in _build_tables and nowhere else, the
-    first time keys, offsets or ids is read; a one-shot query (scan_traced)
-    needs none of them.
+    uint64 words, for distances and label matches. The 0/1 rows it was
+    given are kept, privately, only until its tables are built, which label
+    them. Each bucket has one key (_keys): its function's label words with
+    the table number t as one more most significant digit, of radix L,
+    packed as labels are (_pack), stored big-endian as one S{8w} byte
+    string. Byte order is then numeric order, so the L tables, each sorted
+    by label, form one sorted array `keys`. Bucket u holds the point ids
+    ids[offsets[u]:offsets[u+1]], ascending. A query builds its L keys the
+    same way, and one searchsorted finds all L buckets. The tables are a
+    pure function of (parts, table, points), so they are derived in
+    _build_tables and nowhere else, the first time keys, offsets or ids is
+    read; a one-shot query (scan_traced) needs none of them.
     """
 
     def __init__(
@@ -192,7 +196,7 @@ class NNIndex:
                 raise DimensionMismatch(f"part {j} has dimension {part.dim}, the points {self.dim}")
         self.params = params
         self.family_doc = family_doc
-        self.bits = bits
+        self._bits = bits
         self.rows = pack_rows(bits)
         # Leaf parts are the stack's leaves as they are; nested ones are flattened.
         if Concatenation in map(type, self.parts):
@@ -203,14 +207,11 @@ class NNIndex:
         # Labels of narrower functions sit right-aligned, below the top
         # word's bound; the table digit shares that word, or takes one of
         # its own above it.
-        width = self._labeler.width
-        top = -(-stack.layout[2] >> 64 * (width - 1))
-        (_, above), (_, scale), _ = _pack((top, L))
-        self._tags = np.zeros((L, 1, width + above), dtype=np.uint64)
-        self._tags[:, 0, 0] = [t * scale for t in range(L)]
+        top = -(-stack.layout[2] >> 64 * (self._labeler.width - 1))
+        (_, self._above), (_, scale), _ = _pack((top, L))
+        self._digits = np.arange(L, dtype=np.uint64) * np.uint64(scale)
 
     keys, offsets, ids = _Tables(), _Tables(), _Tables()
-    bits = _Bits()
 
     def _blocks(self) -> list[slice]:
         """The tables in blocks of whole tables, of at most BUILD_BLOCK_ENTRIES
@@ -226,39 +227,39 @@ class NNIndex:
         """Build keys, offsets and ids a block of whole tables at a time,
         straight into the arrays at their full size; buckets move down over
         the duplicate keys of earlier blocks, and keys and offsets are cut to
-        the bucket count at the end."""
-        bits, L = self.bits, self.params.L
+        the bucket count at the end. The three are published together, and
+        the 0/1 rows dropped, once all are built."""
+        bits, L = self._bits, self.params.L
         n = len(bits)
-        keys = np.empty((L * n, self._tags.shape[2]), dtype=np.uint64)
-        self.offsets = np.empty(L * n + 1, dtype=np.int32)
-        self.ids = np.empty(L * n, dtype=np.int32)
+        keys = np.empty((L * n, self._labeler.width + self._above), dtype=np.uint64)
+        offsets = np.empty(L * n + 1, dtype=np.int32)
+        ids = np.empty(L * n, dtype=np.int32)
         size = 0
-        try:
-            for tables in self._blocks():
-                size = self._build_block(keys, bits, tables, size)
-        except BaseException:
-            del self.offsets, self.ids  # no half-built tables are left readable
-            raise
-        self.__dict__.pop("bits", None)  # from now on the packed rows alone hold the points
-        self.offsets[size] = L * n
+        for tables in self._blocks():
+            size = self._build_block((keys, offsets, ids), bits, tables, size)
+        offsets[size] = L * n
         if size < L * n:
             # No view of either array is alive, so each shrinks in place.
             keys.resize((size, keys.shape[1]), refcheck=False)
-            self.offsets.resize(size + 1, refcheck=False)
-        self.keys = _as_keys(keys)
+            offsets.resize(size + 1, refcheck=False)
+        self.keys, self.offsets, self.ids = _as_keys(keys), offsets, ids
+        del self._bits  # from now on the packed rows alone hold the points
 
-    def _build_block(self, keys: np.ndarray, bits: np.ndarray, tables: slice, size: int) -> int:
-        """Build the tables numbered in `tables` into keys, offsets and ids,
-        after the `size` buckets of the tables before them; return the new
-        bucket count."""
-        n, above = len(bits), self._tags.shape[2] - self._labeler.width
+    def _build_block(self, arrays: tuple[np.ndarray, ...], bits: np.ndarray, tables: slice, size: int) -> int:
+        """Build the tables numbered in `tables` into the arrays (keys,
+        offsets, ids), after the `size` buckets of the tables before them;
+        return the new bucket count."""
+        keys, offsets, ids = arrays
+        n = len(bits)
         lo, hi = tables.start * n, tables.stop * n
-        block = keys[lo:hi].reshape(-1, n, keys.shape[1])
-        labels = self._labeler.words(bits, tables, out=block[..., above:])
+        # The table digit is constant within a table, so it goes on before
+        # the sort; the label words below it order the table.
+        block = self._keys(bits, tables, out=keys[lo:hi].reshape(-1, n, keys.shape[1]))
+        labels = block[..., self._above :]
         # Each table sorts by its lowest label word, then stably by each higher
         # one; the order is the table's ids. The first sort goes a table at a
         # time, so no block-sized int64 order is held next to the arrays.
-        ids = self.ids[lo:hi].reshape(-1, n)
+        ids = ids[lo:hi].reshape(-1, n)
         for t in range(len(ids)):
             ids[t] = np.argsort(labels[t, :, -1])
         for j in range(labels.shape[2] - 2, -1, -1):
@@ -273,20 +274,14 @@ class NNIndex:
                 labels[..., j] = np.take_along_axis(labels[..., j], ids, axis=1)
         first = np.ones(ids.shape, dtype=bool)
         first[:, 1:] = (labels[:, 1:] != labels[:, :-1]).any(axis=2)
-        # The table digit goes on once the labels are sorted: it is the same
-        # throughout a table.
-        if above:
-            block[..., 0] = self._tags[tables, :, 0]
-        else:
-            block += self._tags[tables]
         if first.all():
             if size < lo:
                 keys[size : size + hi - lo] = keys[lo:hi]
-            self.offsets[size : size + hi - lo] = np.arange(lo, hi, dtype=np.int32)
+            offsets[size : size + hi - lo] = np.arange(lo, hi, dtype=np.int32)
             return size + hi - lo
         starts = np.flatnonzero(first)
         keys[size : size + len(starts)] = keys[lo:hi][starts]
-        self.offsets[size : size + len(starts)] = starts + lo
+        offsets[size : size + len(starts)] = starts + lo
         # The unstable sort leaves each bucket's ids in any order. In a table
         # with a bucket of two or more points, buckets are numbered in order
         # and one sort of (bucket + 1) * n + id puts each bucket's ids in
@@ -301,17 +296,20 @@ class NNIndex:
     def candidate_cap(self) -> int:
         return CANDIDATE_CAP_FACTOR * self.params.L
 
-    def _words(self, bits: np.ndarray) -> np.ndarray:
-        """(L, n, w) key words of the rows of bits, most significant first: the labeler's
-        words plus the tags, or below the tags' top word if the table digit has its own."""
-        words = self._labeler.words(bits)
-        if words.shape[2] == self._tags.shape[2]:
-            words += self._tags
-            return words
-        keys = np.empty((*words.shape[:2], self._tags.shape[2]), dtype=np.uint64)
-        keys[...] = self._tags
-        keys[..., 1:] = words
-        return keys
+    def _keys(self, bits: np.ndarray, tables: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(m, n, w) key words of the rows of bits in the tables numbered in
+        `tables`, most significant first: the labeler's words under the table
+        digit, which shares their top word or takes a word of its own above
+        them; written to `out` if given."""
+        digits = self._digits[tables, None]
+        if out is None:
+            out = np.empty((len(digits), len(bits), self._labeler.width + self._above), dtype=np.uint64)
+        self._labeler.words(bits, tables, out=out[..., self._above :])
+        if self._above:
+            out[..., 0] = digits
+        else:
+            out[..., 0] += digits
+        return out
 
     def _buckets(self, words: np.ndarray) -> np.ndarray:
         """For each table t, the bucket whose key is row t of the (L, w)
@@ -377,7 +375,7 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     if x.dim != index.dim:
         raise ValueError(f"query dimension {x.dim} differs from index ({index.dim})")
     raw = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint8)
-    bucket = index._buckets(index._words(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[:, 0])
+    bucket = index._buckets(index._keys(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[:, 0])
     hit = bucket >= 0
     lo = index.offsets[bucket]
     lens = np.where(hit, index.offsets[bucket + 1] - lo, 0)
@@ -391,15 +389,17 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
 def scan_traced(index: NNIndex, x: np.ndarray) -> QueryTrace:
     """query_traced for the query given as a (d,) 0/1 uint8 row, without the
     index's tables: x's bucket in table t is {i : g_t(p_i) = g_t(x)}, ids
-    ascending, read off a mask of label matches a block of whole tables at a
-    time, as the tables are built. The scan stops after the block that
-    passes the cap."""
+    ascending, read off a mask of label matches on the packed rows a block
+    of whole tables at a time, as the tables are built. The scan stops
+    after the block that passes the cap."""
+    if not isinstance(x, np.ndarray) or x.dtype != np.uint8 or x.ndim != 1 or (x > 1).any():
+        raise ValueError("need the query as a (d,) 0/1 uint8 row")
     if len(x) != index.dim:
         raise ValueError(f"query dimension {len(x)} differs from index ({index.dim})")
-    cap, bits = index.candidate_cap, index.bits
+    cap, x_words = index.candidate_cap, pack_rows(x[None])[0]
     ids, table, total = [], [], 0
     for block in index._blocks():
-        match = index._labeler.matches(bits, x, block)
+        match = index._labeler.matches(index.rows, x_words, block)
         ends = np.cumsum(np.count_nonzero(match, axis=1))
         # Candidates past the first one over the cap are never read.
         need = cap + 1 - total
@@ -409,7 +409,7 @@ def scan_traced(index: NNIndex, x: np.ndarray) -> QueryTrace:
         total += int(ends[-1])
         if total > cap:
             break
-    return _inspect(index, pack_rows(x[None])[0], np.concatenate(ids), np.concatenate(table), total)
+    return _inspect(index, x_words, np.concatenate(ids), np.concatenate(table), total)
 
 
 def query(index: NNIndex, x: Point) -> Optional[tuple[int, int]]:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bounds import im_rho
-from .points import Point, cube_distance_rows, points_to_bit_matrix
+from .points import Point, cube_distance_rows, points_to_bit_matrix, unpack_rows
 from . import rng as rngmod
 
 
@@ -541,20 +541,22 @@ class LabelStack:
             out[:, :, -1 - c] = np.where((word == c)[:, :, None], digits, 0).sum(axis=1, dtype=np.uint64)
         return out
 
-    def matches(self, bits: np.ndarray, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """(m, n) bool: whether functions[rows] give row i of bits the label
-        of the 0/1 row x."""
-        return (self.words(bits, rows) == self.words(x[None], rows)).all(axis=2)
+    def matches(self, rows: np.ndarray, x_words: np.ndarray, functions: slice = slice(None)) -> np.ndarray:
+        """(m, n) bool: whether the functions numbered in `functions` give the
+        point packed as rows[i] (pack_rows) the label of the point packed as
+        x_words; both are unpacked to be labelled."""
+        words = self.words(unpack_rows(np.vstack((rows, x_words)), self.leaves[0].dim), functions)
+        return (words[:, :-1] == words[:, -1:]).all(axis=2)
 
 
-# Cells of one block of ProjectionProduct's float64 points and of its product: 512 KiB each.
+# Cells of one block of ProjectionProduct's float64 points, its product or its masked words: 512 KiB each.
 _PRODUCT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionProduct:
     """The labels of concatenated coordinate projections, all functions at
-    once, as one float64 matrix product, in 64-bit words.
+    once, as one float64 matrix product, in 64-bit words, and their matches.
 
     Function t's packed label is the sum of 2^j over its parts j whose
     coordinate is set: the point's product with a weight row holding, at
@@ -562,7 +564,9 @@ class ProjectionProduct:
     (coordinates may repeat). A float64 sum of distinct powers of two is
     exact below 2^53 whatever the summation order, so labels below 2^53
     take one weight row; wider ones take two per word they reach, one per
-    32-bit limb.
+    32-bit limb. Two points share function t's label exactly when they agree
+    on every coordinate t projects: a match needs no product, only t's
+    coordinate bitmask (masks) against the two packed points' difference.
     """
 
     coords: np.ndarray  # the projected coordinates, once each
@@ -613,26 +617,28 @@ class ProjectionProduct:
         return out
 
     @functools.cached_property
-    def _indicator(self) -> np.ndarray:
-        """(n_functions, len(coords)) float64: 1 where a function projects the coordinate."""
-        w = self.weights.reshape(-1, self.n_functions, len(self.coords))
-        return (w != 0).any(axis=0).astype(np.float64)
+    def masks(self) -> np.ndarray:
+        """(n_functions, w) uint64: each function's coordinate bitmask, laid out
+        as pack_rows lays out a point, up to the word of the last coordinate."""
+        t, c = np.nonzero(self.weights)
+        w = int(self.coords[-1]) // 64 + 1
+        bit = np.sort(t % self.n_functions * 64 * w + self.coords[c])  # bit number of each (function, coordinate)
+        first = np.flatnonzero(np.r_[True, np.diff(bit >> 6) != 0])  # the first bit of each word
+        masks = np.zeros((self.n_functions, w), dtype=np.uint64)
+        masks.ravel()[bit[first] >> 6] = np.bitwise_or.reduceat(np.uint64(1) << (bit & 63).astype(np.uint64), first)
+        return masks
 
-    def matches(self, bits: np.ndarray, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """(m, n) bool: whether functions[rows] give row i of bits the label
-        of the 0/1 row x, that is, whether the two agree on every coordinate
-        the function projects."""
-        indicator = self._indicator[rows]
-        out = np.empty((len(indicator), len(bits)), dtype=bool)
-        block = max(1, _PRODUCT_CELLS // max(indicator.shape))
-        for lo in range(0, len(bits), block):
-            # Blocks laid out as in words, so the product runs the same BLAS
-            # kernel (a float32 one would touch buffers of its own, about
-            # 0.4 MB resident). Each product counts the projected coordinates
-            # on which the rows differ: at most k <= 2^22, exact in float64.
-            differ = (bits[lo : lo + block, self.coords] != x[self.coords]).T.astype(np.float64)
-            out[:, lo : lo + block] = indicator @ differ == 0
-            del differ  # no chunk's blocks outlive it
+    def matches(self, rows: np.ndarray, x_words: np.ndarray, functions: slice = slice(None)) -> np.ndarray:
+        """(m, n) bool: whether the functions numbered in `functions` give the
+        point packed as rows[i] (pack_rows) the label of the point packed as
+        x_words, that is, whether (rows[i] ^ x_words) & mask is 0 in every
+        word, a chunk of points at a time."""
+        masks = self.masks[functions]
+        out = np.ones((len(masks), len(rows)), dtype=bool)
+        block = max(1, _PRODUCT_CELLS // len(masks))
+        for lo in range(0, len(rows), block):
+            for j in range(masks.shape[1]):
+                out[:, lo : lo + block] &= (masks[:, j, None] & (rows[lo : lo + block, j] ^ x_words[j])) == 0
         return out
 
 

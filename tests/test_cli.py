@@ -351,6 +351,22 @@ def test_index_query_refuses_bad_functions(tmp_path, point_file, capsys, case):
     assert capsys.readouterr().err.splitlines() == [f"error: {bad_path}: {message}"]
 
 
+def test_index_query_refuses_bad_params(tmp_path, point_file, capsys):
+    # A params field the loader checks (the rules are test_load_rejects_bad_params')
+    # exits 2 at load, with the file's name, before any query.
+    path, _ = point_file
+    good = tmp_path / "idx.json"
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["params"]["planned_rho"] = "x"
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["index-query", "--index", str(bad_path), "--point", "0" * 24]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad_path}: planned_rho must be None or a finite real, got 'x'"]
+
+
 @pytest.mark.parametrize("n, extra", [
     (50, ["--L", "100000000"]),
     (50, ["--k", "1000000000", "--L", "1"]),

@@ -431,6 +431,13 @@ def test_query_dimension_check():
         query(idx, Point(0, 11))
     with pytest.raises(ValueError, match="query dimension 11 differs from index"):
         scan_traced(idx, np.zeros(11, dtype=np.uint8))
+    # A query is a (d,) 0/1 uint8 row, as the index's points are: not 2x
+    # one, not its floats, and not a (1, d) matrix.
+    row = _row(pts[3])
+    assert scan_traced(idx, row).result == (3, 0)
+    for bad in (2 * row, row.astype(np.float64), row[None]):
+        with pytest.raises(ValueError, match=r"need the query as a \(d,\) 0/1 uint8 row"):
+            scan_traced(idx, bad)
 
 
 @settings(deadline=None, max_examples=50)
@@ -561,6 +568,7 @@ def test_table_digit_at_the_word_boundary(k, L, size):
 @pytest.mark.parametrize("pts, make, cap_hit", [
     (_random_points(50, 128, seed=50), _sampled(bit_sampling_family(128), 57, 92), False),
     (_random_points(50, 40, seed=51), _sampled(bit_sampling_family(40), 70, 9), False),
+    (_random_points(50, 100, seed=60), _sampled(bit_sampling_family(100), 59, 20), False),
     (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 1), False),
     (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 2), False),
     (_random_points(100, 24, seed=53), _sampled(bit_sampling_family(24), 1, 12), True),
@@ -569,15 +577,17 @@ def test_table_digit_at_the_word_boundary(k, L, size):
     (_random_points(30, 24, seed=56) * 10, _sampled(bit_sampling_family(24), 8, 7), True),
     (_random_points(50, 12, seed=57) * 3, _sampled(minhash_family(12), 3, 11), True),
     ([Point(5, 12)] * 50, _sampled(bit_sampling_family(12), 3, 4), True),
-], ids=["k57", "k70-d40", "k64-L1", "k64-L2", "k1", "minhash", "mixed", "repeated-10", "minhash-repeated-3",
+], ids=["k57", "k70-d40", "k59-d100", "k64-L1", "k64-L2", "k1", "minhash", "mixed", "repeated-10", "minhash-repeated-3",
         "identical"])
 def test_scan_of_a_loaded_index_is_the_table_query(tmp_path, pts, make, cap_hit):
     # A loaded index answers from label matches without building its tables,
     # and every trace is the table query's on the built index: stored
     # points, stored points with a few bits flipped, random points, and
     # decoys that share a stored point's bucket in table 0 but little else.
+    # At d = 100 a point packs into two words with 28 padding bits, and
+    # k = 59 labels in 32-bit limbs.
     idx = _built(make(pts))
-    assert "bits" not in vars(idx)  # a built index holds its points packed only
+    assert "_bits" not in vars(idx)  # a built index holds its points packed only
     save_index(idx, tmp_path / "index.json")
     clone = load_index(tmp_path / "index.json")
     d = idx.dim
@@ -598,9 +608,11 @@ def test_scan_of_a_loaded_index_is_the_table_query(tmp_path, pts, make, cap_hit)
 
 def test_scan_memory_stays_blocked(monkeypatch):
     # Blocks of 4 tables at n = 2^12, as test_build_memory_stays_blocked
-    # builds them: a scan holds one block's match mask and one chunk of the
-    # product's float64 mismatches (512 KiB) with its 0/1 copies, about
-    # 0.73 MB traced, against 1.42 MB for one block of all 92 tables.
+    # builds them: a scan holds one block's match mask, the packed rows'
+    # differences from the query in one word and those under the block's
+    # coordinate bitmasks (uint64, 128 KiB), about 0.21 MB traced, against
+    # 1.04 MB for one block of all 92 tables (and 0.73 MB when a float64
+    # product of 0/1 mismatches counted them).
     monkeypatch.setattr("lshlab.annindex.BUILD_BLOCK_ENTRIES", 4 << 12)
     bits = np.random.default_rng(4).integers(0, 2, size=(1 << 12, 128), dtype=np.uint8)
     idx = build(bits, bit_sampling_family(128), IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
@@ -613,7 +625,7 @@ def test_scan_memory_stays_blocked(monkeypatch):
     finally:
         tracemalloc.stop()
     assert trace.tables_probed == 92 and "keys" not in vars(idx)
-    assert peak <= 16 * (4 << 12) + (3 << 18)
+    assert peak <= 16 * (4 << 12) + (1 << 18)
     assert trace == query_traced(idx, Point.from01("".join(map(str, x))))
 
 
@@ -757,6 +769,34 @@ def test_load_rejects_bad_part_numbers(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="index.json"):
         load_index(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", 5.0), ("delta", 0), ("delta", True), ("delta", "0.1"), ("delta", float("nan")),
+    ("seed", -1), ("seed", 1.5), ("seed", 1 << 64), ("seed", True),
+    ("n_planned", "abc"), ("n_planned", 0), ("n_planned", 20.0),
+    ("predicted_p_k", True), ("predicted_p_k", "0.5"), ("predicted_p_k", float("inf")),
+    ("planned_rho", "x"), ("planned_rho", False), ("planned_rho", float("nan")),
+])
+def test_load_rejects_bad_params(tmp_path, field, value):
+    # delta is a real in (0, 1), seed an integer in [0, 2^64), n_planned None
+    # or an integer >= 1, and predicted_p_k and planned_rho None or finite
+    # reals, never bools.
+    pts = _random_points(20, 8, seed=12)
+    idx = build(pts, bit_sampling_family(8), IndexParams(r=1, cr=3, k=3, L=4, delta=0.1, seed=6))
+    path = tmp_path / "index.json"
+    save_index(idx, path)
+    doc = json.loads(path.read_text())
+    doc["params"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"index.json: {field} must be"):
+        load_index(path)
+
+
+def test_params_accept_their_whole_ranges():
+    for fields in (dict(delta=1e-300, seed=(1 << 64) - 1, n_planned=1, predicted_p_k=0.0, planned_rho=0),
+                   dict(delta=0.5, seed=0, n_planned=None, predicted_p_k=None, planned_rho=None)):
+        assert IndexParams(r=1, cr=3, k=3, L=4, **fields).seed == fields["seed"]
 
 
 def test_index_refuses_functions_it_could_not_reload():
