@@ -146,6 +146,39 @@ class _Tables:
         return index.__dict__[self.name]
 
 
+def _sort_tables(labels: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
+    """Sort each table's rows of label words, (m, n, w) most significant
+    first, in place. One-word labels sort as they are. Wider ones are
+    gathered by their order: each table sorts by its lowest word, then
+    stably by each higher one, the first sort a table at a time, so no
+    block-sized int64 order is held. The order goes to ids, (m, n) int32,
+    if given; a one-word sort computes it only then."""
+    w = labels.shape[2]
+    if ids is None and w > 1:
+        ids = np.empty(labels.shape[:2], dtype=np.int32)
+    if ids is not None:
+        for t in range(len(ids)):
+            ids[t] = np.argsort(labels[t, :, -1])
+        for j in range(w - 2, -1, -1):
+            by_word = np.take_along_axis(labels[..., j], ids, axis=1).argsort(axis=1, kind="stable")
+            ids[...] = np.take_along_axis(ids, by_word, axis=1)
+            del by_word  # one block-sized temporary at a time
+    if w == 1:
+        labels[..., 0].sort(axis=1)
+    else:
+        for j in range(w):
+            labels[..., j] = np.take_along_axis(labels[..., j], ids, axis=1)
+
+
+def _bucket_starts(labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mark in out, (m, n) bool, the rows of sorted labels (_sort_tables)
+    that open a bucket: a sorted label row that differs from the row before
+    it, and each table's first row."""
+    out[:, 0] = True
+    np.any(labels[:, 1:] != labels[:, :-1], axis=2, out=out[:, 1:])
+    return out
+
+
 class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
@@ -162,7 +195,8 @@ class NNIndex:
     same way, and one searchsorted finds all L buckets. The tables are a
     pure function of (parts, table, points), so they are derived in
     _build_tables and nowhere else, the first time keys, offsets or ids is
-    read; a one-shot query (scan_traced) needs none of them.
+    read; a one-shot query (scan_traced) and the bucket counts (stats,
+    through _census) need none of them.
     """
 
     def __init__(
@@ -253,27 +287,13 @@ class NNIndex:
         n = len(bits)
         lo, hi = tables.start * n, tables.stop * n
         # The table digit is constant within a table, so it goes on before
-        # the sort; the label words below it order the table.
+        # the sort; the label words below it order the table, and their
+        # order is the table's ids.
         block = self._keys(bits, tables, out=keys[lo:hi].reshape(-1, n, keys.shape[1]))
         labels = block[..., self._above :]
-        # Each table sorts by its lowest label word, then stably by each higher
-        # one; the order is the table's ids. The first sort goes a table at a
-        # time, so no block-sized int64 order is held next to the arrays.
         ids = ids[lo:hi].reshape(-1, n)
-        for t in range(len(ids)):
-            ids[t] = np.argsort(labels[t, :, -1])
-        for j in range(labels.shape[2] - 2, -1, -1):
-            by_word = np.take_along_axis(labels[..., j], ids, axis=1).argsort(axis=1, kind="stable")
-            ids[...] = np.take_along_axis(ids, by_word, axis=1)
-            del by_word  # one block-sized temporary at a time
-        # Sorted one-word labels are the gathered ones; wider ones gather a word at a time.
-        if labels.shape[2] == 1:
-            labels[..., 0].sort(axis=1)
-        else:
-            for j in range(labels.shape[2]):
-                labels[..., j] = np.take_along_axis(labels[..., j], ids, axis=1)
-        first = np.ones(ids.shape, dtype=bool)
-        first[:, 1:] = (labels[:, 1:] != labels[:, :-1]).any(axis=2)
+        _sort_tables(labels, ids)
+        first = _bucket_starts(labels, np.empty(ids.shape, dtype=bool))
         if first.all():
             if size < lo:
                 keys[size : size + hi - lo] = keys[lo:hi]
@@ -291,6 +311,24 @@ class NNIndex:
             runs.sort()
             ids[t] = runs % n
         return size + len(starts)
+
+    def _census(self) -> tuple[int, int]:
+        """(buckets, largest bucket) of the tables, before they are built:
+        counted a block of whole tables at a time from each table's sorted
+        labels, without the keys, offsets and ids. The table digit is
+        constant within a table, so the labeler's words alone order it."""
+        n, buckets, largest = len(self.rows), 0, 0
+        for tables in self._blocks():
+            labels = self._labeler.words(self._bits, tables)
+            _sort_tables(labels)
+            # Each table's bucket starts, flat, then one past the block's last entry.
+            edges = np.ones(len(labels) * n + 1, dtype=bool)
+            _bucket_starts(labels, edges[:-1].reshape(-1, n))
+            del labels
+            starts = np.arange(len(edges), dtype=np.int32)[edges]
+            buckets += len(starts) - 1
+            largest = max(largest, int(np.diff(starts).max()))
+        return buckets, largest
 
     @property
     def candidate_cap(self) -> int:
@@ -431,20 +469,27 @@ class IndexStats:
 
 
 def stats(index: NNIndex) -> IndexStats:
+    """Sizes of the index's tables. Built tables are read; otherwise the
+    buckets are counted from sorted labels (NNIndex._census), and nothing
+    is built. approx_bytes is what rows, keys, offsets and ids hold, or
+    will hold once built."""
     n = len(index.rows)
-    total = len(index.ids)
-    n_buckets = len(index.keys)
+    total = n * index.params.L
+    if "_bits" in vars(index):
+        n_buckets, max_bucket = index._census()
+    else:
+        n_buckets, max_bucket = len(index.keys), int(np.diff(index.offsets).max())
     rho = index.params.planned_rho
-    arrays = (index.rows, index.keys, index.offsets, index.ids)
+    key_bytes = 8 * (index._labeler.width + index._above)
     return IndexStats(
         n_points=n,
         n_tables=index.params.L,
         k=index.params.k,
         total_entries=total,
         mean_bucket=total / n_buckets,
-        max_bucket=int(np.diff(index.offsets).max()),
+        max_bucket=max_bucket,
         n_buckets=n_buckets,
-        approx_bytes=sum(a.nbytes for a in arrays),
+        approx_bytes=index.rows.nbytes + key_bytes * n_buckets + 4 * (n_buckets + 1) + 4 * total,
         measured_space_exp=math.log(max(total, 1)) / math.log(n) if n > 1 else float("nan"),
         predicted_space_exp=(1 + rho) if rho is not None else None,
     )

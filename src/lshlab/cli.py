@@ -4,11 +4,16 @@ Subcommands: bounds, stability, sensitivity, index-build, index-query,
 index-experiment, verify. Every command is deterministic given its flags and
 seed; outputs are CSV by default with a field-for-field JSON-lines mirror.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
+
+`main` builds the argument parser on its first call and reuses it for every
+later call in the process; each call parses into a fresh namespace, so no
+state carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,11 +217,14 @@ def cmd_index_build(args) -> int:
         )
     index = build(bits, bit_sampling_family(d), params)
     save_index(index, args.out)
+    # Counted from sorted labels: index-build builds no tables.
     st = stats(index)
-    print(
-        f"built index: n={st.n_points} d={d} k={params.k} L={params.L} "
-        f"entries={st.total_entries} max_bucket={st.max_bucket}"
-    )
+    report = {"n": st.n_points, "d": d, "k": params.k, "L": params.L,
+              "entries": st.total_entries, "max_bucket": st.max_bucket}
+    if args.format == "jsonl":
+        write_rows(None, [*report, "n_buckets"], [(*report.values(), st.n_buckets)], "jsonl")
+    else:
+        print("built index: " + " ".join(f"{key}={v}" for key, v in report.items()))
     return 0
 
 
@@ -264,7 +272,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lshlab",
         description="LSH families, noise-stability analysis, rho bounds, and a near-neighbor index",
@@ -294,19 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--K", type=float, default=1.0)
     p.add_argument("--s", type=float, default=1.0, help="l_s exponent for the diim column")
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("stability", help="stability curve K(t) with a log-convexity certificate")
     common(p, family=True)
     p.add_argument("--t-grid", required=True, help="start:stop:count or comma list")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=20000)
-    p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("sensitivity", help="exact (p, q, rho) at thresholds (r, cr)")
     common(p, family=True)
     p.add_argument("--cr", type=int, default=None)
-    p.set_defaults(fn=cmd_sensitivity)
 
     p = sub.add_parser("index-build", help="build a near-neighbor index over a point file")
     common(p)
@@ -316,13 +323,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--k", type=int, default=None, help="override planned k")
     p.add_argument("--L", type=int, default=None, help="override planned L")
-    p.set_defaults(fn=cmd_index_build)
 
     p = sub.add_parser("index-query", help="query a saved index with one point")
     common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--point", required=True, help="0/1 string")
-    p.set_defaults(fn=cmd_index_query)
 
     p = sub.add_parser("index-experiment", help="planted-pair success-rate experiment")
     common(p)
@@ -332,22 +337,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--queries", type=int, default=200)
-    p.set_defaults(fn=cmd_index_experiment)
 
     p = sub.add_parser("verify", help="run cross-module invariant suites")
     common(p)
     p.add_argument("--suite", default="all", help="one of: all, " + ", ".join(SUITES))
     p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up by name on each call, so the parser, built once, holds no command function.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lshlab
-from lshlab import annindex, rng as rngmod
+from lshlab import annindex, cli, rng as rngmod
 from lshlab.cli import main
 from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
 from lshlab.verify import SUITES
@@ -187,6 +187,87 @@ def test_index_query_never_builds_the_tables(tmp_path, point_file, monkeypatch):
         assert run(["index-query", "--index", str(idx_path), "--point", q, "--out", str(out)]) == 0
         assert out.read_text() == want
     assert wanted[0].startswith("found,id,dist,inspected\n1,3,0,")
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "70", "--L", "5"]], ids=["planned", "two-word"])
+def test_index_build_never_builds_the_tables(tmp_path, point_file, monkeypatch, capsys, extra):
+    # index-build counts its buckets from sorted labels: with the table
+    # build made to fail, it prints the line stats gives on the loaded
+    # index once its tables are built.
+    path, _ = point_file
+    idx_path = tmp_path / "idx.json"
+
+    def refuse(*args):
+        raise AssertionError("index-build built the tables")
+
+    monkeypatch.setattr(annindex.NNIndex, "_build_block", refuse)
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--out", str(idx_path)] + extra) == 0
+    line = capsys.readouterr().out
+    monkeypatch.undo()
+    index = annindex.load_index(idx_path)
+    index.keys  # builds the tables
+    st = annindex.stats(index)
+    assert line == (f"built index: n=80 d=24 k={st.k} L={st.n_tables} entries={st.total_entries} "
+                    f"max_bucket={st.max_bucket}\n")
+
+
+def test_index_build_jsonl_prints_one_record(tmp_path, point_file, capsys):
+    # --format jsonl gives the text line's fields and the bucket count as
+    # one JSON record; the index file is the same.
+    path, _ = point_file
+    args = ["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--seed", "9"]
+    assert run(args + ["--out", str(tmp_path / "a.json")]) == 0
+    text = capsys.readouterr().out
+    assert run(args + ["--out", str(tmp_path / "b.json"), "--format", "jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    record = json.loads(out)
+    st = annindex.stats(annindex.load_index(tmp_path / "b.json"))
+    assert record == {"n": 80, "d": 24, "k": st.k, "L": st.n_tables, "entries": st.total_entries,
+                      "max_bucket": st.max_bucket, "n_buckets": st.n_buckets}
+    shown = ("n", "d", "k", "L", "entries", "max_bucket")
+    assert text == "built index: " + " ".join(f"{key}={record[key]}" for key in shown) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_main_builds_the_parser_once(tmp_path, point_file, monkeypatch):
+    # The parser holds no command function: main looks each one up by
+    # name, so a command replaced after the parser was built still runs.
+    path, bits = point_file
+    cli._build_parser.cache_clear()
+    idx = str(tmp_path / "idx.json")
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6", "--out", idx]) == 0
+    for q in bits_to01(bits[:3]):
+        assert run(["index-query", "--index", idx, "--point", q]) == 0
+    assert run(["bounds", "--steps", "3", "--out", str(tmp_path / "b.csv")]) == 0
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: 7)
+    assert run(["bounds"]) == 7
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_usage_error_leaves_no_state_in_the_parser(tmp_path, point_file, capsys):
+    # One parser serves every call: a call that sets --k, --L and --format
+    # and then fails to parse (SystemExit 2) changes nothing that later
+    # calls print or write.
+    path, bits = point_file
+    build = ["index-build", "--data", str(path), "--r", "2", "--cr", "6"]
+    query = ["index-query", "--point", bits_to01(bits[7:8])[0]]
+
+    def outputs(tag):
+        idx, q = tmp_path / f"idx-{tag}.json", tmp_path / f"q-{tag}.csv"
+        assert run(build + ["--out", str(idx)]) == 0
+        assert run(query + ["--index", str(idx), "--out", str(q)]) == 0
+        return capsys.readouterr().out, idx.read_bytes(), q.read_bytes()
+
+    before = outputs("a")
+    with pytest.raises(SystemExit) as exc:
+        run(build + ["--k", "3", "--L", "4", "--format", "jsonl", "--delta", "half"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(query + ["--format", "jsonl"])  # no --index
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert outputs("b") == before
 
 
 def test_index_query_missing_file(tmp_path):

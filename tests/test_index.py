@@ -299,6 +299,9 @@ def test_blocks_of_tables_build_the_one_block_index(monkeypatch, pts, make, per_
     assert 2 <= len(blocks) - 1 <= 7
     assert idx.keys.dtype.itemsize == size and idx.keys.tobytes() == whole.keys.tobytes()
     assert idx.offsets.tobytes() == whole.offsets.tobytes() and idx.ids.tobytes() == whole.ids.tobytes()
+    # The bucket counts read the same blocks' sorted labels and build nothing.
+    unbuilt, built_blocks = make(pts), len(blocks)
+    assert stats(unbuilt) == stats(whole) and len(blocks) == built_blocks and "keys" not in vars(unbuilt)
     tables = _ref_tables(_functions(idx), pts)
     assert _buckets(idx) == tables
     queries = pts[:6] + _random_points(6, idx.dim, seed=46)
@@ -348,6 +351,25 @@ def test_build_memory_stays_blocked(monkeypatch):
     idx, extra = _traced_build(bits, IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
     assert len(idx.keys) == 92 << 12
     assert extra <= 16 * (4 << 12) + (1 << 20)
+
+
+def test_census_memory_is_below_the_build():
+    # At n = 2^12 all 92 tables are one block. The count holds its label
+    # words, sorted in place, a bool per entry and int32 bucket starts:
+    # about 4.1 MiB traced, against 7.5 MiB for the table build.
+    bits = np.random.default_rng(4).integers(0, 2, size=(1 << 12, 128), dtype=np.uint8)
+    idx = build(bits, bit_sampling_family(128), IndexParams(r=8, cr=16, k=57, L=92, delta=0.1, seed=1))
+    assert len(idx._blocks()) == 1
+    peaks = []
+    for step in (stats, _built):
+        assert "keys" not in vars(idx)  # the count builds nothing
+        tracemalloc.start()
+        try:
+            step(idx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +590,7 @@ def test_table_digit_at_the_word_boundary(k, L, size):
 @pytest.mark.parametrize("pts, make, cap_hit", [
     (_random_points(50, 128, seed=50), _sampled(bit_sampling_family(128), 57, 92), False),
     (_random_points(50, 40, seed=51), _sampled(bit_sampling_family(40), 70, 9), False),
+    (_random_points(50, 40, seed=61), _sampled(bit_sampling_family(40), 260, 5), False),
     (_random_points(50, 100, seed=60), _sampled(bit_sampling_family(100), 59, 20), False),
     (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 1), False),
     (_random_points(20, 16, seed=52) * 2, _sampled(bit_sampling_family(16), 64, 2), False),
@@ -577,19 +600,24 @@ def test_table_digit_at_the_word_boundary(k, L, size):
     (_random_points(30, 24, seed=56) * 10, _sampled(bit_sampling_family(24), 8, 7), True),
     (_random_points(50, 12, seed=57) * 3, _sampled(minhash_family(12), 3, 11), True),
     ([Point(5, 12)] * 50, _sampled(bit_sampling_family(12), 3, 4), True),
-], ids=["k57", "k70-d40", "k59-d100", "k64-L1", "k64-L2", "k1", "minhash", "mixed", "repeated-10", "minhash-repeated-3",
-        "identical"])
+], ids=["k57", "k70-d40", "k260-d40", "k59-d100", "k64-L1", "k64-L2", "k1", "minhash", "mixed", "repeated-10",
+        "minhash-repeated-3", "identical"])
 def test_scan_of_a_loaded_index_is_the_table_query(tmp_path, pts, make, cap_hit):
     # A loaded index answers from label matches without building its tables,
     # and every trace is the table query's on the built index: stored
     # points, stored points with a few bits flipped, random points, and
     # decoys that share a stored point's bucket in table 0 but little else.
     # At d = 100 a point packs into two words with 28 padding bits, and
-    # k = 59 labels in 32-bit limbs.
+    # k = 59 labels in 32-bit limbs; k = 260 labels take five words. The
+    # loaded index's bucket counts, read off its sorted labels, are the
+    # built tables'.
     idx = _built(make(pts))
     assert "_bits" not in vars(idx)  # a built index holds its points packed only
     save_index(idx, tmp_path / "index.json")
     clone = load_index(tmp_path / "index.json")
+    built = stats(idx)
+    assert stats(clone) == built
+    assert built.approx_bytes == sum(a.nbytes for a in (idx.rows, idx.keys, idx.offsets, idx.ids))
     d = idx.dim
     g = rngmod.stream(58, 0)
     stored = pts[:6]
