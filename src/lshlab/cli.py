@@ -186,6 +186,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_index_build(args) -> int:
+    if args.out is None:
+        raise CliError("index-build needs --out, the index file to write")
     if args.r < 1:
         raise CliError("--r must be at least 1")
     if not 0 < args.delta < 1:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bounds import im_rho
-from .points import Point, cube_distance_rows, points_to_bit_matrix, unpack_rows
+from .points import Point, points_to_bit_matrix, unpack_rows
 from . import rng as rngmod
 
 
@@ -354,14 +354,15 @@ class MinHashPermutation(HashFunction):
 
     @classmethod
     def _cube_labels(cls, functions: Sequence["MinHashPermutation"], J: np.ndarray) -> np.ndarray:
-        # A running minimum: coordinate i lowers the half of the cube that
-        # contains it to its rank, and the empty set keeps the label dim.
+        # By doubling: the points with top coordinate i are the 2^i points
+        # below them with coordinate i set, which lowers their label to its
+        # rank; the empty set keeps the label dim.
         d = functions[0].dim
         ranks = np.array([h.perm for h in functions], dtype=np.min_scalar_type(d))
-        out = np.full((len(functions), 1 << d), d, dtype=ranks.dtype)
+        out = np.empty((len(functions), 1 << d), dtype=ranks.dtype)
+        out[:, 0] = d
         for i in range(d):
-            ones = out.reshape(len(functions), -1, 2, 1 << i)[:, :, 1]
-            np.minimum(ones, ranks[:, i, None, None], out=ones)
+            np.minimum(out[:, : 1 << i], ranks[:, i, None], out=out[:, 1 << i : 2 << i])
         return out[..., None]
 
 
@@ -1053,24 +1054,38 @@ def collision_by_distance(family: HashFamily) -> list[Fraction]:
     return _collision_masses(family, np.tri(d + 1, d, -1, dtype=np.uint8))
 
 
-# Cells of one broadcast collision comparison in _class_extremes: 1 MiB of bool.
+# Cells of the one bool buffer that _class_extremes compares codes into:
+# 1 MiB, allocated once per call and reused by every run of atoms, whose
+# at most 255 comparisons are summed as bytes.
 _COMPARE_CELLS = 1 << 20
+# Rows of x per block of _class_extremes, at most: cubes of up to 64 points
+# are one block.
+_PAIR_ROWS = 64
 
 
 def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]:
     """Exact per-distance-class (min, max) collision probability over all pairs.
 
+    A pair's collision probability and distance are both symmetric, so a
+    block of rows x meets only the columns y at or past its first row: each
+    unordered pair is counted once, but for the pairs inside a block, which
+    are counted in both orders.
     With the weights scaled to integers over their common denominator D, D
     times a pair's collision probability is a sum over groups of equal-weight
     atoms: weight times how many of the group's atoms collide on the pair.
-    A group's counts come from its rows of the family's code matrix, one
-    broadcast comparison per run of atoms, and add straight into the sums'
-    limbs: one, int32 or int64, while D < 2^63, and otherwise base-2^b
-    digits, carried and then compared from the top digit down.
+    A group's counts come from its rows of the family's code matrix, bytes
+    when every code is below 256. Each run of at most 255 atoms is compared
+    into one reused buffer of _COMPARE_CELLS cells and summed as bytes into
+    the group's wider count. The counts add straight into the sums' limbs:
+    one, int32 or int64, while D < 2^63, and otherwise base-2^b digits,
+    carried and then compared from the top digit down.
     """
     d = family.dim
+    n = 1 << d
     denom, nums = family._integer_weights
     codes = collision_code_matrix([h for _, h in family.atoms])
+    if codes.max() < 256:
+        codes = codes.astype(np.uint8)
     members: dict[int, list[int]] = {}
     for i, w in enumerate(nums):
         members.setdefault(w, []).append(i)
@@ -1085,15 +1100,21 @@ def _class_extremes(family: HashFamily) -> tuple[list[Fraction], list[Fraction]]
               for w, atoms in members.items()]
     mins, maxs = [denom] * (d + 1), [0] * (d + 1)
     extremes = ((np.minimum, min, np.iinfo(dtype).max, mins), (np.maximum, max, -1, maxs))
-    for xs, dist in cube_distance_rows(d):
-        step = max(1, _COMPARE_CELLS // dist.size)  # atoms per broadcast comparison
+    ids = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    cells = np.empty(max(_COMPARE_CELLS, n), dtype=bool)
+    rows = max(1, min(_PAIR_ROWS, _COMPARE_CELLS // n))
+    for lo in range(0, n, rows):
+        xs, ys = slice(lo, lo + rows), slice(lo, n)
+        dist = np.bitwise_count(ids[xs, None] ^ ids[ys])
+        step = max(1, min(255, len(cells) // dist.size))  # atoms per comparison
         limbs = np.zeros((n_limbs,) + dist.shape, dtype=dtype)
         for group, weight in groups:
             count = np.zeros(dist.shape, dtype=np.min_scalar_type(len(group)))
             for start in range(0, len(group), step):
                 t = codes[group[start : start + step]]
-                same = t[:, xs][:, :, None] == t[:, None, :]
-                count += same[0] if len(same) == 1 else same.sum(0, dtype=count.dtype)
+                same = cells[: len(t) * dist.size].reshape((len(t),) + dist.shape)
+                np.equal(t[:, xs, None], t[:, None, ys], out=same)
+                count += same[0] if len(t) == 1 else same.view(np.uint8).sum(0, dtype=np.uint8)
             for limb, w in zip(limbs, weight):
                 limb += count * w
         for j in range(n_limbs - 1):

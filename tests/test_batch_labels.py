@@ -179,6 +179,25 @@ def test_stacked_cube_labels_equal_per_function_codes(d):
         assert np.array_equal(row, collision_code_matrix([h])[0])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 10])
+def test_minhash_cube_labels_by_doubling_are_the_labels(d):
+    # The whole-cube labeler against each permutation's own labels at every
+    # subcube point, in its uint8 dtype: all permutations up to d = 5 and
+    # seeded ones at d = 10.
+    if d <= 5:
+        perms = list(itertools.permutations(range(d)))
+    else:
+        g = np.random.default_rng(10)
+        perms = [tuple(int(i) for i in g.permutation(d)) for _ in range(50)]
+    fns = [MinHashPermutation(d, p) for p in perms]
+    J = np.tile(np.arange(d, dtype=np.int32), (len(fns), 1))
+    labels = MinHashPermutation._cube_labels(fns, J)
+    assert labels.shape == (len(fns), 1 << d, 1) and labels.dtype == np.uint8
+    cube = hashing._cube_bits(d)
+    for h, row in zip(fns, labels[..., 0], strict=True):
+        assert np.array_equal(row, h._labels(cube))
+
+
 @st.composite
 def ignoring_tables(draw, d):
     # A table that reads only the coordinates outside a drawn set.

@@ -309,6 +309,16 @@ def test_index_build_zero_radius_is_usage_error(tmp_path, point_file, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_index_build_without_out_is_usage_error(point_file, monkeypatch, capsys):
+    # Stdout takes the report line, so the index needs a file: refused
+    # with one line before the points are read.
+    path, _ = point_file
+    monkeypatch.setattr(cli, "load_points_text", lambda p: pytest.fail("read the points"))
+    assert run(["index-build", "--data", str(path), "--r", "2", "--cr", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: index-build needs --out, the index file to write\n"
+
+
 def test_index_build_honours_L_without_k(tmp_path, point_file):
     path, _ = point_file
     args = ["index-build", "--data", str(path), "--r", "2", "--cr", "6"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lshlab import hashing, points
+from lshlab import hashing
 from lshlab import rng as rngmod
 from lshlab.hashing import (
     Concatenation,
@@ -548,7 +549,7 @@ def weighted_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(weighted_tables(), st.sampled_from([1, 1 << 21]))
 def test_weighted_exact_sensitivity_matches_all_pairs(case, cells):
-    # One cell per distance block makes every row of pairs a block of its own.
+    # One compare cell makes every row of x a block of its own.
     fam, r, cr = case
     d = fam.dim
     near, far = [], []
@@ -559,10 +560,22 @@ def test_weighted_exact_sensitivity_matches_all_pairs(case, cells):
             near.append(prob)
         if dist >= cr:
             far.append(prob)
-    with mock.patch.object(points, "_DISTANCE_CELLS", cells):
+    with mock.patch.object(hashing, "_COMPARE_CELLS", cells):
         prof = exact_sensitivity(fam, r, cr)
     assert prof.p_exact == min(near) and prof.q_exact == max(far)
     assert (prof.p, prof.q) == (float(min(near)), float(max(far)))
+
+
+def _all_pairs_extremes(fam):
+    # Per distance, the min and max collision probability over every
+    # unordered pair, one collision_probability call each.
+    d = fam.dim
+    lo, hi = [Fraction(1)] * (d + 1), [Fraction(0)] * (d + 1)
+    for x, y in itertools.combinations_with_replacement(range(1 << d), 2):
+        prob = collision_probability(fam, Point(x, d), Point(y, d))
+        m = (x ^ y).bit_count()
+        lo[m], hi[m] = min(lo[m], prob), max(hi[m], prob)
+    return lo, hi
 
 
 def test_minhash_class_extremes_in_atom_chunks_match_all_pairs():
@@ -573,11 +586,7 @@ def test_minhash_class_extremes_in_atom_chunks_match_all_pairs():
     g = np.random.default_rng(55)
     fns = [MinHashPermutation(d, tuple(int(i) for i in g.permutation(d))) for _ in range(12)]
     fam = finite_family(fns, [Fraction(w, 34) for w in [2] * 5 + [3] * 4 + [4] * 3])
-    lo, hi = [Fraction(1)] * (d + 1), [Fraction(0)] * (d + 1)
-    for x, y in itertools.combinations_with_replacement(range(1 << d), 2):
-        prob = collision_probability(fam, Point(x, d), Point(y, d))
-        m = (x ^ y).bit_count()
-        lo[m], hi[m] = min(lo[m], prob), max(hi[m], prob)
+    lo, hi = _all_pairs_extremes(fam)
     with (
         mock.patch.object(hashing, "_COMPARE_CELLS", 2 << (2 * d)),
         mock.patch.object(hashing, "_CODE_CELLS", 3 << d),
@@ -586,6 +595,57 @@ def test_minhash_class_extremes_in_atom_chunks_match_all_pairs():
             for cr in range(r + 1, d + 1):
                 prof = exact_sensitivity(fam, r, cr)
                 assert (prof.p_exact, prof.q_exact) == (min(lo[: r + 1]), max(hi[cr:]))
+
+
+def test_byte_sums_of_atoms_carry_past_255():
+    # 300 equal-weight constants and two projections, one group of 302
+    # atoms: pairs that agree on x_0 and x_1 collide under all of them, so
+    # the group's count passes 255 and must carry out of each run's byte sum.
+    d = 4
+    fam = finite_family([Constant(d)] * 300 + [CoordinateProjection(d, 0), CoordinateProjection(d, 1)])
+    assert not fam.distance_symmetric
+    lo, hi = _all_pairs_extremes(fam)
+    assert hi[0] == 1 and hi[2] == 1
+    assert hashing._class_extremes(fam) == (lo, hi)
+
+
+def test_pair_blocks_past_row_zero_match_all_pairs():
+    # d = 8 with the compare buffer patched small: blocks of 4 rows of x
+    # (1 KiB), or of one row (16 cells, below one row of 256), so most blocks
+    # start past row 0 and meet only the columns from their first row on.
+    # Pair collapses join (5, 200), across blocks, and (8, 9), inside the
+    # block of rows 8-11, whose weight of 1/2 makes it the one pair at
+    # distance 1 with the class's largest collision probability.
+    d = 8
+    g = np.random.default_rng(8)
+    fns = [MinHashPermutation(d, tuple(int(i) for i in g.permutation(d))) for _ in range(4)]
+    fns += [ExplicitTable(d, tuple(int(v) for v in g.integers(0, 3, 1 << d))) for _ in range(3)]
+    fns += [PairCollapse(d, 5, 200), PairCollapse(d, 8, 9)]
+    fam = finite_family(fns, [Fraction(w, 72) for w in range(1, 9)] + [Fraction(1, 2)])
+    expected = _all_pairs_extremes(fam)
+    assert expected[1][1] >= Fraction(1, 2)
+    for cells in (1 << 10, 16):
+        with mock.patch.object(hashing, "_COMPARE_CELLS", cells):
+            assert hashing._class_extremes(fam) == expected
+    assert hashing._class_extremes(fam) == expected
+
+
+def test_class_extremes_memory_stays_blocked():
+    # At d = 12 one (N, N) bool array of pairs takes 16 MiB. Blocks of 64
+    # rows of x and one reused 1 MiB compare buffer keep the traced peak
+    # near 4.5 MiB, under half of that.
+    d = 12
+    g = np.random.default_rng(12)
+    fns = [ExplicitTable(d, tuple(int(v) for v in g.integers(0, 3, 1 << d))) for _ in range(3)]
+    fam = finite_family(fns + [CoordinateProjection(d, 0)], [Fraction(w, 10) for w in range(1, 5)])
+    tracemalloc.start()
+    try:
+        mins, maxs = hashing._class_extremes(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mins[0] == maxs[0] == 1
+    assert peak <= 8 << 20
 
 
 def test_digit_sums_carry_before_they_compare():
