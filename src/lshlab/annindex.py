@@ -185,11 +185,13 @@ class NNIndex:
     Function t concatenates parts[j] for j in row t of the (L, k) `table`.
     The index keeps its points packed: rows[i] holds point i's ceil(d/64)
     uint64 words, for distances and label matches. The 0/1 rows it was
-    given are kept, privately, only until its tables are built, which label
-    them. Each bucket has one key (_keys): its function's label words with
-    the table number t as one more most significant digit, of radix L,
-    packed as labels are (_pack), stored big-endian as one S{8w} byte
-    string. Byte order is then numeric order, so the L tables, each sorted
+    given are kept, privately and by reference, only until its tables are
+    built, which label them; labelling them (_build_tables, _census) raises
+    a ValueError if they no longer pack to `rows`, so the index never
+    answers from two point sets. Each bucket has one key (_keys): its
+    function's label words with the table number t as one more most
+    significant digit, of radix L, packed as labels are (_pack), stored
+    big-endian as one S{8w} byte string. Byte order is then numeric order, so the L tables, each sorted
     by label, form one sorted array `keys`. Bucket u holds the point ids
     ids[offsets[u]:offsets[u+1]], ascending. A query builds its L keys the
     same way, and one searchsorted finds all L buckets. The tables are a
@@ -209,7 +211,8 @@ class NNIndex:
     ):
         """`table`: L rows of k indices into `parts`, of which the index keeps
         the used ones; `bits`: the points as (n, d) 0/1 uint8 rows, which the
-        index keeps until its tables are built; the caller must not change them."""
+        index keeps, not copied, until its tables are built; the caller must
+        not change them before then (_kept_bits)."""
         L, k = params.L, params.k
         if len(table) != L:
             raise ValueError(f"need exactly L = {L} functions, got {len(table)}")
@@ -247,6 +250,12 @@ class NNIndex:
 
     keys, offsets, ids = _Tables(), _Tables(), _Tables()
 
+    def _kept_bits(self) -> np.ndarray:
+        """The 0/1 rows the index was given, checked against its packed rows."""
+        if not np.array_equal(pack_rows(self._bits), self.rows):
+            raise ValueError("the points an index was built from changed before its tables were built")
+        return self._bits
+
     def _blocks(self) -> list[slice]:
         """The tables in blocks of whole tables, of at most BUILD_BLOCK_ENTRIES
         entries each (leaf labels, for a LabelStack), or one table each."""
@@ -263,7 +272,7 @@ class NNIndex:
         the duplicate keys of earlier blocks, and keys and offsets are cut to
         the bucket count at the end. The three are published together, and
         the 0/1 rows dropped, once all are built."""
-        bits, L = self._bits, self.params.L
+        bits, L = self._kept_bits(), self.params.L
         n = len(bits)
         keys = np.empty((L * n, self._labeler.width + self._above), dtype=np.uint64)
         offsets = np.empty(L * n + 1, dtype=np.int32)
@@ -317,9 +326,10 @@ class NNIndex:
         counted a block of whole tables at a time from each table's sorted
         labels, without the keys, offsets and ids. The table digit is
         constant within a table, so the labeler's words alone order it."""
-        n, buckets, largest = len(self.rows), 0, 0
+        bits, buckets, largest = self._kept_bits(), 0, 0
+        n = len(bits)
         for tables in self._blocks():
-            labels = self._labeler.words(self._bits, tables)
+            labels = self._labeler.words(bits, tables)
             _sort_tables(labels)
             # Each table's bucket starts, flat, then one past the block's last entry.
             edges = np.ones(len(labels) * n + 1, dtype=bool)
@@ -360,7 +370,13 @@ class NNIndex:
 def build(
     points: np.ndarray | Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
-    """Draw L functions from the family's k-th power and index the points (0/1 rows or Points)."""
+    """Draw L functions from the family's k-th power (sample_power) and
+    index the points (0/1 rows or Points).
+
+    An (n, d) 0/1 matrix is kept by reference, not copied, until the
+    tables are built (by the first query_traced): the caller must not
+    change it before then. If it changed, query_traced and stats raise a
+    ValueError; scan_traced and save_index read the index's packed copy."""
     bits = points if isinstance(points, np.ndarray) else points_to_bit_matrix(points)
     if len(bits) * params.L > MAX_ENTRIES or params.k * params.L > MAX_TABLE_PARTS:
         raise ValueError(f"an index needs n*L <= {MAX_ENTRIES} and k*L <= {MAX_TABLE_PARTS}; "

@@ -150,8 +150,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    fam = _resolve_family(args, _TRANSFORM_DIM_LIMIT if args.mode == "exact" else None)
     grid = _parse_grid(args.t_grid)
+    fam = _resolve_family(args, _TRANSFORM_DIM_LIMIT if args.mode == "exact" else None)
     if args.mode != "exact":
         curve = mc_stability_curve(fam, grid, args.samples, args.seed)
         write_rows(args.out, ("t", "K", "stderr"), zip(curve.grid, curve.values, curve.stderr), args.format)
@@ -171,9 +171,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    fam = _resolve_family(args, _ENUM_DIM_LIMIT)
     if args.r is None or args.cr is None:
         raise CliError("sensitivity needs --r and --cr")
+    fam = _resolve_family(args, _ENUM_DIM_LIMIT)
     prof = exact_sensitivity(fam, args.r, args.cr)
     rho = prof.rho if prof.rho is not None else "undefined"
     write_rows(
@@ -283,9 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=False):
+    def common(p, family=False, out="output file (stdout when omitted)"):
         p.add_argument("--seed", type=int, default=rngmod.DEFAULT_SEED)
-        p.add_argument("--out", default=None, help="output file (stdout when omitted)")
+        p.add_argument("--out", default=None, help=out)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         if family:
             p.add_argument("--family", default="bit-sampling",
@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cr", type=int, default=None)
 
     p = sub.add_parser("index-build", help="build a near-neighbor index over a point file")
-    common(p)
+    common(p, out="the index file to write (required)")
     p.add_argument("--data", required=True, help="points: 0/1 lines, or .bin packed")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--cr", type=int, required=True)

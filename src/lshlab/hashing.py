@@ -408,7 +408,8 @@ class PairCollapse(HashFunction):
 class Concatenation(HashFunction):
     """Tuple of component labels: the leaves' labels (nested concatenations
     flattened), packed in mixed radix into 64-bit words (_pack), so two
-    labels are equal iff every leaf's labels are."""
+    labels are equal iff every leaf's labels are. The layout, and with it
+    width and label_bound, is its one-function LabelStack's."""
 
     parts: tuple[HashFunction, ...]
 
@@ -429,14 +430,13 @@ class Concatenation(HashFunction):
             return self.parts
         return tuple(itertools.chain.from_iterable(p._leaves for p in self.parts))
 
-    @functools.cached_property
+    @property
     def label_bound(self) -> int:
-        word, _, top = _pack(tuple([p.label_bound for p in self._leaves]))
-        return top << 64 * word[-1]
+        return self._stack.layout[2]
 
     @property
     def width(self) -> int:  # type: ignore[override]
-        return -(-(self.label_bound - 1).bit_length() // 64) or 1
+        return self._stack.width
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
@@ -582,9 +582,8 @@ class ProjectionProduct:
         if not _projections(stack.leaves):
             return None
         m, k = stack.table.shape  # the longest function has k parts: labels below 2^k
-        width = -(-k // 64)  # words the labels reach
         limb = 53 if k <= 53 else 32
-        rows = 1 if limb == 53 else 2 * width
+        rows = 1 if limb == 53 else 2 * stack.width
         t, j = np.nonzero(stack.table >= 0)
         coord = np.array([p.coord for p in stack.leaves], dtype=np.intp)[stack.table[t, j]]
         # Part j of function t adds 2^(j % limb) at its coordinate in its
@@ -594,7 +593,7 @@ class ProjectionProduct:
         dim = stack.leaves[0].dim
         w = np.bincount(row * dim + coord, np.ldexp(1.0, j % limb), m * rows * dim).reshape(-1, dim)
         coords = np.flatnonzero(w.any(axis=0))
-        return cls(coords, w[:, coords], m, width)
+        return cls(coords, w[:, coords], m, stack.width)
 
     def words(self, bits: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
         """(m, n, width) uint64 words of the labels, under functions[rows] (all
@@ -728,15 +727,22 @@ class HashFamily:
 
     @functools.cached_property
     def _draw_weights(self) -> np.ndarray:
-        weights = np.array([float(w) for w, _ in self.atoms])
-        weights /= weights.sum()
-        return weights
+        return _float_weights(*self._integer_weights)
+
+    def _picks(self, g: np.random.Generator, size=None, k: int = 1) -> np.ndarray:
+        """Atom numbers of draws from a finite family, or from its listed
+        k-th power (numbers below m^k, in power()'s atom order): uniform, or by
+        the weights rounded to floats (_float_weights). One call of size n,
+        or (n, k), gives the numbers of n, or n*k, calls of size None, and
+        leaves g as they would."""
+        if self.is_uniform:
+            return g.integers(len(self.atoms) ** k, size=size)
+        p = self._draw_weights if k == 1 else _float_weights(*_power_weights(self, k))
+        return g.choice(len(p), size=size, p=p)
 
     def draw(self, g: np.random.Generator) -> HashFunction:
         if self.atoms is not None:
-            if self.is_uniform:
-                return self.atoms[int(g.integers(len(self.atoms)))][1]
-            return self.atoms[int(g.choice(len(self.atoms), p=self._draw_weights))][1]
+            return self.atoms[int(self._picks(g))][1]
         return self.law.draw(g)
 
     def sample(self, n: int, seed: int) -> list[HashFunction]:
@@ -781,13 +787,16 @@ class HashFamily:
         """
         if self.atoms is None:
             return self.law.collisions(x_bits, y_bits, g)
-        n = len(x_bits)
-        if self.is_uniform:
-            picks = g.integers(len(self.atoms), size=n)
-        else:
-            picks = g.choice(len(self.atoms), size=n, p=self._draw_weights)
-        digits = self._stack.digits(np.stack((x_bits, y_bits), axis=1), picks)
+        digits = self._stack.digits(np.stack((x_bits, y_bits), axis=1), self._picks(g, len(x_bits)))
         return (digits[:, :, 0] == digits[:, :, 1]).all(axis=1)
+
+
+def _float_weights(denom: int, nums: Sequence[int]) -> np.ndarray:
+    """Draw probabilities of the weights nums / denom: each rounded once to
+    a float, then divided by their sum."""
+    weights = np.array([n / denom for n in nums])
+    weights /= weights.sum()
+    return weights
 
 
 def _projections(functions: Iterable[HashFunction]) -> bool:
@@ -916,41 +925,45 @@ def power(family: HashFamily, k: int) -> HashFamily:
         descriptor_doc=doc,
     )
     if family.atoms is not None and len(family.atoms) ** k <= _POWER_ATOM_LIMIT:
-        # Atom weights over D^k, in itertools.product order (last part fastest).
-        denom, nums = family._integer_weights
-        products = [1]
-        for _ in range(k):
-            products = [p * n for p in products for n in nums]
-        weight = {p: Fraction(p, denom**k) for p in set(products)}
+        denom, products = _power_weights(family, k)
+        weight = {p: Fraction(p, denom) for p in set(products)}
         combos = itertools.product([h for _, h in family.atoms], repeat=k)
         atoms = tuple((weight[p], Concatenation(combo)) for p, combo in zip(products, combos))
         return HashFamily(atoms=atoms, **shared)
     return HashFamily(law=PowerLaw(family, k), **shared)
 
 
+def _power_weights(family: HashFamily, k: int) -> tuple[int, list[int]]:
+    """(D^k, numerators): the atom weights of a finite family's listed k-th
+    power over D^k, D the family's denominator (_integer_weights), in
+    itertools.product order (last part fastest)."""
+    denom, nums = family._integer_weights
+    products = [1]
+    for _ in range(k):
+        products = [p * n for p in products for n in nums]
+    return denom**k, products
+
+
 def sample_power(family: HashFamily, k: int, n: int, seed: int) -> tuple[list[HashFunction], np.ndarray]:
     """power(family, k).sample(n, seed) as (parts, table), without building
     the power's atoms: draw i concatenates parts[table[i, j]] over j < k.
 
-    A uniform base's atoms are the parts, and n draws of their indices from
-    one generator equal n draws one at a time. Below _POWER_ATOM_LIMIT the
-    power is uniform over its m^k atoms in itertools.product order, so one
-    g.integers(m^k) per function names the k parts by its base-m digits, most
-    significant first; past it the power is a law whose draws take one
-    g.integers(m) per part. Other bases number their drawn parts' objects.
+    A law base's parts are its n*k draws, in order: only a law draws
+    function objects. A finite base's parts are its m atoms, drawn by
+    number (HashFamily._picks), and no power is listed. Below
+    _POWER_ATOM_LIMIT power() would list m^k atoms in itertools.product
+    order, so one number below m^k per function, drawn by the power's
+    weights, names the k parts by its base-m digits, most significant
+    first; past it the power is a law whose draws take one base draw per
+    part.
     """
-    if not family.is_uniform:
-        flat = [p for fn in power(family, k).sample(n, seed) for p in fn.parts]
-        number: dict[int, int] = {}
-        table = [number.setdefault(id(p), len(number)) for p in flat]
-        return list({id(p): p for p in flat}.values()), np.array(table).reshape(n, k)
-    m = len(family.atoms)
-    g = rngmod.stream(seed, 0)
-    if m**k <= _POWER_ATOM_LIMIT:
-        table = g.integers(m**k, size=n)[:, None] // m ** np.arange(k - 1, -1, -1) % m
-    else:
-        table = g.integers(m, size=(n, k))
-    return [h for _, h in family.atoms], table
+    g = rngmod.stream(seed)
+    if family.atoms is None:
+        return [family.draw(g) for _ in range(n * k)], np.arange(n * k).reshape(n, k)
+    m, parts = len(family.atoms), [h for _, h in family.atoms]
+    if m**k > _POWER_ATOM_LIMIT:
+        return parts, family._picks(g, (n, k))
+    return parts, family._picks(g, n, k)[:, None] // m ** np.arange(k - 1, -1, -1) % m
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,26 @@ def test_index_build_without_out_is_usage_error(point_file, monkeypatch, capsys)
     assert out == "" and err == "error: index-build needs --out, the index file to write\n"
 
 
+def test_index_build_help_says_out_is_required(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["index-build", "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT the index file to write (required)" in out and "stdout when omitted" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sensitivity", "--family", "trivial", "--d", "14", "--r", "1"], "error: sensitivity needs --r and --cr"),
+    (["stability", "--family", "trivial", "--d", "14", "--r", "1", "--t-grid", "0:1"],
+     "error: grid must be start:stop:count or a comma list, got '0:1'"),
+], ids=["sensitivity-no-cr", "stability-bad-grid"])
+def test_flags_are_checked_before_the_family_is_built(monkeypatch, capsys, argv, message):
+    # A bad flag exits 2 before any family is built (114,688 pair collapses here).
+    monkeypatch.setattr(cli, "_resolve_family", lambda *args: pytest.fail("the family was built"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_index_build_honours_L_without_k(tmp_path, point_file):
     path, _ = point_file
     args = ["index-build", "--data", str(path), "--r", "2", "--cr", "6"]

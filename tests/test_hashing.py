@@ -288,6 +288,39 @@ def test_sample_power_matches_power_sample(past_limit):
             assert [Concatenation(tuple(parts[j] for j in row)) for row in table] == powered.sample(40, seed=3)
 
 
+def test_sample_power_never_lists_a_weighted_power():
+    # 5^7 = 78,125 atoms are under the limit, so power() would list them;
+    # sample_power draws their numbers and decodes them without power().
+    fam = finite_family([CoordinateProjection(6, i) for i in range(5)], [0.1, 0.2, 0.3, 0.15, 0.25])
+    assert len(fam.atoms) ** 7 <= hashing._POWER_ATOM_LIMIT
+    want = power(fam, 7).sample(20, seed=4)
+
+    def refuse(*args):
+        raise AssertionError("the power was built")
+
+    with mock.patch.object(hashing, "power", refuse):
+        parts, table = sample_power(fam, 7, 20, seed=4)
+    assert [Concatenation(tuple(parts[j] for j in row)) for row in table] == want
+
+
+@pytest.mark.parametrize("parts, width, bound", [
+    ([CoordinateProjection(128, i) for i in range(64)], 1, 1 << 64),
+    ([CoordinateProjection(128, i) for i in range(64)] + [Constant(128)], 1, 1 << 64),
+    ([CoordinateProjection(128, i) for i in range(65)], 2, 2 << 64),
+    ([CoordinateProjection(128, i) for i in range(128)] + [Constant(128), CoordinateProjection(128, 0)], 3, 2 << 128),
+    ([MinHashPermutation(12, tuple(range(12)))] * 20, 2, 13**3 << 64),
+    ([ExplicitTable(1, (0, 1 << 63))] * 3, 3, ((1 << 63) + 1) << 128),
+], ids=["64-projections", "64-and-constant", "65-projections", "128-constant-projection", "20-minhash-d12",
+        "3-tables-2^63"])
+def test_concatenation_width_and_bound_at_word_edges(parts, width, bound):
+    # A concatenation's width and label bound are its LabelStack's layout:
+    # a word holds digits while their product stays at most 2^64, and the
+    # bound is the last word's digit product above the full words below it.
+    h = Concatenation(tuple(parts))
+    assert h.width == width and h.label_bound == bound
+    assert h.labels(np.zeros((1, h.dim), dtype=np.uint8)).shape == (1, width)
+
+
 # ---------------------------------------------------------------------------
 # minhash
 

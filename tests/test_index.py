@@ -240,6 +240,20 @@ def test_build_takes_rows_or_points():
         build(pts, bit_sampling_family(25), params)
 
 
+def test_changed_point_matrix_is_refused_before_tables_are_built():
+    # The index keeps the caller's matrix until its tables are built; one
+    # changed in between would be labelled while distances read the packed
+    # copy, so query_traced would miss stored points that scan_traced finds.
+    pts = _random_points(200, 32, seed=8)
+    bits = points_to_bit_matrix(pts)
+    idx = build(bits, bit_sampling_family(32), IndexParams(r=2, cr=6, k=8, L=10, delta=0.1, seed=2))
+    bits[:] = 1 - bits
+    assert scan_traced(idx, _row(pts[5])).result == (5, 0)
+    for read in (lambda: query_traced(idx, pts[5]), lambda: stats(idx)):
+        with pytest.raises(ValueError, match="changed before its tables were built"):
+            read()
+
+
 def test_build_entry_count_invariant():
     pts = _random_points(150, 32, seed=6)
     params = IndexParams(r=2, cr=6, k=10, L=7, delta=0.1, seed=4)
@@ -471,8 +485,9 @@ def test_array_index_matches_dict_reference(data):
     # that the table number and the label straddle a word boundary.
     d = data.draw(st.integers(2, 20), label="d")
     # Bit sampling, MinHash, a power of bit sampling (parts that are
-    # concatenations), and a weighted family, which sample_power draws
-    # through power(family, k).sample, as it draws MinHash.
+    # concatenations), and a weighted family, whose atom numbers
+    # sample_power draws by their weights; only MinHash, a law, draws
+    # function objects.
     weighted = finite_family([CoordinateProjection(d, 0), Parity(d, (0, d - 1)), CoordinateProjection(d, d - 1)],
                              [0.5, 0.25, 0.25])
     families = [bit_sampling_family(d), minhash_family(d), power(bit_sampling_family(d), 2), weighted]
