@@ -183,16 +183,13 @@ class NNIndex:
     """L hash tables over a fixed point set; immutable once built.
 
     Function t concatenates parts[j] for j in row t of the (L, k) `table`.
-    The index keeps its points packed: rows[i] holds point i's ceil(d/64)
-    uint64 words, for distances and label matches. The 0/1 rows it was
-    given are kept, privately and by reference, only until its tables are
-    built, which label them; labelling them (_build_tables, _census) raises
-    a ValueError if they no longer pack to `rows`, so the index never
-    answers from two point sets. Each bucket has one key (_keys): its
-    function's label words with the table number t as one more most
-    significant digit, of radix L, packed as labels are (_pack), stored
-    big-endian as one S{8w} byte string. Byte order is then numeric order, so the L tables, each sorted
-    by label, form one sorted array `keys`. Bucket u holds the point ids
+    The index holds its points packed, and only so: rows[i] holds point
+    i's ceil(d/64) uint64 words, for distances, labels and label matches.
+    Each bucket has one key (_keys): its function's label words with the
+    table number t as one more most significant digit, of radix L, packed
+    as labels are (_pack), stored big-endian as one S{8w} byte string.
+    Byte order is then numeric order, so the L tables, each sorted by
+    label, form one sorted array `keys`. Bucket u holds the point ids
     ids[offsets[u]:offsets[u+1]], ascending. A query builds its L keys the
     same way, and one searchsorted finds all L buckets. The tables are a
     pure function of (parts, table, points), so they are derived in
@@ -210,9 +207,8 @@ class NNIndex:
         family_doc: Optional[dict] = None,
     ):
         """`table`: L rows of k indices into `parts`, of which the index keeps
-        the used ones; `bits`: the points as (n, d) 0/1 uint8 rows, which the
-        index keeps, not copied, until its tables are built; the caller must
-        not change them before then (_kept_bits)."""
+        the used ones; `bits`: the points as (n, d) 0/1 uint8 rows, packed
+        once into `rows` and never read again."""
         L, k = params.L, params.k
         if len(table) != L:
             raise ValueError(f"need exactly L = {L} functions, got {len(table)}")
@@ -233,7 +229,6 @@ class NNIndex:
                 raise DimensionMismatch(f"part {j} has dimension {part.dim}, the points {self.dim}")
         self.params = params
         self.family_doc = family_doc
-        self._bits = bits
         self.rows = pack_rows(bits)
         # Leaf parts are the stack's leaves as they are; nested ones are flattened.
         if Concatenation in map(type, self.parts):
@@ -250,12 +245,6 @@ class NNIndex:
 
     keys, offsets, ids = _Tables(), _Tables(), _Tables()
 
-    def _kept_bits(self) -> np.ndarray:
-        """The 0/1 rows the index was given, checked against its packed rows."""
-        if not np.array_equal(pack_rows(self._bits), self.rows):
-            raise ValueError("the points an index was built from changed before its tables were built")
-        return self._bits
-
     def _blocks(self) -> list[slice]:
         """The tables in blocks of whole tables, of at most BUILD_BLOCK_ENTRIES
         entries each (leaf labels, for a LabelStack), or one table each."""
@@ -270,35 +259,33 @@ class NNIndex:
         """Build keys, offsets and ids a block of whole tables at a time,
         straight into the arrays at their full size; buckets move down over
         the duplicate keys of earlier blocks, and keys and offsets are cut to
-        the bucket count at the end. The three are published together, and
-        the 0/1 rows dropped, once all are built."""
-        bits, L = self._kept_bits(), self.params.L
-        n = len(bits)
+        the bucket count at the end. The three are published together, once
+        all are built."""
+        n, L = len(self.rows), self.params.L
         keys = np.empty((L * n, self._labeler.width + self._above), dtype=np.uint64)
         offsets = np.empty(L * n + 1, dtype=np.int32)
         ids = np.empty(L * n, dtype=np.int32)
         size = 0
         for tables in self._blocks():
-            size = self._build_block((keys, offsets, ids), bits, tables, size)
+            size = self._build_block((keys, offsets, ids), tables, size)
         offsets[size] = L * n
         if size < L * n:
             # No view of either array is alive, so each shrinks in place.
             keys.resize((size, keys.shape[1]), refcheck=False)
             offsets.resize(size + 1, refcheck=False)
         self.keys, self.offsets, self.ids = _as_keys(keys), offsets, ids
-        del self._bits  # from now on the packed rows alone hold the points
 
-    def _build_block(self, arrays: tuple[np.ndarray, ...], bits: np.ndarray, tables: slice, size: int) -> int:
+    def _build_block(self, arrays: tuple[np.ndarray, ...], tables: slice, size: int) -> int:
         """Build the tables numbered in `tables` into the arrays (keys,
         offsets, ids), after the `size` buckets of the tables before them;
         return the new bucket count."""
         keys, offsets, ids = arrays
-        n = len(bits)
+        n = len(self.rows)
         lo, hi = tables.start * n, tables.stop * n
         # The table digit is constant within a table, so it goes on before
         # the sort; the label words below it order the table, and their
         # order is the table's ids.
-        block = self._keys(bits, tables, out=keys[lo:hi].reshape(-1, n, keys.shape[1]))
+        block = self._keys(self.rows, tables, out=keys[lo:hi].reshape(-1, n, keys.shape[1]))
         labels = block[..., self._above :]
         ids = ids[lo:hi].reshape(-1, n)
         _sort_tables(labels, ids)
@@ -326,10 +313,9 @@ class NNIndex:
         counted a block of whole tables at a time from each table's sorted
         labels, without the keys, offsets and ids. The table digit is
         constant within a table, so the labeler's words alone order it."""
-        bits, buckets, largest = self._kept_bits(), 0, 0
-        n = len(bits)
+        n, buckets, largest = len(self.rows), 0, 0
         for tables in self._blocks():
-            labels = self._labeler.words(bits, tables)
+            labels = self._labeler.words(self.rows, tables)
             _sort_tables(labels)
             # Each table's bucket starts, flat, then one past the block's last entry.
             edges = np.ones(len(labels) * n + 1, dtype=bool)
@@ -344,15 +330,15 @@ class NNIndex:
     def candidate_cap(self) -> int:
         return CANDIDATE_CAP_FACTOR * self.params.L
 
-    def _keys(self, bits: np.ndarray, tables: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
-        """(m, n, w) key words of the rows of bits in the tables numbered in
-        `tables`, most significant first: the labeler's words under the table
-        digit, which shares their top word or takes a word of its own above
-        them; written to `out` if given."""
+    def _keys(self, rows: np.ndarray, tables: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(m, n, w) key words of the points packed as rows (pack_rows) in the
+        tables numbered in `tables`, most significant first: the labeler's
+        words under the table digit, which shares their top word or takes a
+        word of its own above them; written to `out` if given."""
         digits = self._digits[tables, None]
         if out is None:
-            out = np.empty((len(digits), len(bits), self._labeler.width + self._above), dtype=np.uint64)
-        self._labeler.words(bits, tables, out=out[..., self._above :])
+            out = np.empty((len(digits), len(rows), self._labeler.width + self._above), dtype=np.uint64)
+        self._labeler.words(rows, tables, out=out[..., self._above :])
         if self._above:
             out[..., 0] = digits
         else:
@@ -371,12 +357,8 @@ def build(
     points: np.ndarray | Sequence[Point], family: HashFamily, params: IndexParams
 ) -> NNIndex:
     """Draw L functions from the family's k-th power (sample_power) and
-    index the points (0/1 rows or Points).
-
-    An (n, d) 0/1 matrix is kept by reference, not copied, until the
-    tables are built (by the first query_traced): the caller must not
-    change it before then. If it changed, query_traced and stats raise a
-    ValueError; scan_traced and save_index read the index's packed copy."""
+    index the points (0/1 rows or Points). The index packs an (n, d) 0/1
+    matrix once and never reads it again, so the caller may change it."""
     bits = points if isinstance(points, np.ndarray) else points_to_bit_matrix(points)
     if len(bits) * params.L > MAX_ENTRIES or params.k * params.L > MAX_TABLE_PARTS:
         raise ValueError(f"an index needs n*L <= {MAX_ENTRIES} and k*L <= {MAX_TABLE_PARTS}; "
@@ -428,8 +410,8 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     """
     if x.dim != index.dim:
         raise ValueError(f"query dimension {x.dim} differs from index ({index.dim})")
-    raw = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint8)
-    bucket = index._buckets(index._keys(np.unpackbits(raw, count=index.dim, bitorder="little")[None])[:, 0])
+    x_words = np.frombuffer(x.value.to_bytes(index.rows.shape[1] * 8, "little"), dtype=np.uint64)
+    bucket = index._buckets(index._keys(x_words[None])[:, 0])
     hit = bucket >= 0
     lo = index.offsets[bucket]
     lens = np.where(hit, index.offsets[bucket + 1] - lo, 0)
@@ -437,7 +419,7 @@ def query_traced(index: NNIndex, x: Point) -> QueryTrace:
     seen = np.arange(min(int(ends[-1]), index.candidate_cap + 1))
     table = np.searchsorted(ends, seen, side="right")
     ids = index.ids[lo[table] + seen - (ends - lens)[table]]
-    return _inspect(index, raw.view(np.uint64), ids, table, int(ends[-1]))
+    return _inspect(index, x_words, ids, table, int(ends[-1]))
 
 
 def scan_traced(index: NNIndex, x: np.ndarray) -> QueryTrace:
@@ -491,7 +473,7 @@ def stats(index: NNIndex) -> IndexStats:
     will hold once built."""
     n = len(index.rows)
     total = n * index.params.L
-    if "_bits" in vars(index):
+    if "keys" not in vars(index):
         n_buckets, max_bucket = index._census()
     else:
         n_buckets, max_bucket = len(index.keys), int(np.diff(index.offsets).max())

@@ -59,6 +59,14 @@ class CliError(Exception):
     """Precondition or usage failure; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2; subparsers
+    take this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def write_rows(path: Optional[str], header: Sequence[str], rows, fmt: str, float_fmt=repr):
     """Rows to CSV or JSON-lines, with deterministic float text."""
 
@@ -262,12 +270,13 @@ def cmd_verify(args) -> int:
         results = run_suites(names, seed=args.seed, corrupt=args.corrupt)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = format_report(results, args.seed)
-    if args.out:
+    if args.format == "jsonl":
+        write_rows(args.out, ("suite", "passed", "detail"), map(astuple, results), "jsonl")
+    elif args.out:
         with open(args.out, "w") as f:
-            f.write(report)
+            f.write(format_report(results, args.seed))
     else:
-        sys.stdout.write(report)
+        sys.stdout.write(format_report(results, args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -277,7 +286,7 @@ def cmd_verify(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lshlab",
         description="LSH families, noise-stability analysis, rho bounds, and a near-neighbor index",
     )

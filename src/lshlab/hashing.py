@@ -121,14 +121,12 @@ class HashFunction:
     def _cube_labels(cls, functions: Sequence["HashFunction"], J: np.ndarray) -> np.ndarray:
         """(m, 2^j, w) labels of the 2^j points pdep(s, J[i]) of each function's
         subcube, in order of s (J[i]: the support of functions[i], all of this
-        class): a leaf labels its own block, concatenations each distinct leaf
-        once over all blocks (LabelStack); closed forms give one word of any int dtype."""
+        class): their LabelStack labels each distinct leaf once over all the
+        blocks it reads; closed forms give one word of any int dtype."""
         m, j = J.shape
         bits = np.zeros((m, 1 << j, functions[0].dim), dtype=np.uint8)
         bits[np.arange(m)[:, None, None], np.arange(1 << j)[:, None], J[:, None, :]] = _cube_bits(j)
-        if cls is Concatenation:
-            return LabelStack.of(functions).words(bits)
-        return np.stack([h._labels(rows) for h, rows in zip(functions, bits)])[..., None]
+        return LabelStack.of(functions).words(bits)
 
 
 # Subcube points of one slice of a code group: 128 KiB as int16, 512 KiB
@@ -503,26 +501,21 @@ class LabelStack:
 
     def digits(self, bits: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """(m, k, n) uint64 leaf labels of functions[rows] (all by default) of the
-        rows of bits: (n, dim), shared, or (m, n, dim), one block per function."""
+        rows of bits: (n, dim), shared, or (m, n, dim), one block per function.
+        Each distinct leaf labels, once, the rows its cells read: the shared
+        rows, which all its cells take, or its functions' blocks. Padding is 0."""
         table = self.table if rows is None else self.table[rows]
-        if bits.ndim == 2:
-            # One row per leaf these functions use, and a zero row that the padding -1 reads.
-            used, inverse = np.unique(table, return_inverse=True)
-            values = np.zeros((len(used), len(bits)), dtype=np.uint64)
-            for i, leaf in enumerate(used.tolist()):
-                if leaf >= 0:
-                    values[i] = self.leaves[leaf]._labels(bits)
-            return values[inverse.reshape(table.shape)]
-        # Each leaf labels the rows of its cells, grouped by one sort (padding first).
-        (m, k), n = table.shape, bits.shape[1]
+        (m, k), n, shared = table.shape, bits.shape[-2], bits.ndim == 2
         digits = np.zeros((m, k, n), dtype=np.uint64)
+        # The cells of each leaf, grouped by one sort (padding first).
         cells = np.argsort(table, axis=None)
         leaf = table.ravel()[cells]
         cut = (np.flatnonzero(leaf[1:] != leaf[:-1]) + 1).tolist()
         for lo, hi in zip([0] + cut, cut + [len(leaf)]):
             if leaf[lo] >= 0:
                 f, s = np.divmod(cells[lo:hi], k)
-                digits[f, s] = self.leaves[leaf[lo]]._labels(bits[f].reshape(-1, bits.shape[2])).reshape(len(f), n)
+                read = bits if shared else bits[f].reshape(-1, bits.shape[2])
+                digits[f, s] = self.leaves[leaf[lo]]._labels(read).reshape(1 if shared else len(f), n)
         return digits
 
     @functools.cached_property
@@ -532,7 +525,10 @@ class LabelStack:
 
     def words(self, bits: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
         """(m, n, width) uint64 labels of functions[rows] (all by default) of the rows
-        of bits (as for digits), right-aligned in `width` words; written to `out` if given."""
+        of bits (as for digits, or packed by pack_rows, which are unpacked first),
+        right-aligned in `width` words; written to `out` if given."""
+        if bits.dtype == np.uint64:
+            bits = unpack_rows(bits, self.leaves[0].dim)
         word, scale, _ = self.layout
         word = word[rows]
         digits = self.digits(bits, rows) * scale[rows, :, None]
@@ -546,7 +542,7 @@ class LabelStack:
         """(m, n) bool: whether the functions numbered in `functions` give the
         point packed as rows[i] (pack_rows) the label of the point packed as
         x_words; both are unpacked to be labelled."""
-        words = self.words(unpack_rows(np.vstack((rows, x_words)), self.leaves[0].dim), functions)
+        words = self.words(np.vstack((rows, x_words)), functions)
         return (words[:, :-1] == words[:, -1:]).all(axis=2)
 
 
@@ -595,19 +591,20 @@ class ProjectionProduct:
         coords = np.flatnonzero(w.any(axis=0))
         return cls(coords, w[:, coords], m, stack.width)
 
-    def words(self, bits: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+    def words(self, packed: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
         """(m, n, width) uint64 words of the labels, under functions[rows] (all
-        by default), of the rows of an (n, dim) 0/1 matrix, most significant
-        first; written to `out` if given."""
+        by default), of the n points packed by pack_rows, most significant
+        first; written to `out` if given. The points are unpacked a chunk at
+        a time, up to the last projected coordinate."""
         # Weight row (limb, t) of each function t in rows.
         weights = self.weights.reshape(-1, self.n_functions, len(self.coords))[:, rows]
         m = weights.shape[1]
         weights = weights.reshape(-1, len(self.coords))
         if out is None:
-            out = np.empty((m, len(bits), self.width), dtype=np.uint64)
+            out = np.empty((m, len(packed), self.width), dtype=np.uint64)
         block = max(1, _PRODUCT_CELLS // max(weights.shape))
-        for lo in range(0, len(bits), block):
-            points = bits[lo : lo + block, self.coords].T.astype(np.float64)
+        for lo in range(0, len(packed), block):
+            points = unpack_rows(packed[lo : lo + block], int(self.coords[-1]) + 1)[:, self.coords].T.astype(np.float64)
             limbs = (weights @ points).reshape(-1, m, points.shape[1])
             del points  # no chunk's blocks outlive it
             if len(limbs) > 1:  # two 32-bit limbs per word

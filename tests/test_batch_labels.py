@@ -26,7 +26,7 @@ from lshlab.hashing import (
     minhash_family,
     power,
 )
-from lshlab.points import Point, bit_rows_to_points
+from lshlab.points import Point, bit_rows_to_points, pack_rows
 
 
 def ref_label(h, v: int) -> int:
@@ -198,6 +198,40 @@ def test_minhash_cube_labels_by_doubling_are_the_labels(d):
         assert np.array_equal(row, h._labels(cube))
 
 
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_shared_rows_label_as_one_block_per_function(n):
+    # One leaf loop labels shared (n, d) rows and one block per function
+    # alike. The stack pads its shorter functions, one MinHash leaf is used
+    # by four of them, and table and constant leaves sit beside projections.
+    d = 6
+    g = np.random.default_rng(n)
+    shared = MinHashPermutation(d, tuple(int(i) for i in g.permutation(d)))
+    table = ExplicitTable(d, tuple(int(v) for v in g.integers(0, 1 << 40, size=1 << d)))
+    fns = [
+        Concatenation((shared, CoordinateProjection(d, 2), table, Constant(d))),
+        Concatenation((Constant(d), shared)),
+        shared,
+        Concatenation((table, shared, CoordinateProjection(d, 5))),
+        table,
+    ]
+    stack = LabelStack.of(fns)
+    assert stack.table.shape == (5, 4) and (stack.table < 0).sum() == 9
+    bits = g.integers(0, 2, size=(n, d), dtype=np.uint8)
+    digits = stack.digits(bits)
+    want = np.zeros((5, 4, n), dtype=np.uint64)
+    for (t, j), leaf in np.ndenumerate(stack.table):
+        if leaf >= 0:
+            want[t, j] = stack.leaves[leaf]._labels(bits)
+    assert digits.dtype == np.uint64 and np.array_equal(digits, want)
+    blocks = np.ascontiguousarray(np.broadcast_to(bits, (5, n, d)))
+    assert np.array_equal(stack.digits(blocks), digits)
+    picks = np.array([3, 0, 3, 4])
+    assert np.array_equal(stack.digits(bits, picks), digits[picks])
+    assert np.array_equal(stack.digits(blocks[:4], picks), digits[picks])
+    # Rows packed by pack_rows are unpacked to be labelled.
+    assert np.array_equal(stack.words(pack_rows(bits)), stack.words(bits))
+
+
 @st.composite
 def ignoring_tables(draw, d):
     # A table that reads only the coordinates outside a drawn set.
@@ -255,7 +289,7 @@ def test_projection_product_is_exact(data):
     ]
     width = -(-max(len(h.parts) for h in fns) // 64)
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=8)) + [(1 << d) - 1]
-    words = ProjectionProduct.of(LabelStack.of(fns)).words(_rows(values, d))
+    words = ProjectionProduct.of(LabelStack.of(fns)).words(pack_rows(_rows(values, d)))
     assert words.dtype == np.uint64 and words.shape == (len(fns), len(values), width)
     labels = [[_value(row) for row in fn_words] for fn_words in words]
     assert labels == [[ref_label(h, v) for v in values] for h in fns]

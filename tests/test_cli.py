@@ -670,6 +670,17 @@ def test_usage_errors_exit_2_with_one_line(bad_files, capsys, case):
     assert fragment in err[0]
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--bogus"], ["bounds", "--steps", "x"], ["index-build", "--r", "1"]])
+def test_argparse_errors_exit_2_with_one_line(capsys, argv):
+    # Errors that argparse itself finds keep the contract too: one stderr
+    # line, with no usage block above it.
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def _exits_under_warnings_as_errors(cases):
     """'<exit code> <stderr lines>' of each command line in `cases`, run
     with its output captured in a fresh interpreter that turns every
@@ -742,6 +753,16 @@ def test_verify_corruption_hook_names_suite(tmp_path, suite):
     code = run(["verify", "--suite", suite, "--corrupt", suite, "--out", str(out)])
     assert code == 1
     assert f"suite {suite}: FAIL" in out.read_text()
+
+
+def test_verify_jsonl_writes_one_record_per_suite(capsys):
+    assert run(["verify", "--format", "jsonl"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["suite"] for r in records] == list(SUITES) and len(records) == 5
+    assert all(sorted(r) == ["detail", "passed", "suite"] and r["passed"] is True for r in records)
+    assert run(["verify", "--format", "jsonl", "--corrupt", "parseval"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["suite"], r["passed"]) for r in records] == [(s, s != "parseval") for s in SUITES]
 
 
 def test_verify_full_suite_reruns_byte_identical(tmp_path):

@@ -240,18 +240,22 @@ def test_build_takes_rows_or_points():
         build(pts, bit_sampling_family(25), params)
 
 
-def test_changed_point_matrix_is_refused_before_tables_are_built():
-    # The index keeps the caller's matrix until its tables are built; one
-    # changed in between would be labelled while distances read the packed
-    # copy, so query_traced would miss stored points that scan_traced finds.
+def test_changed_point_matrix_after_build_changes_nothing(tmp_path):
+    # The index packs the caller's matrix once and never reads it again, so
+    # changing the matrix after build changes no answer, count or file.
     pts = _random_points(200, 32, seed=8)
     bits = points_to_bit_matrix(pts)
-    idx = build(bits, bit_sampling_family(32), IndexParams(r=2, cr=6, k=8, L=10, delta=0.1, seed=2))
+    params = IndexParams(r=2, cr=6, k=8, L=10, delta=0.1, seed=2)
+    idx = build(bits, bit_sampling_family(32), params)
+    ref = build(bits.copy(), bit_sampling_family(32), params)
     bits[:] = 1 - bits
+    assert stats(idx) == stats(ref)
+    save_index(idx, tmp_path / "changed.json")
+    save_index(ref, tmp_path / "untouched.json")
+    assert (tmp_path / "changed.json").read_bytes() == (tmp_path / "untouched.json").read_bytes()
     assert scan_traced(idx, _row(pts[5])).result == (5, 0)
-    for read in (lambda: query_traced(idx, pts[5]), lambda: stats(idx)):
-        with pytest.raises(ValueError, match="changed before its tables were built"):
-            read()
+    assert query_traced(idx, pts[5]).result == (5, 0)
+    assert stats(idx) == stats(_built(ref))
 
 
 def test_build_entry_count_invariant():
@@ -627,7 +631,8 @@ def test_scan_of_a_loaded_index_is_the_table_query(tmp_path, pts, make, cap_hit)
     # loaded index's bucket counts, read off its sorted labels, are the
     # built tables'.
     idx = _built(make(pts))
-    assert "_bits" not in vars(idx)  # a built index holds its points packed only
+    # A built index holds its points packed only: no 0/1 matrix.
+    assert not [v for v in vars(idx).values() if isinstance(v, np.ndarray) and v.dtype == np.uint8]
     save_index(idx, tmp_path / "index.json")
     clone = load_index(tmp_path / "index.json")
     built = stats(idx)
