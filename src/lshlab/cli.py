@@ -271,7 +271,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "jsonl":
-        write_rows(args.out, ("suite", "passed", "detail"), map(astuple, results), "jsonl")
+        write_rows(args.out, ("suite", "passed", "detail", "wall_s"), map(astuple, results), "jsonl")
     elif args.out:
         with open(args.out, "w") as f:
             f.write(format_report(results, args.seed))

@@ -653,12 +653,19 @@ class MinHashLaw:
     def collisions(self, x_bits: np.ndarray, y_bits: np.ndarray, g: np.random.Generator) -> np.ndarray:
         # One row of ranks per pair, shuffled row by row as successive draws
         # would be. The minima of x and y agree iff the smallest-ranked
-        # element of x | y lies in both sets, or x | y is empty.
+        # element of x | y lies in both sets, or x | y is empty. So each
+        # element is keyed rank << 1 | (not in both), with the top bit set
+        # outside x | y, in the narrowest type that holds 4 dim - 1 (uint8
+        # up to dim 64): a row collides iff its least key has its low bit
+        # clear or its top bit set.
         ranks = g.permuted(np.tile(np.arange(self.dim), (len(x_bits), 1)), axis=1)
-        union = (x_bits | y_bits).astype(bool)
-        first = np.where(union, ranks, self.dim).argmin(axis=1)
-        rows = np.arange(len(x_bits))
-        return (x_bits[rows, first] & y_bits[rows, first]).astype(bool) | ~union.any(axis=1)
+        key = ranks.astype(np.min_scalar_type(4 * self.dim - 1))
+        top = 8 * key.itemsize - 1
+        key <<= 1
+        key |= (x_bits & y_bits) ^ 1
+        key |= ((x_bits | y_bits) ^ 1).astype(key.dtype, copy=False) << top
+        least = key.min(axis=1)
+        return (least & 1 == 0) | (least >> top == 1)
 
 
 @dataclass(frozen=True)

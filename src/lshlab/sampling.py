@@ -7,6 +7,11 @@ pair is Binomial(d, (1 - rho)/2), which is what the exact tail computations
 use; verify_sandwich combines those tails with a family's (p, q) sensitivity
 to bracket the stability K(u) from both sides.
 
+A Monte Carlo chunk draws its pairs from one block of raw Philox words
+(_flipped_pairs), read exactly as numpy's integers(0, 2, uint8) and
+random() < p would read them; a numpy change to either algorithm fails
+tests/test_sampling.py's equivalence test first.
+
 The tails are exact sums of Binomial probabilities in log space, with numpy
 and math alone: ln(n!) comes from a table of math.lgamma below 32 and from
 Stirling's series above (_log_factorial), and the sum takes its largest
@@ -33,10 +38,32 @@ def _flipped_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n uniform points x of {0,1}^d and copies y of them with each bit
     flipped independently with probability flip_prob, as two (n, d) 0/1
-    matrices. x is drawn before the flips."""
-    x = g.integers(0, 2, size=(n, d), dtype=np.uint8)
-    flips = (g.random(size=(n, d)) < flip_prob).astype(np.uint8)
-    return x, x ^ flips
+    matrices.
+
+    They are read from one block of raw Philox words and equal, word for
+    word, g.integers(0, 2, (n, d), uint8) followed by g.random((n, d)) <
+    flip_prob. numpy draws a uint8 from 32-bit halves, low half first and
+    each half low byte first, and with range 2 returns the byte's top bit:
+    so x is the top bits of the first n d bytes of ceil(n d / 8) words. When
+    the number of halves is odd, integers keeps the last word's high half
+    for the next 32-bit draw (a later permuted reads it), and so does the
+    generator here. random() is (word >> 11) / 2^53, so a bit flips iff
+    (word >> 11) < ceil(flip_prob 2^53), exactly. g must hold no buffered
+    half, as a fresh stream does not.
+    """
+    size = n * d
+    halves = -(-size // 4)
+    n_x = -(-halves // 2)
+    bitgen = g.bit_generator
+    words = bitgen.random_raw(n_x + size)
+    if halves % 2:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(words[n_x - 1]) >> 32
+        bitgen.state = state
+    x = (words[:n_x].astype("<u8", copy=False).view(np.uint8)[:size] >> 7).reshape(n, d)
+    flips = words[n_x:]
+    flips >>= 11  # in place: a second temporary of 8 n d bytes raises the peak
+    return x, x ^ (flips < math.ceil(flip_prob * 2.0**53)).reshape(n, d)
 
 
 def correlated_bits(

@@ -211,9 +211,11 @@ def _check_times(grid: tuple[float, ...]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class StabilityCurve:
-    """K sampled on a time grid. An exact curve (stderr None) satisfies
-    K(0) = 1 and is nonincreasing; a Monte Carlo curve carries one finite,
-    nonnegative standard error per grid point."""
+    """K sampled on a time grid. Every value is a collision probability in
+    [0, 1], up to the 1e-9 by which a spectrum's mass may exceed 1. An exact
+    curve (stderr None) satisfies K(0) = 1 and is nonincreasing; a Monte
+    Carlo curve carries one finite, nonnegative standard error per grid
+    point."""
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
@@ -225,6 +227,8 @@ class StabilityCurve:
         _check_times(self.grid)
         if list(self.grid) != sorted(self.grid):
             raise ValueError("grid must be sorted")
+        if not all(0 <= v <= 1 + 1e-9 for v in self.values):
+            raise ValueError("curve values must lie in [0, 1]")
         if self.stderr is not None and not (
             len(self.stderr) == len(self.grid)
             and all(isinstance(e, float) and 0 <= e < math.inf for e in self.stderr)
@@ -297,17 +301,10 @@ def _expm1_or_inf(x: float) -> float:
         return math.inf
 
 
-def _pow_or_inf(x: float, y: float) -> float:
-    try:
-        return pow(x, y)
-    except OverflowError:  # a result past the largest float
-        return math.inf
-
-
 # libm's expm1 and pow, one element at a time: numpy's vector loops (even its
 # square, x * x) may round the last bit differently.
 _expm1 = np.frompyfunc(_expm1_or_inf, 1, 1)
-_pow = np.frompyfunc(_pow_or_inf, 2, 1)
+_pow = np.frompyfunc(pow, 2, 1)
 
 
 def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
@@ -324,14 +321,14 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
         raise ValueError("need at least 3 grid points")
     t = np.array(curve.grid)
     k = np.array(curve.values)
-    if not all(0 < v < math.inf for v in curve.values):
+    if not all(v > 0 for v in curve.values):
         return LogConvexityCertificate(
             passed=False,
             worst_rel_slack=math.inf,
             worst_abs_slack=math.inf,
             worst_triple=None,
             n_checks=0,
-            note="curve value not positive and finite",
+            note="curve value not positive",
         )
     logk = np.log(k)
     worst_rel, worst_triple, worst_abs, n_checks = -math.inf, None, -math.inf, 0
@@ -363,17 +360,10 @@ def check_log_convexity(curve: StabilityCurve) -> LogConvexityCertificate:
             hit = close.any(axis=1)
             a, c, b = i[hit], cand[hit, close[hit].argmax(axis=1)], j[hit]
             exponent = 2 * logk[c] - logk[a] - logk[b]
-            with np.errstate(over="ignore"):  # a square or product past the largest float is inf
-                square, product = _pow(k[c], 2).astype(float), k[a] * k[b]
-                # Where both are inf, K(m) (K(m) - (K(t1) / K(m)) K(t2)) is the
-                # slack without inf - inf: 0 on a flat curve, else of its sign.
-                over = np.isinf(square) & np.isinf(product)
-                km, k1, k2 = k[c[over]], k[a[over]], k[b[over]]
-                square[over], product[over] = km * (km - k1 / km * k2), 0.0
-            slack = square - product
+            slack = _pow(k[c], 2).astype(float) - k[a] * k[b]
         if not len(a):
             continue
-        with np.errstate(over="ignore"):  # libm's overflow flag, for the inf above
+        with np.errstate(over="ignore"):  # libm's overflow flag, where _expm1 gives inf
             rel = _expm1(exponent).astype(float)
         top = int(np.argmax(rel))
         if rel[top] > worst_rel:

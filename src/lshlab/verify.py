@@ -11,7 +11,8 @@ name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+    wall_s: float = field(default=0.0, compare=False)  # set by run_suites
 
 
 def _random_table_function(g: np.random.Generator, d: int, n_labels: int) -> ExplicitTable:
@@ -182,7 +184,9 @@ def run_suites(
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-        results.append(_SUITE_FNS[name](seed, corrupt=(corrupt == name)))
+        start = time.perf_counter()
+        result = _SUITE_FNS[name](seed, corrupt=(corrupt == name))
+        results.append(replace(result, wall_s=time.perf_counter() - start))
     return results
 
 

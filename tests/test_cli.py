@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import lshlab
 from lshlab import annindex, cli, rng as rngmod
 from lshlab.cli import main
 from lshlab.points import Point, bits_to01, points_to_bit_matrix, save_points_binary, save_points_text
-from lshlab.verify import SUITES
+from lshlab.verify import SUITES, run_suites
 
 
 def run(args):
@@ -759,10 +760,17 @@ def test_verify_jsonl_writes_one_record_per_suite(capsys):
     assert run(["verify", "--format", "jsonl"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["suite"] for r in records] == list(SUITES) and len(records) == 5
-    assert all(sorted(r) == ["detail", "passed", "suite"] and r["passed"] is True for r in records)
+    assert all(sorted(r) == ["detail", "passed", "suite", "wall_s"] and r["passed"] is True for r in records)
+    assert all(type(r["wall_s"]) is float and r["wall_s"] > 0 for r in records)
     assert run(["verify", "--format", "jsonl", "--corrupt", "parseval"]) == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["suite"], r["passed"]) for r in records] == [(s, s != "parseval") for s in SUITES]
+
+
+def test_suite_results_compare_without_their_wall_time():
+    first, again = run_suites(["parseval"]), run_suites(["parseval"])
+    assert first == again and first[0].wall_s > 0 and again[0].wall_s > 0
+    assert first[0] == replace(first[0], wall_s=first[0].wall_s + 1)
 
 
 def test_verify_full_suite_reruns_byte_identical(tmp_path):

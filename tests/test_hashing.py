@@ -370,6 +370,41 @@ def test_minhash_sampler_reproducible():
     assert fam.sample(5, seed=3) != fam.sample(5, seed=4)
 
 
+def _minhash_collisions_by_gather(x_bits, y_bits, g, d):
+    # The oracle: the smallest-ranked element of x | y by where and argmin,
+    # gathered from both sides; an empty union collides.
+    ranks = g.permuted(np.tile(np.arange(d), (len(x_bits), 1)), axis=1)
+    union = (x_bits | y_bits).astype(bool)
+    first = np.where(union, ranks, d).argmin(axis=1)
+    rows = np.arange(len(x_bits))
+    return (x_bits[rows, first] & y_bits[rows, first]).astype(bool) | ~union.any(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 64, 65, 300])
+def test_minhash_keyed_minimum_is_the_gather(d):
+    # Keys are uint8 up to d = 64 and uint16 from 65 on. Every third row has
+    # an empty union and every fifth is an identical pair. In every seventh
+    # the union is one element of x alone: at d = 65 its rank is 64, whose
+    # key needs the ninth bit, in 5 of those 286 rows. The others are random
+    # at densities from 0 to 1.
+    g = np.random.default_rng(d)
+    n = 2000
+    x = (g.random((n, d)) < g.random((n, 1))).astype(np.uint8)
+    y = (g.random((n, d)) < g.random((n, 1))).astype(np.uint8)
+    x[::3] = y[::3] = 0
+    y[1::5] = x[1::5]
+    x[2::7] = y[2::7] = 0
+    x[np.arange(2, n, 7), g.integers(0, d, len(x[2::7]))] = 1
+    fam = minhash_family(d)
+    got_g, want_g = rngmod.stream(8, d), rngmod.stream(8, d)
+    got = fam.collisions(x, y, got_g)
+    want = _minhash_collisions_by_gather(x, y, want_g, d)
+    assert got.dtype == want.dtype == bool and np.array_equal(got, want)
+    empty = ~(x | y).any(axis=1)
+    assert empty.sum() > 500 and want[empty].all() and not want.all()
+    assert got_g.random() == want_g.random()
+
+
 # ---------------------------------------------------------------------------
 # trivial family
 

@@ -17,6 +17,7 @@ from lshlab.hashing import (
 )
 from lshlab.points import hamming
 from lshlab.sampling import (
+    _flipped_pairs,
     _log_factorial,
     binomial_tail_above,
     binomial_tail_below,
@@ -66,6 +67,24 @@ def test_flip_rate_chi_squared():
 def test_correlated_bits_validate():
     with pytest.raises(ValueError):
         correlated_bits(8, 1.5, 10, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4095, 4096])
+@pytest.mark.parametrize("d", [1, 3, 9, 32, 33])
+@pytest.mark.parametrize("p", [0.0, -math.expm1(-0.6) / 2, 0.5])
+def test_flipped_pairs_are_numpys_integers_then_random(n, d, p):
+    # The raw words read as numpy's own uint8 integers and uniform doubles,
+    # so a numpy change to either algorithm fails here first. At n d = 1,
+    # 3, 9, 27, 33 and 99 the bytes fill an odd number of 32-bit halves,
+    # and a following permuted must read the same buffered half.
+    g, h = rngmod.stream(11, n * 64 + d), rngmod.stream(11, n * 64 + d)
+    x, y = _flipped_pairs(g, n, d, p)
+    want_x = h.integers(0, 2, size=(n, d), dtype=np.uint8)
+    want_y = want_x ^ (h.random(size=(n, d)) < p).astype(np.uint8)
+    assert x.dtype == y.dtype == np.uint8 and x.shape == y.shape == (n, d)
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    tile = np.tile(np.arange(40), (3, 1))
+    assert np.array_equal(g.permuted(tile, axis=1), h.permuted(tile, axis=1))
 
 
 def test_pair_reproducible():

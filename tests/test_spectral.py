@@ -813,23 +813,22 @@ def test_certificate_fails_a_check_past_the_float_range():
     assert cert.worst_triple == (0.0, 1.0, 2.0) and cert.n_checks == 2
 
 
-def test_certificate_fails_a_square_past_the_float_range():
-    # K(1)^2 is 1e320: the square overflows, so both slacks read inf.
-    cert = check_log_convexity(StabilityCurve((0.0, 1.0, 2.0), (1.0, 1e160, 1.0)))
-    assert not cert.passed and cert.worst_rel_slack == cert.worst_abs_slack == math.inf
-    assert cert.worst_triple == (0.0, 1.0, 2.0) and cert.n_checks == 2
+@pytest.mark.parametrize("bad", [-0.5, 1 + 2e-9, 1.5, 1e160, 1e300, math.nan, math.inf])
+def test_curve_refuses_values_outside_the_unit_interval(bad):
+    # A value is a collision probability. Only a spectrum's own 1e-9 of
+    # excess mass may take it past 1, so no square or product of values in
+    # the certificate can overflow.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        StabilityCurve((0.0, 1.0), (1.0, bad))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        StabilityCurve((0.0, 1.0), (bad, 0.2), stderr=(0.0, 0.1))
+    assert StabilityCurve((0.0, 1.0), (1 + 1e-9, 0.0)).values == (1 + 1e-9, 0.0)
 
 
-def test_certificate_of_a_flat_curve_past_the_float_range():
-    # Every K^2 and K K' is inf: the absolute slack is taken without
-    # inf - inf, so no nan (a RuntimeWarning here), and the flat curve ties.
-    cert = check_log_convexity(StabilityCurve((0.0, 1.0, 2.0), (1e300,) * 3))
-    assert cert.passed and cert.worst_rel_slack == 0.0 and cert.n_checks == 2
-    assert type(cert.worst_abs_slack) is float and math.isfinite(cert.worst_abs_slack)
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0])
 def test_certificate_fails_a_value_not_positive_and_finite(bad):
+    # Negative, nan and infinite values make no curve, so zero is the one
+    # value left that the certificate itself must refuse.
     cert = check_log_convexity(StabilityCurve((0.0, 0.5, 1.0, 1.5), (1.0, bad, 0.8, 0.7)))
     assert not cert.passed and cert.n_checks == 0 and cert.worst_triple is None
 
